@@ -535,7 +535,8 @@ def dominance_witness(
         record(char, series, a_i, b_i)
     for i in range(d, nbar):
         char, a_i, b_i = pair_data[i]
-        assert a_i == 0 and b_i == 0
+        if a_i != 0 or b_i != 0:
+            raise ArithmeticError(f"unit character {char} has orders ({a_i}, {b_i}), not (0, 0)")
         unit = TruncatedSeries.monomial(0, 0, 1, t_precision=t_precision) + (
             TruncatedSeries.monomial(0, 1, 1, t_precision=t_precision)
         )

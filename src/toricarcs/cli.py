@@ -277,6 +277,8 @@ def cmd_valuation(doc, args):
     if args.poly is not None:
         with open(args.poly, "r", encoding="utf-8") as fh:
             raw = json.loads(fh.read(), parse_float=_reject_float, parse_constant=_reject_float)
+        if isinstance(raw, dict) and "poly" not in raw:
+            raise InputError(f"{args.poly}: field 'poly' is missing")
         terms = _parse_poly(raw["poly"] if isinstance(raw, dict) else raw, doc.dim)
     elif doc.polynomial is not None:
         terms = doc.polynomial

@@ -12,7 +12,6 @@ relative interiors of the singular faces.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .arcs import OrbitLabel
 from .cones import (
     Cone,
     FaceRef,
+    _dot,
     dual_generators,
     is_smooth,
     lattice_points_where,
@@ -289,6 +289,34 @@ def _component(point: tuple[int, ...], level: int | None) -> ContactComponent:
     return ContactComponent(point=point, e=e, v0=v0.coords, level=level)
 
 
+def _minimal_points(chart: Cone, member, halfspaces, lo, hi) -> list[tuple[int, ...]]:
+    """Minimal generators in the box lo..hi, cut by halfspaces, of an ideal I.
+
+    member decides membership in I, a set of lattice points of the chart
+    with I + (chart cap N) inside I.  Then v in I is minimal iff no step
+    v - h by a Hilbert element h stays in the chart and in I: if w in I is
+    below v, then v - w = h + rest with rest in the chart, and v - h is in I.
+    """
+    steps = [h.coords for h in chart.hilbert_basis()]
+    walls = [normal for normal, _ in chart.halfspace_data()]
+    out = []
+    for v in lattice_points_where(halfspaces, lo, hi):
+        if not member(v):
+            continue
+        for h in steps:
+            w = tuple(x - y for x, y in zip(v, h))
+            if all(_dot(a, w) >= 0 for a in walls) and member(w):
+                break
+        else:
+            out.append(v)
+    return out
+
+
+def _at_least(a: MonomialIdeal, p: int):
+    gens = [u.coords for u in a.generators]
+    return lambda v: min(_dot(v, u) for u in gens) >= p
+
+
 def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
     """Local minimality test: no single Hilbert-basis step stays at order p.
 
@@ -301,20 +329,19 @@ def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
         raise ValueError(f"{tuple(vec.coords)} is not in the chart cone")
     if order_function(a, vec) != p:
         raise ValueError(f"order of {tuple(vec.coords)} is not {p}")
-    for w in a.chart.hilbert_basis():
-        prev = vec - w
-        if a.chart.contains(prev) and order_function(a, prev) >= p:
-            return False
-    return True
+    # the one-point box lo = hi = v runs the step test on v alone
+    return bool(_minimal_points(a.chart, _at_least(a, p), (), vec.coords, vec.coords))
 
 
 def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]:
     """Minimal lattice points of order exactly p, with primitive decompositions.
 
-    Candidates are enumerated in the bounding box of the compact faces of
-    the level-p set, inflated by the longest Hilbert-basis vector of the
-    chart semigroup; the run is repeated with a doubled margin and the two
-    results must agree, which pins down the enumeration at desk scale.
+    These are the minimal generators of order p of the ideal {order >= p},
+    which is conv(V) + sigma for V the level-p vertices.  If a point of it
+    is x + sum l_i r_i with x in conv(V) and some l_i >= 1 on a primitive
+    ray r_i, then stepping back by r_i stays in the ideal.  So every minimal
+    generator lies in conv(V) + sum [0, 1) r_i: the scanned box is the
+    vertex box widened by sum min(0, r_i) below and sum max(0, r_i) above.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError("contact loci are indexed by positive integers p")
@@ -323,31 +350,12 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
     n = a.chart.dim_ambient
     if not data.vertices:
         return ()
-    lo0 = [math.floor(min(v[j] for v in data.vertices)) for j in range(n)]
-    hi0 = [math.ceil(max(v[j] for v in data.vertices)) for j in range(n)]
-    margin = max(
-        (w.sup_norm() for w in a.chart.hilbert_basis()), default=1
-    )
-
-    def run(m: int) -> tuple[tuple[int, ...], ...]:
-        lo = [x - m for x in lo0]
-        hi = [x + m for x in hi0]
-        out = []
-        for pt in lattice_points_where(a.chart.halfspace_data(), lo, hi):
-            vec = LatticeVector(pt, N_SIDE)
-            if order_function(a, vec) != p:
-                continue
-            if is_minimal_in_contact(a, p, vec):
-                out.append(pt)
-        return tuple(sorted(out))
-
-    first = run(margin)
-    second = run(2 * margin)
-    if first != second:
-        raise RuntimeError(
-            "minimal-element enumeration did not stabilize; inflate the margin"
-        )
-    return tuple(_component(pt, p) for pt in first)
+    rays = [r.coords for r in a.chart.rays]
+    lo = [math.floor(min(v[j] for v in data.vertices)) + sum(min(0, r[j]) for r in rays) for j in range(n)]
+    hi = [math.ceil(max(v[j] for v in data.vertices)) + sum(max(0, r[j]) for r in rays) for j in range(n)]
+    level = a.chart.halfspace_data() + tuple((u.coords, p) for u in a.generators)
+    points = _minimal_points(a.chart, _at_least(a, p), level, lo, hi)
+    return tuple(_component(pt, p) for pt in sorted(points) if order_function(a, pt) == p)
 
 
 # ---------------------------------------------------------------------------
@@ -360,56 +368,41 @@ def singular_faces(c: Cone) -> tuple[FaceRef, ...]:
     return tuple(f for f in c.faces() if not is_smooth(f.as_cone()))
 
 
-def _union_relint_member(singular_cones: Sequence[Cone], v: LatticeVector) -> bool:
-    return any(fc.relint_contains(v) for fc in singular_cones)
-
-
 def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     """Labels of the components of the arc fiber over the singular locus.
 
     These are the cone-order-minimal lattice points in the union of the
-    relative interiors of the singular faces.  A relative-interior point
-    with a repeated Hilbert summand descends by that summand and stays in
-    the relative interior, so every minimal point is a 0/1 combination of
-    its face's Hilbert basis; minimality is then certified globally by
-    enumerating the (bounded) set of lattice points below v in the order.
+    relative interiors of the singular faces, a monoid ideal of the cone's
+    lattice points since every face containing a singular face is singular.
+    A point of the relative interior of a face tau with a repeated Hilbert
+    summand steps back by it and stays there, so a minimal point is a 0/1
+    sum of tau's Hilbert basis, the cone's Hilbert elements lying in tau:
+    the scan for tau is tau cut by the zonotope box of that basis.
     """
     sing = singular_faces(c)
     if not sing:
         return ()
-    sing_cones = [f.as_cone() for f in sing]
-    candidates: set[tuple[int, ...]] = set()
-    for fc in sing_cones:
-        basis = fc.hilbert_basis()
-        for size in range(1, len(basis) + 1):
-            for subset in itertools.combinations(basis, size):
-                total = subset[0]
-                for w in subset[1:]:
-                    total = total + w
-                if fc.relint_contains(total):
-                    candidates.add(total.coords)
-    minimal = []
-    for pt in sorted(candidates):
-        vec = LatticeVector(pt, N_SIDE)
-        below = [(normal, 0) for normal, _ in c.halfspace_data()]
-        below += [
-            (tuple(-x for x in normal), -sum(a * b for a, b in zip(normal, pt)))
-            for normal, _ in c.halfspace_data()
-        ]
-        verts, recession, _ = polyhedron_vertices(below, c.dim_ambient)
-        assert not recession, "order interval is unbounded; cone not strongly convex?"
-        lo = [math.floor(min(v[j] for v in verts)) for j in range(c.dim_ambient)]
-        hi = [math.ceil(max(v[j] for v in verts)) for j in range(c.dim_ambient)]
-        dominated = False
-        for w in lattice_points_where(below, lo, hi):
-            if w == pt:
-                continue
-            if _union_relint_member(sing_cones, LatticeVector(w, N_SIDE)):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(pt)
-    return tuple(_component(pt, None) for pt in sorted(minimal))
+    n = c.dim_ambient
+    dual = [u.coords for u in c.dual_rays]
+
+    def vanishing(vectors) -> frozenset:
+        return frozenset(j for j, u in enumerate(dual) if all(_dot(u, v) == 0 for v in vectors))
+
+    singular = {vanishing([r.coords for r in f.rays]) for f in sing}
+
+    def member(v) -> bool:
+        return vanishing([v]) in singular
+
+    basis = [h.coords for h in c.hilbert_basis()]
+    found: set[tuple[int, ...]] = set()
+    for zero in singular:
+        face_basis = [h for h in basis if vanishing([h]) >= zero]
+        lo = [sum(min(0, h[j]) for h in face_basis) for j in range(n)]
+        hi = [sum(max(0, h[j]) for h in face_basis) for j in range(n)]
+        # the dual rays in zero are >= 0 on the cone; also <= 0 keeps the scan on the face
+        walls = c.halfspace_data() + tuple((tuple(-x for x in dual[j]), 0) for j in zero)
+        found.update(_minimal_points(c, member, walls, lo, hi))
+    return tuple(_component(pt, None) for pt in sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +437,18 @@ def lift_to_open_stratum(a: MonomialIdeal, o: OrbitLabel) -> LatticeVector:
         num = -pairing(w, u)
         den = pairing(v1, u)
         if den <= 0:
-            raise RuntimeError("interior point pairs nonpositively off the annihilator")
+            raise ArithmeticError("interior point pairs nonpositively off the annihilator")
         if num > 0:
             k = max(k, -(-num // den))
     v0 = w + k * v1
     m = p + 1
     lifted = v0 + m * v1
-    assert chart.contains(lifted)
-    assert q.project(lifted).coords == o.point
-    assert order_function(a, lifted) == p
+    if not chart.contains(lifted):
+        raise ArithmeticError(f"lift {lifted.coords} left the chart cone")
+    if q.project(lifted).coords != o.point:
+        raise ArithmeticError(f"lift {lifted.coords} does not project to {o.point}")
+    if order_function(a, lifted) != p:
+        raise ArithmeticError(f"lift {lifted.coords} changed the order {p}")
     return lifted
 
 
@@ -488,11 +484,7 @@ def toric_valuation_eval(val: ToricValuation, f: Sequence[tuple]) -> int:
     v = LatticeVector(val.point, N_SIDE)
     orders = []
     for coeff, exponent in f:
-        if isinstance(coeff, Fraction):
-            nonzero = coeff != 0
-        else:
-            nonzero = coeff != 0
-        if not nonzero:
+        if coeff == 0:
             raise ValueError("support coefficients must be nonzero")
         u = (
             exponent

@@ -492,7 +492,8 @@ def quotient_lattice(ambient_dim: int, generators: Sequence[LatticeVector]) -> Q
     # columns of A are the generators; U @ A has its last rows zero
     A = [[g.coords[i] for g in gens] for i in range(ambient_dim)]
     _, U, Uinv, rank = row_hermite(A)
-    assert rank == r
+    if rank != r:
+        raise ArithmeticError(f"Hermite form found rank {rank} for {r} independent generators")
     projection = tuple(U[i] for i in range(r, ambient_dim))
     section = tuple(tuple(Uinv[i][j] for j in range(r, ambient_dim)) for i in range(ambient_dim))
     return QuotientLattice(ambient_dim, gens, projection, section)

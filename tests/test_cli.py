@@ -130,6 +130,18 @@ def test_exit_code_1_on_bad_contact_level(capsys):
     assert code == 1
 
 
+def test_exit_code_2_on_poly_document_without_poly_field(capsys, tmp_path):
+    poly = tmp_path / "poly.json"
+    poly.write_text('{"terms":[[1,[0,1]]]}')
+    code, out, err = run_cli(
+        ["valuation", "--v", "1,1", "--poly", str(poly), "--input", str(FIXTURES / "a1.json")],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "'poly'" in err
+
+
 def test_warning_goes_to_stderr_result_to_stdout(capsys, tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text('{"dim":2,"cones":[[[2,4],[1,0]]]}')

@@ -254,6 +254,38 @@ def test_contact_matches_brute_oracle(q23, a1_max):
             assert got == [list(v) for v in expected], (gens, p)
 
 
+def test_contact_components_beyond_the_polar_vertex_box(a1, a2):
+    # the level-3 vertex of (2,-1) on A_1 is (3/2, 0), yet the component is
+    # (2, 1): the scan must reach past the vertex box along the chart's rays
+    for ideal in (monomial_ideal(a1, [(2, -1)]), monomial_ideal(a2, [(3, -1)])):
+        rays = [r.coords for r in ideal.chart.rays]
+        gens = [u.coords for u in ideal.generators]
+
+        def member(v):
+            return in_cone_rational(rays, v)
+
+        for p in range(1, 5):
+            expected = brute_contact_minimal(rays, gens, p, 4 * p, member)
+            got = [list(c.point) for c in contact_components(ideal, p)]
+            assert got == [list(v) for v in expected], (gens, p)
+    assert [c.point for c in contact_components(monomial_ideal(a1, [(2, -1)]), 3)] == [(2, 1)]
+
+
+def test_contact_matches_brute_oracle_on_singular_3d_chart():
+    chart = Cone([(0, 1, 0), (1, 0, 0), (1, 1, 2)])
+    rays = [r.coords for r in chart.rays]
+    ideal = monomial_ideal(chart, [(0, 0, 1), (0, 3, -1), (1, 1, -1)])
+    gens = [u.coords for u in ideal.generators]
+
+    def member(v):
+        return in_cone_rational(rays, v)
+
+    for p in (1, 2):
+        expected = brute_contact_minimal(rays, gens, p, 5, member)
+        got = [list(c.point) for c in contact_components(ideal, p)]
+        assert got == [list(v) for v in expected], p
+
+
 def test_compact_face_points_are_minimal_components(q23, quadrant):
     principal = monomial_ideal(quadrant, [(1, 1)])
     for ideal, p in [(q23, 6), (q23, 12), (principal, 1), (principal, 3)]:
@@ -307,6 +339,38 @@ def test_sing_components_match_brute_oracle():
         expected = brute_sing_minimal(cone, 2 * n)
         got = [list(c.point) for c in sing_components(cone)]
         assert got == [list(v) for v in expected]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_sing_components_an_closed_form(n):
+    cone = Cone([(1, 0), (1, n + 1)])
+    assert [c.point for c in sing_components(cone)] == [(1, k) for k in range(1, n + 1)]
+
+
+def test_sing_components_match_brute_oracle_3d():
+    # the chart lies in the positive orthant, so every point below a
+    # component lies in the same box as the component
+    cone = Cone([(1, 0, 0), (0, 1, 0), (1, 2, 7)])
+    assert max(x for c in sing_components(cone) for x in c.point) <= 6
+    assert [c.point for c in sing_components(cone)] == brute_sing_minimal(cone, 6)
+
+
+def test_sing_components_match_brute_oracle_random_3d():
+    from toricarcs.cones import is_smooth
+
+    rng = random.Random(0)
+    checked = 0
+    while checked < 4:
+        try:
+            cone = Cone([tuple(rng.randint(-1, 2) for _ in range(3)) for _ in range(3)])
+        except ValueError:
+            continue
+        if not cone.is_full_dimensional() or is_smooth(cone):
+            continue
+        got = [list(c.point) for c in sing_components(cone)]
+        assert got and max(abs(x) for v in got for x in v) <= 3, cone
+        assert got == [list(v) for v in brute_sing_minimal(cone, 3)], cone
+        checked += 1
 
 
 def test_sing_equals_union_of_contact_components(a1, a2):
