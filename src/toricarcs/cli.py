@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as err:
+    except (ValueError, OSError, KeyError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     sys.stdout.write(json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n")

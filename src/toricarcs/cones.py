@@ -225,9 +225,8 @@ class Cone:
 
     @property
     def dim(self) -> int:
-        if not self.rays:
-            return 0
-        return rank_of([r.coords for r in self.rays])
+        # span_normals is a basis of the annihilator of the span
+        return self.dim_ambient - len(self.span_normals)
 
     def is_full_dimensional(self) -> bool:
         return self.dim == self.dim_ambient
@@ -271,18 +270,9 @@ class Cone:
 
     def faces(self) -> tuple["FaceRef", ...]:
         if self._faces is None:
-            nrays = len(self.rays)
-            keys = {frozenset(range(nrays))}
-            for u in self.dual_rays:
-                keys.add(frozenset(self.tight_ray_indices(u)))
-            changed = True
-            while changed:
-                changed = False
-                for a, b in itertools.combinations(list(keys), 2):
-                    c = a & b
-                    if c not in keys:
-                        keys.add(c)
-                        changed = True
+            keys = _face_keys(
+                (self.tight_ray_indices(u) for u in self.dual_rays), len(self.rays)
+            )
             refs = tuple(
                 FaceRef(self, tuple(sorted(k)))
                 for k in sorted(keys, key=lambda k: (len(k), tuple(sorted(k))))
@@ -324,6 +314,27 @@ class Cone:
                 self, "_hilbert", tuple(LatticeVector(b, N_SIDE) for b in basis)
             )
         return self._hilbert
+
+
+def _face_keys(tight_sets: Iterable[Iterable[int]], nrays: int) -> set[frozenset[int]]:
+    """Faces of a cone as sets of ray indices.
+
+    tight_sets are the rays on which valid inequalities vanish, and must
+    include every facet; each is a face, and every face is an intersection
+    of facets, so the faces are the full set and all intersections of them.
+    """
+    walls = {frozenset(t) for t in tight_sets}
+    full = frozenset(range(nrays))
+    keys = {full}
+    todo = [full]
+    while todo:
+        face = todo.pop()
+        for wall in walls:
+            meet = face & wall
+            if meet not in keys:
+                keys.add(meet)
+                todo.append(meet)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -445,14 +456,18 @@ def faces(c: Cone) -> tuple[FaceRef, ...]:
     return c.faces()
 
 
+def _unimodular(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff the primitive integer rows extend to a basis of the lattice."""
+    if not rows:
+        return True
+    if rank_of(rows) != len(rows):
+        return False
+    return all(d == 1 for d in smith_diagonal(rows))
+
+
 def is_smooth(c: Cone) -> bool:
     """True iff the primitive rays extend to a basis of the ambient lattice."""
-    if not c.rays:
-        return True
-    matrix = [r.coords for r in c.rays]
-    if rank_of(matrix) != len(c.rays):
-        return False
-    return all(d == 1 for d in smith_diagonal(matrix))
+    return _unimodular(c.key)
 
 
 @lru_cache(maxsize=None)
@@ -528,6 +543,23 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
     return Cone(rays, c1.dim_ambient)
 
 
+def _homogenized_rays(
+    constraints: Sequence[tuple[Sequence[int], int]], dim: int
+) -> tuple[tuple[int, ...], ...]:
+    """Extreme rays (x, s) of the homogenization of {x : a . x >= b for all (a, b)}.
+
+    The homogenized cone is cut out by a . x - b s >= 0 and s >= 0.  Rays
+    with s > 0 are the vertices x / s, rays with s = 0 the recession rays.
+    One double-description pass; the polyhedron must not contain a line.
+    """
+    homog = [tuple(a) + (-int(b),) for a, b in constraints]
+    homog.append((0,) * dim + (1,))
+    rays, lin = dual_generators(homog, dim + 1)
+    if lin:
+        raise ValueError("polyhedron contains a line")
+    return rays
+
+
 def polyhedron_vertices(
     constraints: Sequence[tuple[Sequence[int], int]], dim: int
 ) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[int, ...], ...], Cone]:
@@ -536,12 +568,7 @@ def polyhedron_vertices(
     Returns (vertices, recession_rays, homogenized_cone); vertices carry
     exact rational coordinates.  The polyhedron must not contain a line.
     """
-    homog = [tuple(a) + (-int(b),) for a, b in constraints]
-    homog.append((0,) * dim + (1,))
-    rays, lin = dual_generators(homog, dim + 1)
-    if lin:
-        raise ValueError("polyhedron contains a line")
-    cone = Cone(rays, dim + 1)
+    cone = Cone(_homogenized_rays(constraints, dim), dim + 1)
     vertices = []
     recession = []
     for r in cone.rays:

@@ -22,10 +22,11 @@ from .cones import (
     Cone,
     FaceRef,
     _dot,
+    _face_keys,
+    _homogenized_rays,
+    _unimodular,
     dual_generators,
-    is_smooth,
     lattice_points_where,
-    polyhedron_vertices,
 )
 from .lattice import (
     INF,
@@ -211,41 +212,51 @@ def dual_fan(a: MonomialIdeal) -> tuple[Cone, ...]:
     return tuple(sorted(data.dual_fan_cones, key=lambda c: c.key))
 
 
+def _level_constraints(a: MonomialIdeal, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Halfspaces a . v >= b cutting out {v in the cone : order(v) >= p}."""
+    return [(u.coords, p) for u in a.generators] + list(a.chart.halfspace_data())
+
+
 def polar_polytope(a: MonomialIdeal, p: int) -> PolarData:
-    """Vertices and compact faces of the level-p polytope of the order function."""
+    """Vertices and compact faces of the level-p polytope of the order function.
+
+    One double-description pass gives the rays (x, s) of the homogenized
+    level set, vertices x / s where s > 0.  The faces of that cone are the
+    intersections of the ray sets on which the homogenized constraints are
+    tight: each constraint is valid on the cone, so its tight set is a
+    face, and every facet is cut out by one of the constraints.  The
+    compact faces are the nonempty ones made of vertices alone.
+    """
     _require_full_dim(a)
     if not isinstance(p, int) or p < 1:
         raise ValueError("the level p must be a positive integer")
     n = a.chart.dim_ambient
-    constraints = [(u.coords, p) for u in a.generators]
-    constraints += [(normal, 0) for normal, _ in a.chart.halfspace_data()]
-    vertices, recession, homog = polyhedron_vertices(constraints, n)
-    vertex_index = {}
-    for i, r in enumerate(homog.rays):
-        s = r.coords[-1]
-        if s > 0:
-            coords = tuple(Fraction(x, s) for x in r.coords[:-1])
-            vertex_index[i] = vertices.index(coords)
-    compact = set()
-    for face in homog.faces():
-        if not face.indices:
-            continue
-        if all(i in vertex_index for i in face.indices):
-            compact.add(tuple(sorted(vertex_index[i] for i in face.indices)))
+    constraints = _level_constraints(a, p)
+    rays = _homogenized_rays(constraints, n)
+    points = {i: tuple(Fraction(x, r[-1]) for x in r[:-1]) for i, r in enumerate(rays) if r[-1] > 0}
+    vertices = tuple(sorted(points.values()))
+    position = {v: k for k, v in enumerate(vertices)}
+    vertex_index = {i: position[v] for i, v in points.items()}
+    # (c, b) is tight at (x, s) iff c . x = b s; the last wall is s >= 0
+    tight = [[i for i, r in enumerate(rays) if _dot(c, r) == b * r[-1]] for c, b in constraints]
+    tight.append([i for i, r in enumerate(rays) if r[-1] == 0])
+    compact = {
+        tuple(sorted(vertex_index[i] for i in face))
+        for face in _face_keys(tight, len(rays))
+        if face and all(i in vertex_index for i in face)
+    }
     return PolarData(
         level=p,
         vertices=vertices,
         compact_faces=tuple(sorted(compact)),
-        recession_rays=recession,
+        recession_rays=tuple(sorted(r[:-1] for r in rays if r[-1] == 0)),
     )
 
 
 def compact_face_lattice_points(a: MonomialIdeal, p: int) -> tuple[tuple[int, ...], ...]:
     """All lattice points on compact faces of the level-p set, sorted."""
     data = polar_polytope(a, p)
-    all_constraints = [(u.coords, p) for u in a.generators] + [
-        (normal, 0) for normal, _ in a.chart.halfspace_data()
-    ]
+    all_constraints = _level_constraints(a, p)
     found = set()
     for face in data.compact_faces:
         verts = [data.vertices[i] for i in face]
@@ -342,18 +353,21 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
     ray r_i, then stepping back by r_i stays in the ideal.  So every minimal
     generator lies in conv(V) + sum [0, 1) r_i: the scanned box is the
     vertex box widened by sum min(0, r_i) below and sum max(0, r_i) above.
+    The vertex box is read in integers off the homogenized rays (x, s) with
+    s > 0: floor(x_j / s) = x_j // s below and ceil(x_j / s) = -(-x_j // s)
+    above.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError("contact loci are indexed by positive integers p")
     _require_full_dim(a)
-    data = polar_polytope(a, p)
     n = a.chart.dim_ambient
-    if not data.vertices:
+    level = _level_constraints(a, p)
+    tops = [r for r in _homogenized_rays(level, n) if r[-1] > 0]
+    if not tops:
         return ()
     rays = [r.coords for r in a.chart.rays]
-    lo = [math.floor(min(v[j] for v in data.vertices)) + sum(min(0, r[j]) for r in rays) for j in range(n)]
-    hi = [math.ceil(max(v[j] for v in data.vertices)) + sum(max(0, r[j]) for r in rays) for j in range(n)]
-    level = a.chart.halfspace_data() + tuple((u.coords, p) for u in a.generators)
+    lo = [min(v[j] // v[-1] for v in tops) + sum(min(0, r[j]) for r in rays) for j in range(n)]
+    hi = [max(-(-v[j] // v[-1]) for v in tops) + sum(max(0, r[j]) for r in rays) for j in range(n)]
     points = _minimal_points(a.chart, _at_least(a, p), level, lo, hi)
     return tuple(_component(pt, p) for pt in sorted(points) if order_function(a, pt) == p)
 
@@ -365,7 +379,7 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
 
 def singular_faces(c: Cone) -> tuple[FaceRef, ...]:
     """Faces whose primitive rays do not extend to a lattice basis."""
-    return tuple(f for f in c.faces() if not is_smooth(f.as_cone()))
+    return tuple(f for f in c.faces() if not _unimodular(f.key))
 
 
 def sing_components(c: Cone) -> tuple[ContactComponent, ...]:

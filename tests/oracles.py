@@ -203,3 +203,27 @@ def decomposes_over(point, basis, member):
         if member(rest) and decomposes_over(rest, basis[i:], member):
             return True
     return False
+
+
+def polar_by_face_lattice(ideal, p):
+    """(vertices, recession rays, compact faces) of the level-p set of an ideal.
+
+    Read off the face lattice of the homogenized cone, rebuilt as a Cone by
+    polyhedron_vertices and dualized again for its facets.
+    """
+    from toricarcs.cones import polyhedron_vertices
+
+    constraints = [(u.coords, p) for u in ideal.generators]
+    constraints += list(ideal.chart.halfspace_data())
+    vertices, recession, homog = polyhedron_vertices(constraints, ideal.chart.dim_ambient)
+    index = {}
+    for i, r in enumerate(homog.rays):
+        s = r.coords[-1]
+        if s > 0:
+            index[i] = vertices.index(tuple(Fraction(x, s) for x in r.coords[:-1]))
+    compact = {
+        tuple(sorted(index[i] for i in f.indices))
+        for f in homog.faces()
+        if f.indices and all(i in index for i in f.indices)
+    }
+    return vertices, recession, tuple(sorted(compact))

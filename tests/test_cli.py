@@ -6,7 +6,7 @@ import pytest
 
 from golden_cases import GOLDEN_CASES
 
-from toricarcs.cli import InputError, emit_document, main, parse_input
+from toricarcs.cli import COMMANDS, InputError, emit_document, main, parse_input
 
 ROOT = pathlib.Path(__file__).parent.parent
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -128,6 +128,15 @@ def test_exit_code_1_on_bad_contact_level(capsys):
         capsys,
     )
     assert code == 1
+
+
+def test_exit_code_1_on_broken_internal_invariant(capsys, monkeypatch):
+    def broken(doc, args):
+        raise ArithmeticError("lift left the chart cone")
+
+    monkeypatch.setitem(COMMANDS, "smooth", broken)
+    code, out, err = run_cli(["smooth", "--input", str(FIXTURES / "a1.json")], capsys)
+    assert (code, out, err) == (1, "", "error: lift left the chart cone\n")
 
 
 def test_exit_code_2_on_poly_document_without_poly_field(capsys, tmp_path):

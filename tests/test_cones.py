@@ -17,7 +17,7 @@ from toricarcs.cones import (
     leq_sigma,
     quotient_by_face,
 )
-from toricarcs.lattice import nvec
+from toricarcs.lattice import nvec, rank_of
 
 
 # -- dual cones ---------------------------------------------------------------
@@ -58,6 +58,21 @@ def test_strong_convexity_rejected():
 def test_non_extreme_generators_dropped():
     c = Cone([(1, 0), (1, 1), (0, 1)])
     assert c.key == ((0, 1), (1, 0))
+
+
+def test_cone_dim_is_rank_of_rays():
+    cones = [Cone([], 0), Cone([], 3), Cone([(1, 2)], 2), Cone([(1, 0, 0), (0, 1, 0)], 3)]
+    cones += [Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])]
+    rng = random.Random(9)
+    while len(cones) < 25:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(1, 4))]
+        try:
+            cones.append(Cone(gens, 3))
+        except ValueError:
+            continue
+    assert {c.dim for c in cones} == {0, 1, 2, 3}
+    for c in cones:
+        assert c.dim == rank_of([r.coords for r in c.rays]), c
 
 
 # -- faces -------------------------------------------------------------------

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_full_cone
-from oracles import brute_contact_minimal, brute_sing_minimal, in_cone_rational
+from oracles import (
+    brute_contact_minimal,
+    brute_sing_minimal,
+    in_cone_rational,
+    polar_by_face_lattice,
+)
 
 from toricarcs.arcs import monomial_arc, orbit_label, orbit_poset
 from toricarcs.cones import Cone
@@ -174,6 +179,27 @@ def test_polar_principal_segment(quadrant):
     assert (0, 1) in data.compact_faces
 
 
+def test_polar_polytope_matches_face_lattice_route():
+    rng = random.Random(17)
+    charts = [random_full_cone(rng, dim, spread=2) for dim in (2, 3) for _ in range(8)]
+    charts.append(Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]))
+    for chart in charts:
+        dim = chart.dim_ambient
+        dual = [u.coords for u in chart.dual_rays]
+        for _ in range(2):
+            gens = []
+            while len(gens) < dim + 2:
+                coeffs = [rng.randint(0, 3) for _ in dual]
+                u = tuple(sum(c * d[j] for c, d in zip(coeffs, dual)) for j in range(dim))
+                if any(u):
+                    gens.append(u)
+            ideal = monomial_ideal(chart, gens)
+            for p in range(1, 5):
+                data = polar_polytope(ideal, p)
+                got = (data.vertices, data.recession_rays, data.compact_faces)
+                assert got == polar_by_face_lattice(ideal, p), (chart.key, gens, p)
+
+
 # -- minimality ------------------------------------------------------------------------
 
 
@@ -323,6 +349,17 @@ def test_singular_faces(quadrant, a1, a2):
     assert singular_faces(quadrant) == ()
     assert [f.key for f in singular_faces(a1)] == [a1.key]
     assert [f.key for f in singular_faces(a2)] == [a2.key]
+
+
+def test_singular_faces_match_smoothness_of_face_cones():
+    from toricarcs.cones import is_smooth
+
+    charts = [Cone([(1, 0), (1, n + 1)]) for n in range(1, 9)]
+    rng = random.Random(3)
+    charts += [random_full_cone(rng, 3, spread=2) for _ in range(8)]
+    for c in charts:
+        expected = tuple(f for f in c.faces() if not is_smooth(f.as_cone()))
+        assert singular_faces(c) == expected, c
 
 
 def test_sing_components_examples(quadrant, a1, a2):
