@@ -13,7 +13,6 @@ by truncated power-series arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -21,6 +20,7 @@ from .cones import (
     Cone,
     FaceRef,
     Fan,
+    _charts_containing,
     hilbert_basis_dual,
     is_face_of,
     is_smooth,
@@ -34,6 +34,8 @@ from .lattice import (
     Infinite,
     LatticeVector,
     QuotientLattice,
+    _Record,
+    _set,
     is_finite,
     pairing,
     quotient_lattice,
@@ -59,16 +61,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SemigroupHom:
+class SemigroupHom(_Record):
     """Values of an additive map from the dual Hilbert generators to Z>=0 or INF."""
 
-    cone: Cone
-    values: tuple
+    __slots__ = {"cone": "Cone", "values": "tuple"}
 
-    def __post_init__(self):
-        gens = hilbert_basis_dual(self.cone)
-        vals = tuple(self.values)
+    def __init__(self, cone: Cone, values: Sequence):
+        gens = hilbert_basis_dual(cone)
+        vals = tuple(values)
         if len(vals) != len(gens):
             raise ValueError("one value per dual Hilbert generator is required")
         for v in vals:
@@ -76,7 +76,8 @@ class SemigroupHom:
                 continue
             if not isinstance(v, int) or v < 0:
                 raise ValueError("values must be nonnegative integers or INF")
-        object.__setattr__(self, "values", vals)
+        _set(self, "cone", cone)
+        _set(self, "values", vals)
 
     @property
     def generators(self) -> tuple[LatticeVector, ...]:
@@ -109,9 +110,7 @@ def _strata(ambient) -> tuple[FaceRef, ...]:
 
 
 def _charts_over(ambient, face: FaceRef) -> tuple[Cone, ...]:
-    return tuple(
-        c for c in _maximal_cones(ambient) if all(c.contains(r) for r in face.rays)
-    )
+    return _charts_containing(_maximal_cones(ambient), face)
 
 
 def _face_in_chart(chart: Cone, face: FaceRef) -> FaceRef:
@@ -120,16 +119,24 @@ def _face_in_chart(chart: Cone, face: FaceRef) -> FaceRef:
     return chart.smallest_face_containing(list(face.rays))
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
+class OrbitLabel(_Record):
     """An arc-space orbit: a stratum face and a point of the quotient lattice."""
 
-    ambient: object
-    face: FaceRef
-    point: tuple[int, ...]
+    __slots__ = {"ambient": "Cone | Fan", "face": "FaceRef", "point": "tuple[int, ...]"}
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", tuple(int(x) for x in self.point))
+    def __init__(self, ambient, face: FaceRef, point: Sequence[int]):
+        _set(self, "ambient", ambient)
+        _set(self, "face", face)
+        _set(self, "point", tuple(map(int, point)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # the cheap fields first; a tuple compares its items by identity first
+            return (self.point, self.face, self.ambient) == (other.point, other.face, other.ambient)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.face, self.point))
 
     @property
     def quotient(self) -> QuotientLattice:
@@ -333,13 +340,18 @@ def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
     return any(holds for _, _, _, holds in _dominance_charts(o1, o2))
 
 
-@dataclass(frozen=True)
-class OrbitPoset:
+class OrbitPoset(_Record):
     """Bounded slice of the dominance order: nodes, full order, cover edges."""
 
-    nodes: tuple[OrbitLabel, ...]
-    relation: frozenset
-    covers: tuple[tuple[int, int], ...]
+    __slots__ = {
+        "nodes": "tuple[OrbitLabel, ...]",
+        "relation": "frozenset[tuple[int, int]]",
+        "covers": "tuple[tuple[int, int], ...]",
+    }
+
+
+# Most box points orbit_poset may scan; see its docstring.
+MAX_POSET_BOX_POINTS = 512
 
 
 def orbit_poset(ambient, bound: int) -> OrbitPoset:
@@ -348,15 +360,31 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     Nodes are deterministic: strata in face order, points lexicographic.
     Cover edges are the transitive reduction of dominance restricted to the
     node set.
+
+    Work budget: every node is a point of a box that is scanned, one box
+    [-bound, bound]^d per stratum and chart over it, d the rank of the
+    stratum's quotient lattice.  So the node count is at most the sum of
+    (2 bound + 1)^d over strata and charts.  That sum is computed before
+    any box is scanned, and a ValueError naming it is raised when it
+    exceeds MAX_POSET_BOX_POINTS = 512.  The dominance test therefore runs
+    on at most 512 * 511 = 261,632 ordered pairs of nodes.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    nodes: list[OrbitLabel] = []
+    plan = []
     for face in _strata(ambient):
-        q = _stratum_quotient(face.parent.dim_ambient, face.key)
-        dim = q.quotient_dim
+        dim = _stratum_quotient(face.parent.dim_ambient, face.key).quotient_dim
+        plan.append((face, dim, _charts_over(ambient, face)))
+    box = sum(len(charts) * (2 * bound + 1) ** dim for _, dim, charts in plan)
+    if box > MAX_POSET_BOX_POINTS:
+        raise ValueError(
+            f"orbit poset at bound {bound} would scan {box} box points, "
+            f"more than the budget of {MAX_POSET_BOX_POINTS}"
+        )
+    nodes: list[OrbitLabel] = []
+    for face, dim, charts in plan:
         points = set()
-        for chart in _charts_over(ambient, face):
+        for chart in charts:
             image = quotient_by_face(chart, _face_in_chart(chart, face)).image_cone
             if dim == 0:
                 points.add(())
@@ -384,28 +412,30 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
+class WitnessEntry(_Record):
     """Verification record for one dual generator of the witness chart."""
 
-    character: tuple[int, ...]
-    in_ring: bool
-    order_generic: int | None
-    order_at_zero: int | None
-    expected_generic: object
-    expected_at_zero: object
-    ok: bool
+    __slots__ = {
+        "character": "tuple[int, ...]",
+        "in_ring": "bool",
+        "order_generic": "int | None",
+        "order_at_zero": "int | None",
+        "expected_generic": "int",
+        "expected_at_zero": "int | None",
+        "ok": "bool",
+    }
 
 
-@dataclass(frozen=True)
-class DominanceWitness:
+class DominanceWitness(_Record):
     """Explicit one-parameter family interpolating between two orbits."""
 
-    chart: Cone
-    precision: int
-    family: tuple[tuple[tuple[int, ...], TruncatedSeries], ...]
-    entries: tuple[WitnessEntry, ...]
-    verified: bool
+    __slots__ = {
+        "chart": "Cone",
+        "precision": "int",
+        "family": "tuple[tuple[tuple[int, ...], TruncatedSeries], ...]",
+        "entries": "tuple[WitnessEntry, ...]",
+        "verified": "bool",
+    }
 
 
 def _invert_unit_upper(T):

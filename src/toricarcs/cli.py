@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .arcs import dominance_witness, dominates, orbit_label, orbit_poset
 from .cones import Cone, Fan, dual_cone, faces, hilbert_basis_dual, is_smooth
@@ -30,7 +29,7 @@ from .ideals import (
     toric_valuation,
     toric_valuation_eval,
 )
-from .lattice import primitive_tuple
+from .lattice import _Record, primitive_tuple
 
 __all__ = ["InputError", "InputDocument", "parse_input", "emit_document", "main", "run"]
 
@@ -43,13 +42,16 @@ def _reject_float(value):
     raise InputError(f"float literal {value!r} is not accepted; inputs are exact integers")
 
 
-@dataclass
-class InputDocument:
-    dim: int
-    cones: list[Cone]
-    ideal_generators: list[tuple[int, ...]] | None
-    polynomial: list[tuple[int, tuple[int, ...]]] | None
-    warnings: list[str]
+class InputDocument(_Record):
+    """A validated input document: the charts and the optional ideal and polynomial."""
+
+    __slots__ = {
+        "dim": "int",
+        "cones": "list[Cone]",
+        "ideal_generators": "list[tuple[int, ...]] | None",
+        "polynomial": "list[tuple[int, tuple[int, ...]]] | None",
+        "warnings": "list[str]",
+    }
 
 
 def _int_vector(obj, dim: int, what: str) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ exact vertex enumeration for the polyhedra the ideal machinery needs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -25,6 +24,8 @@ from .lattice import (
     N_SIDE,
     LatticeVector,
     QuotientLattice,
+    _Record,
+    _set,
     pairing,
     primitive_tuple,
     quotient_lattice,
@@ -153,7 +154,7 @@ def dual_generators(
     return tuple(sorted(canonicalized(rays))), tuple(sorted(lin))
 
 
-class Cone:
+class Cone(_Record):
     """A strongly convex rational polyhedral cone, canonicalized.
 
     Input generators are scaled to primitive vectors, deduplicated, and
@@ -192,15 +193,12 @@ class Cone:
             if rank_of(tight) == dim_ambient - 1:
                 extreme.append(r)
 
-        object.__setattr__(self, "dim_ambient", dim_ambient)
-        object.__setattr__(self, "rays", tuple(LatticeVector(r, N_SIDE) for r in sorted(extreme)))
-        object.__setattr__(self, "dual_rays", tuple(LatticeVector(u, M_SIDE) for u in dual_rays))
-        object.__setattr__(self, "span_normals", tuple(LatticeVector(l, M_SIDE) for l in dual_lin))
-        object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_hilbert", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cone instances are immutable")
+        _set(self, "dim_ambient", dim_ambient)
+        _set(self, "rays", tuple(LatticeVector(r, N_SIDE) for r in sorted(extreme)))
+        _set(self, "dual_rays", tuple(LatticeVector(u, M_SIDE) for u in dual_rays))
+        _set(self, "span_normals", tuple(LatticeVector(l, M_SIDE) for l in dual_lin))
+        _set(self, "_faces", None)
+        _set(self, "_hilbert", None)
 
     # -- identity ---------------------------------------------------------
 
@@ -277,7 +275,7 @@ class Cone:
                 FaceRef(self, tuple(sorted(k)))
                 for k in sorted(keys, key=lambda k: (len(k), tuple(sorted(k))))
             )
-            object.__setattr__(self, "_faces", refs)
+            _set(self, "_faces", refs)
         return self._faces
 
     def face_from_indices(self, indices: Sequence[int]) -> "FaceRef":
@@ -310,9 +308,7 @@ class Cone:
             basis = _hilbert_of_pointed(
                 [r.coords for r in self.rays], self.dim_ambient, self.halfspace_data()
             )
-            object.__setattr__(
-                self, "_hilbert", tuple(LatticeVector(b, N_SIDE) for b in basis)
-            )
+            _set(self, "_hilbert", tuple(LatticeVector(b, N_SIDE) for b in basis))
         return self._hilbert
 
 
@@ -337,15 +333,23 @@ def _face_keys(tight_sets: Iterable[Iterable[int]], nrays: int) -> set[frozenset
     return keys
 
 
-@dataclass(frozen=True)
-class FaceRef:
+class FaceRef(_Record):
     """A face of a parent cone, addressed by the spanning ray indices."""
 
-    parent: Cone
-    indices: tuple[int, ...]
+    __slots__ = {"parent": "Cone", "indices": "tuple[int, ...]"}
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(int(i) for i in self.indices)))
+    def __init__(self, parent: Cone, indices: Iterable[int]):
+        _set(self, "parent", parent)
+        _set(self, "indices", tuple(sorted(map(int, indices))))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # the cheap field first; a tuple compares its items by identity first
+            return (self.indices, self.parent) == (other.indices, other.parent)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.indices))
 
     @property
     def rays(self) -> tuple[LatticeVector, ...]:
@@ -502,12 +506,10 @@ def leq_sigma(c: Cone, v: LatticeVector, v2: LatticeVector) -> bool:
     return c.contains(v2 - v)
 
 
-@dataclass(frozen=True)
-class FaceQuotient:
+class FaceQuotient(_Record):
     """Quotient data for a cone modulo the span of one of its faces."""
 
-    lattice: QuotientLattice
-    image_cone: Cone
+    __slots__ = {"lattice": "QuotientLattice", "image_cone": "Cone"}
 
     def project(self, v: LatticeVector) -> LatticeVector:
         return self.lattice.project(v)
@@ -580,7 +582,12 @@ def polyhedron_vertices(
     return tuple(sorted(vertices)), tuple(sorted(recession)), cone
 
 
-class Fan:
+def _charts_containing(charts: Iterable[Cone], face: FaceRef) -> tuple[Cone, ...]:
+    """The cones among charts that contain every ray of the face."""
+    return tuple(c for c in charts if all(c.contains(r) for r in face.rays))
+
+
+class Fan(_Record):
     """A finite fan: face-closed, intersection-compatible strongly convex cones."""
 
     __slots__ = ("dim_ambient", "maximal_cones", "all_cones")
@@ -606,16 +613,9 @@ class Fan:
         for c in kept:
             for f in c.faces():
                 all_cones.setdefault(f.key, f.as_cone())
-        object.__setattr__(self, "dim_ambient", dim)
-        object.__setattr__(self, "maximal_cones", tuple(kept))
-        object.__setattr__(
-            self,
-            "all_cones",
-            tuple(all_cones[k] for k in sorted(all_cones, key=lambda k: (len(k), k))),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fan instances are immutable")
+        _set(self, "dim_ambient", dim)
+        _set(self, "maximal_cones", tuple(kept))
+        _set(self, "all_cones", tuple(all_cones[k] for k in sorted(all_cones, key=lambda k: (len(k), k))))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Fan) and self.maximal_cones == other.maximal_cones
@@ -632,9 +632,7 @@ class Fan:
         return tuple(seen[k] for k in sorted(seen, key=lambda k: (len(k), k)))
 
     def charts_containing(self, face: FaceRef) -> tuple[Cone, ...]:
-        return tuple(
-            c for c in self.maximal_cones if all(c.contains(r) for r in face.rays)
-        )
+        return _charts_containing(self.maximal_cones, face)
 
     def contains(self, v: LatticeVector) -> bool:
         return any(c.contains(v) for c in self.maximal_cones)

@@ -13,7 +13,6 @@ relative interiors of the singular faces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -33,6 +32,7 @@ from .lattice import (
     M_SIDE,
     N_SIDE,
     LatticeVector,
+    _Record,
     ext_min,
     is_finite,
     pairing,
@@ -61,13 +61,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Record):
     """An invariant monomial ideal: reduced exponent list on a chart cone."""
 
-    chart: Cone
-    generators: tuple[LatticeVector, ...]
-    discarded: tuple[LatticeVector, ...]
+    __slots__ = {
+        "chart": "Cone",
+        "generators": "tuple[LatticeVector, ...]",
+        "discarded": "tuple[LatticeVector, ...]",
+    }
 
 
 def _in_dual(chart: Cone, u: LatticeVector) -> bool:
@@ -141,27 +142,29 @@ def order_function(a: MonomialIdeal, v) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonData:
+class NewtonData(_Record):
     """Vertices of the Newton polytope with the dual subdivision of the cone."""
 
-    vertices: tuple[LatticeVector, ...]
-    redundant: tuple[LatticeVector, ...]
-    dual_fan_cones: tuple[Cone, ...]
+    __slots__ = {
+        "vertices": "tuple[LatticeVector, ...]",
+        "redundant": "tuple[LatticeVector, ...]",
+        "dual_fan_cones": "tuple[Cone, ...]",
+    }
 
 
-@dataclass(frozen=True)
-class PolarData:
+class PolarData(_Record):
     """Exact vertex data of {v in the cone : order >= p}.
 
     compact_faces lists the bounded faces of the level set as tuples of
     vertex indices; every lattice point on one of them has order exactly p.
     """
 
-    level: int
-    vertices: tuple[tuple[Fraction, ...], ...]
-    compact_faces: tuple[tuple[int, ...], ...]
-    recession_rays: tuple[tuple[int, ...], ...]
+    __slots__ = {
+        "level": "int",
+        "vertices": "tuple[tuple[Fraction, ...], ...]",
+        "compact_faces": "tuple[tuple[int, ...], ...]",
+        "recession_rays": "tuple[tuple[int, ...], ...]",
+    }
 
 
 def _require_full_dim(a: MonomialIdeal) -> None:
@@ -280,8 +283,7 @@ def compact_face_lattice_points(a: MonomialIdeal, p: int) -> tuple[tuple[int, ..
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContactComponent:
+class ContactComponent(_Record):
     """A cone-order-minimal lattice point with its primitive decomposition.
 
     The attached divisorial valuation is e times the prime-divisor valuation
@@ -289,10 +291,12 @@ class ContactComponent:
     components over the singular locus.
     """
 
-    point: tuple[int, ...]
-    e: int
-    v0: tuple[int, ...]
-    level: int | None
+    __slots__ = {
+        "point": "tuple[int, ...]",
+        "e": "int",
+        "v0": "tuple[int, ...]",
+        "level": "int | None",
+    }
 
 
 def _component(point: tuple[int, ...], level: int | None) -> ContactComponent:
@@ -471,14 +475,10 @@ def lift_to_open_stratum(a: MonomialIdeal, o: OrbitLabel) -> LatticeVector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToricValuation:
+class ToricValuation(_Record):
     """The divisorial valuation attached to a nonzero lattice point of the cone."""
 
-    chart: Cone
-    point: tuple[int, ...]
-    e: int
-    v0: tuple[int, ...]
+    __slots__ = {"chart": "Cone", "point": "tuple[int, ...]", "e": "int", "v0": "tuple[int, ...]"}
 
 
 def toric_valuation(chart: Cone, v) -> ToricValuation:

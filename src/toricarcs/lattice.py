@@ -16,7 +16,6 @@ the Hermite transform so that projections are reproducible across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -119,18 +118,88 @@ def ext_min(values):
     return best
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in __slots__, in constructor order; a dict
+    maps each field to its type, which becomes the slot's docstring.  A
+    record builds from positional or keyword fields, equals only a record
+    of its own class with equal fields, hashes as the tuple of its fields,
+    and refuses assignment and deletion.  Classes built in hot loops define
+    their own __init__, __eq__ and __hash__; classes with private slots
+    (Cone, Fan, TruncatedSeries) keep only the immutability.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = getattr(cls, "_fields", ()) + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            _set(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unexpected or repeated fields {sorted(kwargs)}")
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class LatticeVector(_Record):
     """An integer vector tagged with the lattice it belongs to."""
 
-    coords: tuple[int, ...]
-    side: str
+    __slots__ = {"coords": "tuple[int, ...]", "side": "str"}
+
+    def __init__(self, coords, side):
+        _set(self, "coords", coords)
+        _set(self, "side", side)
+        self.__post_init__()
 
     def __post_init__(self):
+        # a method of its own: perfbench/tracer.py wraps it to count constructions
         if self.side not in (N_SIDE, M_SIDE):
             raise ValueError(f"side must be {N_SIDE!r} or {M_SIDE!r}, got {self.side!r}")
-        coords = tuple(int(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
+        _set(self, "coords", tuple(map(int, self.coords)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords and self.side == other.side
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.side))
 
     @property
     def dim(self) -> int:
@@ -406,8 +475,7 @@ def solve_linear(matrix: Sequence[Sequence[int]], rhs: Sequence) -> tuple[Fracti
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientLattice:
+class QuotientLattice(_Record):
     """The image lattice of Z^n under quotient by a saturated subspace.
 
     projection_matrix maps N onto Z^q (q = ambient - rank of the span) with
@@ -415,10 +483,12 @@ class QuotientLattice:
     inverse, so projection . section = identity on the quotient.
     """
 
-    ambient_dim: int
-    subspace_basis: tuple[LatticeVector, ...]
-    projection_matrix: tuple[tuple[int, ...], ...]
-    section_matrix: tuple[tuple[int, ...], ...]
+    __slots__ = {
+        "ambient_dim": "int",
+        "subspace_basis": "tuple[LatticeVector, ...]",
+        "projection_matrix": "tuple[tuple[int, ...], ...]",
+        "section_matrix": "tuple[tuple[int, ...], ...]",
+    }
 
     @property
     def quotient_dim(self) -> int:

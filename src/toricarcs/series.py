@@ -12,10 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
+from .lattice import _Record, _set
+
 __all__ = ["TruncatedSeries"]
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """A power series in (t, lambda), exact up to a t-degree cutoff.
 
     Terms with t-degree >= t_precision are discarded; everything below the
@@ -37,13 +39,8 @@ class TruncatedSeries:
             if c == 0 or td >= t_precision:
                 continue
             clean[(td, ld)] = clean.get((td, ld), Fraction(0)) + c
-        object.__setattr__(self, "t_precision", t_precision)
-        object.__setattr__(
-            self, "terms", {k: v for k, v in sorted(clean.items()) if v != 0}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries instances are immutable")
+        _set(self, "t_precision", t_precision)
+        _set(self, "terms", {k: v for k, v in sorted(clean.items()) if v != 0})
 
     # -- constructors -------------------------------------------------------
 

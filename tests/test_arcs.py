@@ -481,3 +481,25 @@ def test_orbit_poset_equal_for_equal_fans():
         (n.face.key, n.point) for n in pb.nodes
     ]
     assert pa.covers == pb.covers
+
+
+def test_orbit_poset_budget_counts_box_points_per_stratum_and_chart(a1, monkeypatch):
+    import toricarcs.arcs as arcs
+
+    # A_1: one chart; (2b+1)^2 for the open stratum, 2b+1 per ray, 1 for the full face
+    monkeypatch.setattr(arcs, "MAX_POSET_BOX_POINTS", 64)
+    assert len(orbit_poset(a1, 3).nodes) == 21
+    with pytest.raises(ValueError, match="100 box points, more than the budget of 64"):
+        orbit_poset(a1, 4)
+    # upper half plane: the open stratum and the shared ray lie in both charts
+    fan = Fan([Cone([(1, 0), (0, 1)]), Cone([(0, 1), (-1, 0)])])
+    monkeypatch.setattr(arcs, "MAX_POSET_BOX_POINTS", 2 * 9 + 4 * 3 + 2)
+    assert orbit_poset(fan, 1).nodes
+    monkeypatch.setattr(arcs, "MAX_POSET_BOX_POINTS", 2 * 9 + 4 * 3 + 1)
+    with pytest.raises(ValueError, match="32 box points"):
+        orbit_poset(fan, 1)
+
+
+def test_orbit_poset_default_budget_refuses_a_large_bound_at_once(a1):
+    with pytest.raises(ValueError, match="budget of 512"):
+        orbit_poset(a1, 11)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
@@ -203,3 +204,26 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_orbits_beyond_the_work_budget_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["orbits", "--bound", "100000", "--input", str(FIXTURES / "a1.json")], capsys
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    # A_1 boxes: 200001^2 + 2 * 200001 + 1 = 200002^2 points, against a budget of 512
+    assert "40000800004" in err and "512" in err
+
+
+def test_negative_first_coordinate_is_passed_with_equals(capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"dim":2,"cones":[[[-1,0],[0,1]]]}')
+    code, out, err = run_cli(["dominates", "--v=-1,0", "--v2=-2,0", "--input", str(doc)], capsys)
+    assert (code, out) == (0, '{"dominates":true}\n'), err
+    # argparse reads a separate "-1,0" as an option, not as the value of --v
+    with pytest.raises(SystemExit) as exc:
+        main(["dominates", "--v", "-1,0", "--v2=-2,0", "--input", str(doc)])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
