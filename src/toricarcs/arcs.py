@@ -438,17 +438,6 @@ class DominanceWitness(_Record):
     }
 
 
-def _invert_unit_upper(T):
-    """Inverse of a unit upper-triangular integer matrix."""
-    d = len(T)
-    inv = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for i in range(d - 1, -1, -1):
-        for j in range(i + 1, d):
-            f = sum(T[i][k] * inv[k][j] for k in range(i + 1, d))
-            inv[i][j] = -f
-    return inv
-
-
 def _adapted_dual_basis(rays: Sequence[tuple[int, ...]], dim: int):
     """Dual basis rows for a smooth cone: first block dual to the rays.
 
@@ -457,18 +446,16 @@ def _adapted_dual_basis(rays: Sequence[tuple[int, ...]], dim: int):
     complete the basis (characters of the torus factor).
     """
     d = len(rays)
-    if d == 0:
-        return [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     A = [[rays[j][i] for j in range(d)] for i in range(dim)]
     H, U, _, rank = row_hermite(A)
     if rank != d or any(H[i][i] != 1 for i in range(d)):
         raise ValueError("rays do not extend to a lattice basis (cone not smooth)")
-    Tinv = _invert_unit_upper([row[:d] for row in H[:d]])
-    top = [
-        [sum(Tinv[i][k] * U[k][j] for k in range(d)) for j in range(dim)]
-        for i in range(d)
-    ]
-    return top + [list(U[i]) for i in range(d, dim)]
+    # U @ A stacks a unit upper-triangular T over zeros; rows[:d] solve T @ top = U[:d]
+    rows = [list(row) for row in U]
+    for i in reversed(range(d)):
+        for k in range(i + 1, d):
+            rows[i] = [a - H[i][k] * b for a, b in zip(rows[i], rows[k])]
+    return rows
 
 
 def dominance_witness(

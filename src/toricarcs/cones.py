@@ -30,7 +30,7 @@ from .lattice import (
     primitive_tuple,
     quotient_lattice,
     rank_of,
-    smith_diagonal,
+    row_hermite,
 )
 
 __all__ = [
@@ -219,6 +219,9 @@ class Cone(_Record):
     def __repr__(self) -> str:
         return f"Cone({[list(r.coords) for r in self.rays]}, dim={self.dim_ambient})"
 
+    def __reduce__(self):
+        return type(self), (self.key, self.dim_ambient)
+
     # -- basic geometry -----------------------------------------------------
 
     @property
@@ -240,11 +243,7 @@ class Cone(_Record):
 
     def halfspace_data(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """(normal, 0) pairs cutting out the cone, for point enumeration."""
-        out = [(u.coords, 0) for u in self.dual_rays]
-        for l in self.span_normals:
-            out.append((l.coords, 0))
-            out.append((_neg(l.coords), 0))
-        return tuple(out)
+        return tuple((u.coords, 0) for u in self.dual_generator_list())
 
     def contains(self, v: LatticeVector) -> bool:
         if v.side != N_SIDE:
@@ -461,12 +460,13 @@ def faces(c: Cone) -> tuple[FaceRef, ...]:
 
 
 def _unimodular(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff the primitive integer rows extend to a basis of the lattice."""
-    if not rows:
-        return True
-    if rank_of(rows) != len(rows):
-        return False
-    return all(d == 1 for d in smith_diagonal(rows))
+    """True iff the integer rows extend to a basis of the lattice.
+
+    With the rows as columns, that holds iff the echelon form has full
+    column rank and unit pivots: its top block is then unimodular.
+    """
+    H, _, _, rank = row_hermite(list(zip(*rows)))
+    return rank == len(rows) and all(H[i][i] == 1 for i in range(rank))
 
 
 def is_smooth(c: Cone) -> bool:
@@ -622,6 +622,9 @@ class Fan(_Record):
 
     def __hash__(self) -> int:
         return hash(tuple(c.key for c in self.maximal_cones))
+
+    def __reduce__(self):
+        return type(self), (self.maximal_cones,)
 
     def strata(self) -> tuple[FaceRef, ...]:
         """One canonical FaceRef per cone of the fan, deterministically."""

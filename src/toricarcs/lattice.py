@@ -3,14 +3,16 @@
 Vectors live in one of two mutually dual integer lattices, tagged "N"
 (one-parameter subgroups) and "M" (characters), with the canonical pairing
 defined only between opposite sides.  Everything is computed over Python's
-arbitrary-precision integers, with fractions.Fraction for intermediate
-rational steps; no floating point anywhere.
+arbitrary-precision integers; no floating point anywhere.
 
 The module also provides the small amount of integer linear algebra the
-rest of the package needs: Hermite-style row reduction with a tracked
-unimodular transform, Smith elementary divisors, exact rank, and exact
-linear solving.  Quotient lattices by a saturated subspace are built from
-the Hermite transform so that projections are reproducible across runs.
+rest of the package needs, all of it on one elimination: Hermite-style row
+reduction with a tracked unimodular transform.  Rank is its pivot count,
+Smith elementary divisors alternate it with the transpose, and exact linear
+solving eliminates the augmented matrix and back-substitutes in
+fractions.Fraction, the only rational step.  Quotient lattices by a
+saturated subspace are built from the Hermite transform so that
+projections are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ class _Record:
     of its own class with equal fields, hashes as the tuple of its fields,
     and refuses assignment and deletion.  Classes built in hot loops define
     their own __init__, __eq__ and __hash__; classes with private slots
-    (Cone, Fan, TruncatedSeries) keep only the immutability.
+    (Cone, Fan, TruncatedSeries) keep only the immutability and reduce to
+    their constructor arguments for copy and pickle.
     """
 
     __slots__ = ()
@@ -285,23 +288,20 @@ def primitive_part(v: LatticeVector) -> tuple[int, LatticeVector]:
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def row_hermite(matrix: Sequence[Sequence[int]]):
     """Row echelon form over the integers with a tracked unimodular transform.
 
     Returns (H, U, Uinv, rank) with U @ matrix == H, U unimodular, the first
-    `rank` rows of H in echelon position and the rest zero.  Pivot choice is
-    deterministic: the row of smallest absolute pivot value, lowest index
-    first, which makes every downstream basis choice reproducible.
+    `rank` rows of H in echelon position with positive pivots and the rest
+    zero.  Pivot choice is deterministic: the row of smallest absolute pivot
+    value, lowest index first, which makes every downstream basis choice
+    reproducible.  This is the package's only elimination loop.
     """
     H = [list(map(int, row)) for row in matrix]
     m = len(H)
     ncols = len(H[0]) if m else 0
-    U = _identity(m)
-    Uinv = _identity(m)
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    Uinv = [row[:] for row in U]
 
     def swap(i, j):
         if i == j:
@@ -354,51 +354,28 @@ def row_hermite(matrix: Sequence[Sequence[int]]):
     return to_t(H), to_t(U), to_t(Uinv), rank
 
 
+def rank_of(matrix: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals, computed exactly."""
+    return row_hermite(matrix)[3]
+
+
 def smith_diagonal(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Elementary divisors of an integer matrix (nonnegative, divisibility chain)."""
-    A = [list(map(int, row)) for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0 or n == 0:
-        return ()
+    """Elementary divisors of an integer matrix (positive, divisibility chain).
 
-    def reduce_from(k):
-        while True:
-            # move a minimal nonzero entry of the trailing block to (k, k)
-            entries = [
-                (abs(A[i][j]), i, j)
-                for i in range(k, m)
-                for j in range(k, n)
-                if A[i][j] != 0
-            ]
-            if not entries:
-                return False
-            _, pi, pj = min(entries)
-            A[k], A[pi] = A[pi], A[k]
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-            clean = True
-            for i in range(k + 1, m):
-                q = A[i][k] // A[k][k]
-                if q:
-                    A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-                if A[i][k] != 0:
-                    clean = False
-            for j in range(k + 1, n):
-                q = A[k][j] // A[k][k]
-                if q:
-                    for row in A:
-                        row[j] -= q * row[k]
-                if A[k][j] != 0:
-                    clean = False
-            if clean:
-                return True
-
-    diag = []
-    for k in range(min(m, n)):
-        if not reduce_from(k):
+    Alternates row echelon forms of the matrix and of its transpose until
+    every nonzero row has a single nonzero entry (Kannan & Bachem, SIAM J.
+    Comput. 8 (1979)).  This ends: the leading pivot is the gcd of its column,
+    so it shrinks until it divides its row, and then the next echelon form
+    clears its row and column at once, leaving the rest to the same argument.
+    """
+    A = matrix
+    while True:
+        H, _, _, rank = row_hermite(A)
+        A = H[:rank]
+        if all(len(row) - row.count(0) == 1 for row in A):
             break
-        diag.append(abs(A[k][k]))
+        A = tuple(zip(*A))
+    diag = [next(x for x in row if x) for row in A]
     # enforce the divisibility chain
     changed = True
     while changed:
@@ -413,61 +390,29 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def rank_of(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, computed exactly."""
-    rows = [[Fraction(x) for x in row] for row in matrix if any(row)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        rows[rank] = [x * inv for x in prow]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def solve_linear(matrix: Sequence[Sequence[int]], rhs: Sequence) -> tuple[Fraction, ...] | None:
     """Solve matrix @ x = rhs exactly; None if inconsistent.
 
     Requires the solution to be unique (full column rank); raises otherwise.
+    Eliminates [matrix | rhs], each row scaled by its rhs denominator: the
+    system is inconsistent iff the last pivot lies in the rhs column.
     """
-    m = len(matrix)
-    ncols = len(matrix[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    rank = 0
-    pivot_cols = []
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][ncols] != 0:
-            return None
-    if rank < ncols:
+    n = len(matrix[0]) if matrix else 0
+    aug = []
+    for i, row in enumerate(matrix):
+        b = Fraction(rhs[i])
+        aug.append([b.denominator * a for a in row] + [b.numerator])
+    H, _, _, rank = row_hermite(aug)
+    if rank and not any(H[rank - 1][:n]):
+        return None
+    if rank < n:
         raise ValueError("underdetermined system: solution is not unique")
-    solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = aug[r][ncols]
-    return tuple(solution)
+    # the pivots sit on the diagonal of the top n x n block
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        tail = sum(H[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = Fraction(H[i][n] - tail, H[i][i])
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -553,17 +498,9 @@ def quotient_lattice(ambient_dim: int, generators: Sequence[LatticeVector]) -> Q
             raise ValueError("subspace generators must be N-side vectors")
         if g.dim != ambient_dim:
             raise ValueError("generator dimension mismatch")
-    r = len(gens)
-    if r == 0:
-        eye = tuple(map(tuple, _identity(ambient_dim)))
-        return QuotientLattice(ambient_dim, gens, eye, eye)
-    if rank_of([g.coords for g in gens]) != r:
-        raise ValueError("subspace generators are linearly dependent")
     # columns of A are the generators; U @ A has its last rows zero
     A = [[g.coords[i] for g in gens] for i in range(ambient_dim)]
-    _, U, Uinv, rank = row_hermite(A)
-    if rank != r:
-        raise ArithmeticError(f"Hermite form found rank {rank} for {r} independent generators")
-    projection = tuple(U[i] for i in range(r, ambient_dim))
-    section = tuple(tuple(Uinv[i][j] for j in range(r, ambient_dim)) for i in range(ambient_dim))
-    return QuotientLattice(ambient_dim, gens, projection, section)
+    _, U, Uinv, r = row_hermite(A)
+    if r != len(gens):
+        raise ValueError("subspace generators are linearly dependent")
+    return QuotientLattice(ambient_dim, gens, U[r:], tuple(row[r:] for row in Uinv))

@@ -132,6 +132,9 @@ class TruncatedSeries(_Record):
     def __hash__(self) -> int:
         return hash((self.t_precision, tuple(sorted(self.terms.items()))))
 
+    def __reduce__(self):
+        return type(self), (self.terms, self.t_precision)
+
     def __repr__(self) -> str:
         if not self.terms:
             body = "0"

@@ -9,7 +9,9 @@ desk scale.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 def dot(a, b):
@@ -44,6 +46,69 @@ def solve_square(rows, rhs):
     for r, col in enumerate(pivots):
         sol[col] = aug[r][n]
     return sol
+
+
+def rank_fraction(matrix):
+    """Rank over the rationals by Gauss-Jordan elimination in Fraction."""
+    rows = [[Fraction(x) for x in row] for row in matrix if any(row)]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def minors(matrix, k):
+    """All k x k minors of an integer matrix, by Laplace expansion along the first row."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+
+    @lru_cache(maxsize=None)
+    def det(rows, cols):
+        if not rows:
+            return 1
+        first, rest = rows[0], rows[1:]
+        return sum(
+            (-1) ** j * matrix[first][c] * det(rest, cols[:j] + cols[j + 1 :])
+            for j, c in enumerate(cols)
+            if matrix[first][c]
+        )
+
+    return [
+        det(rows, cols)
+        for rows in itertools.combinations(range(m), k)
+        for cols in itertools.combinations(range(n), k)
+    ]
+
+
+def determinantal_divisors(matrix):
+    """(d_1, ..., d_r): d_k is the gcd of the k x k minors, r the largest k with d_k != 0."""
+    out = []
+    for k in range(1, min(len(matrix), len(matrix[0]) if matrix else 0) + 1):
+        d = math.gcd(*minors(matrix, k))
+        if d == 0:
+            break
+        out.append(d)
+    return tuple(out)
+
+
+def extends_to_basis(rows):
+    """Integer rows extend to a lattice basis: independent, maximal minors coprime."""
+    if rank_fraction(rows) != len(rows):
+        return False
+    return math.gcd(*minors(rows, len(rows))) == 1
 
 
 def in_cone_rational(rays, v):
@@ -156,17 +221,14 @@ def brute_sing_minimal(cone, bound):
     but in no proper-subset cone.  All fixtures used with this oracle (the
     A_n family charts) are simplicial; non-simplicial faces are rejected.
     """
-    from toricarcs.cones import is_smooth
-    from toricarcs.lattice import rank_of
-
     dim = cone.dim_ambient
-    sing_faces = [f.as_cone() for f in cone.faces() if not is_smooth(f.as_cone())]
+    sing_faces = [f.as_cone() for f in cone.faces() if not extends_to_basis(f.key)]
     if not sing_faces:
         return []
 
     def in_relint(fc, v):
         rays = [r.coords for r in fc.rays]
-        assert rank_of(rays) == len(rays), "oracle requires simplicial faces"
+        assert rank_fraction(rays) == len(rays), "oracle requires simplicial faces"
         if not in_cone_rational(rays, v):
             return False
         for k in range(len(rays)):

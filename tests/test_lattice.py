@@ -1,9 +1,13 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import determinantal_divisors, extends_to_basis, rank_fraction, solve_square
+from toricarcs.cones import Cone, is_smooth
 from toricarcs.lattice import (
     INF,
     LatticeVector,
@@ -13,6 +17,7 @@ from toricarcs.lattice import (
     primitive_part,
     quotient_lattice,
     rank_of,
+    row_hermite,
     smith_diagonal,
     solve_linear,
 )
@@ -157,3 +162,110 @@ def test_infinity_arithmetic():
     assert min(INF, 7) == 7
     with pytest.raises(ValueError):
         0 * INF
+
+
+# ---------------------------------------------------------------------------
+# the one elimination, against independent references
+# ---------------------------------------------------------------------------
+
+
+def _random_matrices(seed=20261018, count=300):
+    """Seeded 1-6 x 1-7 matrices, entries -6..6, about 30% zeros, some zero rows and columns."""
+    rng = random.Random(seed)
+    out = [[]]
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        M = [[0 if rng.random() < 0.3 else rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.2:
+            M[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.2:
+            j = rng.randrange(n)
+            for row in M:
+                row[j] = 0
+        out.append(M)
+    return out
+
+
+MATRICES = _random_matrices()
+
+
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def test_random_matrices_cover_the_edge_shapes():
+    assert [] in MATRICES
+    assert any(M and any(not any(row) for row in M) for M in MATRICES)
+    assert any(M and any(not any(col) for col in zip(*M)) for M in MATRICES)
+
+
+def test_row_hermite_invariants():
+    for M in MATRICES:
+        H, U, Uinv, rank = row_hermite(M)
+        m = len(M)
+        eye = [[int(i == j) for j in range(m)] for i in range(m)]
+        assert _matmul(U, M) == [list(row) for row in H], M
+        assert _matmul(U, Uinv) == eye and _matmul(Uinv, U) == eye, M
+        leads = [next(j for j, x in enumerate(row) if x) for row in H[:rank]]
+        assert leads == sorted(set(leads)), M
+        assert all(H[i][j] > 0 for i, j in enumerate(leads)), M
+        assert not any(any(row) for row in H[rank:]), M
+        assert rank == rank_fraction(M), M
+
+
+def test_rank_of_matches_fraction_elimination():
+    for M in MATRICES:
+        assert rank_of(M) == rank_fraction(M), M
+
+
+def test_smith_diagonal_matches_determinantal_divisors():
+    for M in MATRICES:
+        d = (1,) + determinantal_divisors(M)
+        assert smith_diagonal(M) == tuple(d[k] // d[k - 1] for k in range(1, len(d))), M
+
+
+def _solve_reference(M, b):
+    """None if inconsistent, ValueError if not unique, else the solution."""
+    if rank_fraction([list(row) + [x] for row, x in zip(M, b)]) > rank_fraction(M):
+        return None
+    if rank_fraction(M) < len(M[0]):
+        return ValueError
+    return tuple(solve_square(M, b))
+
+
+def test_solve_linear_matches_fraction_reference():
+    rng = random.Random(7)
+    seen = set()
+    for M in MATRICES:
+        if not M:
+            continue
+        n = len(M[0])
+        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        for b in (
+            [sum(a * c for a, c in zip(row, x)) for row in M],
+            [rng.randint(-6, 6) for _ in M],
+        ):
+            want = _solve_reference(M, b)
+            if want is ValueError:
+                with pytest.raises(ValueError):
+                    solve_linear(M, b)
+            else:
+                assert solve_linear(M, b) == want, (M, b)
+            seen.add("unique" if isinstance(want, tuple) else want)
+    assert seen == {None, ValueError, "unique"}
+    assert solve_linear([], []) == ()
+
+
+def test_is_smooth_matches_the_minor_criterion():
+    seen = set()
+    for M in MATRICES:
+        if not M:
+            continue
+        try:
+            cone = Cone(M, len(M[0]))
+        except ValueError:  # not strongly convex
+            continue
+        want = extends_to_basis(cone.key)
+        assert is_smooth(cone) == want, cone
+        seen.add(want)
+    assert seen == {True, False}

@@ -6,6 +6,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,7 @@ from toricarcs.arcs import (
     orbit_poset,
 )
 from toricarcs.cli import InputDocument, parse_input
-from toricarcs.cones import Cone, FaceQuotient, FaceRef, quotient_by_face
+from toricarcs.cones import Cone, FaceQuotient, FaceRef, Fan, quotient_by_face
 from toricarcs.ideals import (
     ContactComponent,
     MonomialIdeal,
@@ -35,6 +36,7 @@ from toricarcs.ideals import (
     toric_valuation,
 )
 from toricarcs.lattice import LatticeVector, QuotientLattice, mvec, nvec, quotient_lattice
+from toricarcs.series import TruncatedSeries
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
@@ -204,8 +206,22 @@ def test_constructors_reject_wrong_arguments():
 
 
 def test_records_copy_and_pickle_by_their_fields():
-    for record in (nvec(1, -2), PAIRS[ContactComponent][0], PAIRS[QuotientLattice][0]):
+    cone = Cone([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
+    fan = Fan([Cone([(1, 0), (1, 2)]), Cone([(1, 2), (0, 1)])])
+    series = TruncatedSeries({(0, 0): 1, (1, 2): Fraction(-1, 3)}, 4)
+    for record in (
+        nvec(1, -2),
+        PAIRS[ContactComponent][0],
+        PAIRS[QuotientLattice][0],
+        cone,
+        fan,
+        series,
+        PAIRS[FaceRef][0],
+        PAIRS[OrbitLabel][0],
+        PAIRS[MonomialIdeal][0],
+    ):
         assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
 
 

@@ -1,5 +1,6 @@
 """The survey scripts run against the current package API."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -22,3 +23,20 @@ def test_script_runs(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_traced_worker_pass_reads_the_package_internals():
+    # perfbench/worker.py reads private caches of toricarcs for its per-layer metrics
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", "sing", "--seed", "1", "--trace", "1"],
+        env=env,
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    last = json.loads(done.stdout.strip().splitlines()[-1])
+    assert last["answered"] == last["queries"]
+    assert isinstance(last["layers"], dict)
