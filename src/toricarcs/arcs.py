@@ -13,7 +13,6 @@ by truncated power-series arithmetic.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .cones import (
@@ -21,6 +20,7 @@ from .cones import (
     FaceRef,
     Fan,
     _charts_containing,
+    _stratum_quotient,
     hilbert_basis_dual,
     is_face_of,
     is_smooth,
@@ -38,7 +38,6 @@ from .lattice import (
     _set,
     is_finite,
     pairing,
-    quotient_lattice,
     row_hermite,
     solve_linear,
 )
@@ -87,12 +86,6 @@ class SemigroupHom(_Record):
         return {g.coords: v for g, v in zip(self.generators, self.values)}
 
 
-@lru_cache(maxsize=None)
-def _stratum_quotient(ambient_dim: int, face_key: tuple) -> QuotientLattice:
-    gens = [LatticeVector(coords, N_SIDE) for coords in face_key]
-    return quotient_lattice(ambient_dim, gens)
-
-
 def _maximal_cones(ambient) -> tuple[Cone, ...]:
     if isinstance(ambient, Cone):
         return (ambient,)
@@ -114,9 +107,7 @@ def _charts_over(ambient, face: FaceRef) -> tuple[Cone, ...]:
 
 
 def _face_in_chart(chart: Cone, face: FaceRef) -> FaceRef:
-    if not face.rays:
-        return chart.zero_face()
-    return chart.smallest_face_containing(list(face.rays))
+    return chart.smallest_face_containing(face.rays)
 
 
 class OrbitLabel(_Record):

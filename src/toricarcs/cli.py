@@ -42,6 +42,14 @@ def _reject_float(value):
     raise InputError(f"float literal {value!r} is not accepted; inputs are exact integers")
 
 
+def _load_json(text: str):
+    """Decode strict JSON with integer numbers only; every defect is an InputError."""
+    try:
+        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+    except json.JSONDecodeError as err:
+        raise InputError(f"malformed JSON: {err}") from None
+
+
 class InputDocument(_Record):
     """A validated input document: the charts and the optional ideal and polynomial."""
 
@@ -64,12 +72,7 @@ def _int_vector(obj, dim: int, what: str) -> tuple[int, ...]:
 
 def parse_input(text: str) -> InputDocument:
     """Validate a JSON document; diagnostics name the offending field."""
-    try:
-        raw = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except InputError:
-        raise
-    except json.JSONDecodeError as err:
-        raise InputError(f"malformed JSON: {err}") from None
+    raw = _load_json(text)
     if not isinstance(raw, dict):
         raise InputError("top-level document must be a JSON object")
     known = {"dim", "cones", "ideal", "poly"}
@@ -278,7 +281,7 @@ def cmd_valuation(doc, args):
     chart = _chart(doc, args.cone)
     if args.poly is not None:
         with open(args.poly, "r", encoding="utf-8") as fh:
-            raw = json.loads(fh.read(), parse_float=_reject_float, parse_constant=_reject_float)
+            raw = _load_json(fh.read())
         if isinstance(raw, dict) and "poly" not in raw:
             raise InputError(f"{args.poly}: field 'poly' is missing")
         terms = _parse_poly(raw["poly"] if isinstance(raw, dict) else raw, doc.dim)

@@ -516,20 +516,22 @@ class FaceQuotient(_Record):
 
 
 @lru_cache(maxsize=None)
+def _stratum_quotient(ambient_dim: int, face_key: tuple) -> QuotientLattice:
+    """N modulo the span of the rays face_key: the lattice of a stratum's orbits."""
+    return quotient_lattice(ambient_dim, [LatticeVector(coords, N_SIDE) for coords in face_key])
+
+
+@lru_cache(maxsize=None)
 def _face_quotient_cached(parent: Cone, face_key: tuple) -> FaceQuotient:
-    gens = [LatticeVector(coords, N_SIDE) for coords in face_key]
-    q = quotient_lattice(parent.dim_ambient, gens)
+    q = _stratum_quotient(parent.dim_ambient, face_key)
     image = Cone((q.project(r).coords for r in parent.rays), q.quotient_dim)
     return FaceQuotient(q, image)
 
 
 def quotient_by_face(c: Cone, f: FaceRef) -> FaceQuotient:
     """Quotient lattice and image cone of c modulo the span of the face f."""
-    if f.parent != c:
-        face_rays = list(f.rays)
-        probe = c.smallest_face_containing(face_rays) if face_rays else c.zero_face()
-        if probe.key != f.key:
-            raise ValueError("not a face of the given cone")
+    if f.parent != c and not is_face_of(f, c.full_face()):
+        raise ValueError("not a face of the given cone")
     return _face_quotient_cached(c, f.key)
 
 
@@ -603,11 +605,11 @@ class Fan(_Record):
         kept = [
             c
             for c in cones
-            if not any(d != c and _is_face_of_cone(c, d) for d in cones)
+            if not any(d != c and is_face_of(c.full_face(), d.full_face()) for d in cones)
         ]
         for c1, c2 in itertools.combinations(kept, 2):
-            meet = intersect_cones(c1, c2)
-            if not _is_face_of_cone(meet, c1) or not _is_face_of_cone(meet, c2):
+            meet = intersect_cones(c1, c2).full_face()
+            if not is_face_of(meet, c1.full_face()) or not is_face_of(meet, c2.full_face()):
                 raise ValueError("cones do not intersect in a common face; not a valid fan")
         all_cones = {}
         for c in kept:
@@ -641,21 +643,13 @@ class Fan(_Record):
         return any(c.contains(v) for c in self.maximal_cones)
 
 
-def _is_face_of_cone(sub: Cone, parent: Cone) -> bool:
-    ray_set = {r.coords for r in parent.rays}
-    if not all(r.coords in ray_set for r in sub.rays):
-        return False
-    if not sub.rays:
-        return True
-    smallest = parent.smallest_face_containing(list(sub.rays))
-    return smallest.key == sub.key
-
-
 def is_face_of(sub: FaceRef, sup: FaceRef) -> bool:
-    """Face relation between two cones of a common fan (allows equality)."""
-    sup_cone = sup.as_cone()
-    if not all(sup_cone.contains(r) for r in sub.rays):
+    """Whether the cone of sub is a face of the cone of sup (allows equality).
+
+    Exact for any two faces, of one cone or of two: a face of sup has its
+    rays among sup's, and it is a face of sup exactly when it is a face of
+    sup's parent, i.e. the smallest parent face containing it is itself.
+    """
+    if not set(sub.key) <= set(sup.key):
         return False
-    if not sub.rays:
-        return True
-    return sup_cone.smallest_face_containing(list(sub.rays)).key == sub.key
+    return sub.is_zero or sup.parent.smallest_face_containing(sub.rays).key == sub.key

@@ -424,8 +424,9 @@ class QuotientLattice(_Record):
     """The image lattice of Z^n under quotient by a saturated subspace.
 
     projection_matrix maps N onto Z^q (q = ambient - rank of the span) with
-    kernel the saturation of the subspace basis; section_matrix is a right
-    inverse, so projection . section = identity on the quotient.
+    kernel the saturated span of subspace_basis (the generators as given,
+    possibly dependent); section_matrix is a right inverse, so projection .
+    section = identity on the quotient.
     """
 
     __slots__ = {
@@ -488,9 +489,9 @@ class QuotientLattice(_Record):
 def quotient_lattice(ambient_dim: int, generators: Sequence[LatticeVector]) -> QuotientLattice:
     """Quotient of Z^ambient_dim by the saturated span of the generators.
 
-    The generators must be linearly independent over the rationals.  The
-    kernel of the projection is the saturation of their span, so the
-    quotient is torsion-free.
+    Any generators will do, dependent ones included: the kernel of the
+    projection is the saturation of their span, so the quotient is
+    torsion-free of rank ambient_dim minus the rank of the generators.
     """
     gens = tuple(generators)
     for g in gens:
@@ -498,9 +499,9 @@ def quotient_lattice(ambient_dim: int, generators: Sequence[LatticeVector]) -> Q
             raise ValueError("subspace generators must be N-side vectors")
         if g.dim != ambient_dim:
             raise ValueError("generator dimension mismatch")
-    # columns of A are the generators; U @ A has its last rows zero
+    # columns of A are the generators; the rows U[r:], those with U @ A zero,
+    # span the integer left kernel of A, whose common zeros are the saturated
+    # span whatever the rank
     A = [[g.coords[i] for g in gens] for i in range(ambient_dim)]
     _, U, Uinv, r = row_hermite(A)
-    if r != len(gens):
-        raise ValueError("subspace generators are linearly dependent")
     return QuotientLattice(ambient_dim, gens, U[r:], tuple(row[r:] for row in Uinv))

@@ -215,27 +215,22 @@ def brute_contact_minimal(chart_rays, ideal_gens, p, box_side, member):
 def brute_sing_minimal(cone, bound):
     """Minimal points of the union of singular-face relative interiors.
 
-    Relative-interior membership is recomputed from first principles for
-    simplicial faces: the proper faces of a simplicial cone are exactly the
-    cones over proper ray subsets, so v is interior iff it is in the cone
-    but in no proper-subset cone.  All fixtures used with this oracle (the
-    A_n family charts) are simplicial; non-simplicial faces are rejected.
+    Relative-interior membership is recomputed by rational solves: v lies in
+    relint F iff it is in cone(F) but in no face of the cone strictly inside
+    F, since the proper faces of F are exactly those faces.  Any face,
+    simplicial or not, is handled.
     """
     dim = cone.dim_ambient
-    sing_faces = [f.as_cone() for f in cone.faces() if not extends_to_basis(f.key)]
+    faces = cone.faces()
+    sing_faces = [f for f in faces if not extends_to_basis(f.key)]
     if not sing_faces:
         return []
 
-    def in_relint(fc, v):
-        rays = [r.coords for r in fc.rays]
-        assert rank_fraction(rays) == len(rays), "oracle requires simplicial faces"
-        if not in_cone_rational(rays, v):
+    def in_relint(f, v):
+        if not in_cone_rational(f.key, v):
             return False
-        for k in range(len(rays)):
-            subset = rays[:k] + rays[k + 1 :]
-            if in_cone_rational(subset, v):
-                return False
-        return True
+        inside = [g for g in faces if set(g.indices) < set(f.indices)]
+        return not any(in_cone_rational(g.key, v) for g in inside)
 
     def in_union(v):
         return any(in_relint(fc, v) for fc in sing_faces)
@@ -289,3 +284,51 @@ def polar_by_face_lattice(ideal, p):
         if f.indices and all(i in index for i in f.indices)
     }
     return vertices, recession, tuple(sorted(compact))
+
+
+def is_face_by_cone(sub, sup):
+    """Face test that rebuilds sup as a Cone and asks for its smallest face.
+
+    The route the library's is_face_of took before it read the face off
+    sup's parent; kept here as an independent reference.
+    """
+    sup_cone = sup.as_cone()
+    if not all(sup_cone.contains(r) for r in sub.rays):
+        return False
+    if not sub.rays:
+        return True
+    return sup_cone.smallest_face_containing(list(sub.rays)).key == sub.key
+
+
+def dominates_by_hom_order(o1, o2):
+    """Dominance as the pointwise order of semigroup homs on a common chart.
+
+    In one chart sigma the cone order on orbits is the pointwise order of
+    their homs on the dual Hilbert basis, INF above every integer: sigma is
+    the dual of its dual, and a face gamma^perp of the dual cone is spanned
+    by the Hilbert elements lying on it.  So o1 dominates o2 iff some
+    maximal cone contains both strata, takes both labels (hom_from_label
+    gives nonnegative values exactly when the point lies in the chart's
+    image), and shows o1's values <= o2's.
+    """
+    from toricarcs.arcs import hom_from_label
+    from toricarcs.cones import Cone
+
+    ambient = o1.ambient
+    charts = (ambient,) if isinstance(ambient, Cone) else ambient.maximal_cones
+    strata_rays = o1.face.key + o2.face.key
+
+    def order(value):
+        return (0, value) if isinstance(value, int) else (1, 0)
+
+    for chart in charts:
+        if not all(in_cone_rational(chart.key, r) for r in strata_rays):
+            continue
+        try:
+            h1 = hom_from_label(o1, chart).values
+            h2 = hom_from_label(o2, chart).values
+        except ValueError:
+            continue
+        if all(order(a) <= order(b) for a, b in zip(h1, h2)):
+            return True
+    return False

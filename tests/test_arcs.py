@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import random_smooth_cone
+from oracles import dominates_by_hom_order, is_face_by_cone
 
 from toricarcs.arcs import (
     classify_hom,
@@ -15,7 +16,7 @@ from toricarcs.arcs import (
     orbit_label,
     orbit_poset,
 )
-from toricarcs.cones import Cone, Fan, hilbert_basis_dual, quotient_by_face
+from toricarcs.cones import Cone, Fan, hilbert_basis_dual, is_face_of, quotient_by_face
 from toricarcs.lattice import INF, is_finite, mvec, nvec, pairing, row_hermite
 from toricarcs.series import TruncatedSeries
 
@@ -503,3 +504,72 @@ def test_orbit_poset_budget_counts_box_points_per_stratum_and_chart(a1, monkeypa
 def test_orbit_poset_default_budget_refuses_a_large_bound_at_once(a1):
     with pytest.raises(ValueError, match="budget of 512"):
         orbit_poset(a1, 11)
+
+
+# -- dominance and face tests against independent oracles ----------------------
+
+CONIFOLD = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+HEXAGON = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]
+SQUARE_OVER_EDGE = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
+
+# (ambient, bound): non-simplicial cones first, then simplicial ones
+ORACLE_CONES = [
+    pytest.param(Cone(CONIFOLD), 1, id="conifold"),
+    pytest.param(Cone(HEXAGON), 1, id="hexagon"),
+    pytest.param(Cone(SQUARE_OVER_EDGE), 1, id="square_over_edge"),
+    pytest.param(Cone([(1, 0), (1, 2)]), 3, id="a1"),
+    pytest.param(Cone([(1, 0, 0), (0, 1, 0), (1, 2, 7)]), 1, id="simplicial_3d"),
+]
+ORACLE_FANS = [
+    pytest.param(
+        Fan([Cone(CONIFOLD), Cone([(1, 0, 1), (0, 1, 1), (1, 1, 0)])]), 1, id="conifold_fan"
+    ),
+    pytest.param(
+        Fan([Cone([(1, 0), (0, 1)]), Cone([(0, 1), (-1, -1)]), Cone([(-1, -1), (1, 0)])]),
+        1,
+        id="p2_fan",
+    ),
+]
+
+
+@pytest.mark.parametrize("ambient,bound", ORACLE_CONES + ORACLE_FANS)
+def test_dominates_matches_the_hom_order_oracle(ambient, bound):
+    nodes = orbit_poset(ambient, bound).nodes
+    pairs = [(a, b, dominates(a, b)) for a in nodes for b in nodes]
+    assert any(holds for a, b, holds in pairs if a != b)
+    assert [(a, b) for a, b, holds in pairs if holds != dominates_by_hom_order(a, b)] == []
+
+
+def _oracle_faces():
+    """Faces grouped by ambient rank: of the oracle cones, of the oracle fans'
+    charts, and of two cones that cut across the conifold (its diagonal and
+    half of it), whose rays are conifold rays without spanning a face."""
+    cones = [p.values[0] for p in ORACLE_CONES]
+    cones += [c for p in ORACLE_FANS for c in p.values[0].maximal_cones]
+    cones += [Cone([(1, 0, 1), (-1, 0, 1)]), Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1)])]
+    groups = {}
+    for cone in cones:
+        groups.setdefault(cone.dim_ambient, []).extend(cone.faces())
+    return list(groups.values())
+
+
+def test_is_face_of_matches_the_cone_rebuilding_oracle():
+    for group in _oracle_faces():
+        for sub, sup in itertools.product(group, repeat=2):
+            assert is_face_of(sub, sup) == is_face_by_cone(sub, sup), (sub.key, sup.key)
+
+
+def test_is_face_of_builds_no_cone(monkeypatch):
+    groups = _oracle_faces()
+    built = []
+    init = Cone.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cone, "__init__", counting_init)
+    for group in groups:
+        for sub, sup in itertools.product(group, repeat=2):
+            is_face_of(sub, sup)
+    assert built == []

@@ -152,6 +152,20 @@ def test_exit_code_2_on_poly_document_without_poly_field(capsys, tmp_path):
     assert "'poly'" in err
 
 
+@pytest.mark.parametrize("text", ['{"poly":[[1,[0,1]]', '{"poly":[[1.5,[0,1]]]}'], ids=["malformed", "float"])
+def test_exit_code_2_on_bad_json_in_poly_file(text, capsys, tmp_path):
+    poly = tmp_path / "poly.json"
+    poly.write_text(text)
+    argv = ["valuation", "--v", "1,1", "--poly", str(poly), "--input", str(FIXTURES / "a1.json")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    # the same text as the main document gives the same diagnostic
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    code_doc, _, err_doc = run_cli(["valuation", "--v", "1,1", "--input", str(doc)], capsys)
+    assert (code_doc, err_doc) == (2, err)
+
+
 def test_warning_goes_to_stderr_result_to_stdout(capsys, tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text('{"dim":2,"cones":[[[2,4],[1,0]]]}')

@@ -392,6 +392,27 @@ def test_sing_components_match_brute_oracle_3d():
     assert [c.point for c in sing_components(cone)] == brute_sing_minimal(cone, 6)
 
 
+@pytest.mark.parametrize(
+    "rays,expected",
+    [
+        ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 0, 1)]),
+        ([(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)], [(0, 0, 1)]),
+        ([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)], [(1, 1, 1)]),
+        ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -2, 1)], [(0, -1, 1), (0, 0, 1)]),
+    ],
+    ids=["conifold", "hexagon", "square_over_edge", "kite"],
+)
+def test_sing_components_match_brute_oracle_non_simplicial(rays, expected):
+    # a point w below a component v has w and v - w in the cone, so it stays
+    # in the box of side 3: on the cones over a polygon at height 1,
+    # |x|, |y| <= 2z and z <= 1; the square over an edge lies in the
+    # positive orthant, so there w <= v = (1, 1, 1) coordinatewise
+    cone = Cone(rays)
+    got = [c.point for c in sing_components(cone)]
+    assert got == expected
+    assert brute_sing_minimal(cone, 3) == expected
+
+
 def test_sing_components_match_brute_oracle_random_3d():
     from toricarcs.cones import is_smooth
 

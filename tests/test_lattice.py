@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -106,9 +107,25 @@ def test_quotient_full_span_is_zero():
     assert q.project(nvec(9, 9)).coords == ()
 
 
-def test_quotient_rejects_dependent_generators():
-    with pytest.raises(ValueError):
-        quotient_lattice(2, [nvec(1, 0), nvec(2, 0)])
+def test_quotient_by_dependent_generators_matches_an_independent_basis():
+    # (dependent generators, an independent basis of their span)
+    cases = [
+        ([(1, 0), (2, 0)], [(1, 0)]),
+        ([(2, 0), (3, 0)], [(1, 0)]),
+        ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(1, 0, 1), (0, 1, 1), (-1, 0, 1)]),
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0)], [(1, 0, 0), (0, 1, 0)]),
+        ([(1, 1, 0), (2, 2, 0), (0, 0, 0)], [(1, 1, 0)]),
+    ]
+    for dependent, independent in cases:
+        dim = len(dependent[0])
+        q = quotient_lattice(dim, [nvec(*g) for g in dependent])
+        q_ind = quotient_lattice(dim, [nvec(*g) for g in independent])
+        assert q.quotient_dim == q_ind.quotient_dim == dim - rank_fraction(independent)
+        for coords in itertools.product(range(-3, 4), repeat=dim):
+            v = nvec(*coords)
+            assert q.project(v).is_zero() == q_ind.project(v).is_zero()
+        for w in itertools.product(range(-2, 3), repeat=q.quotient_dim):
+            assert q.project(q.lift(w)).coords == w
 
 
 def test_quotient_kernel_is_saturation():
