@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Survey the components of the arc fiber over Sing X for small charts.
 
-Walks the A_n family and a batch of random two- and three-dimensional
-charts, printing each component's lattice point and its divisorial
-valuation data (multiplicity times primitive vector), with timings.
+Walks the A_n family, a batch of random two- and three-dimensional
+charts and two simplicial charts of rank 4 and 5, printing each
+component's lattice point and its divisorial valuation data (multiplicity
+times primitive vector), with timings.
 """
 
 import random
@@ -51,6 +52,11 @@ def main() -> None:
             continue
         survey(cone)
         found += 1
+
+    print()
+    print("== rank 4 and 5 ==")
+    survey(Cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)]))
+    survey(Cone([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 2, 3, 4, 9)]))
 
 
 if __name__ == "__main__":

@@ -226,11 +226,16 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
 
 
 def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
-    """The extended order function of an orbit on a chart's dual generators."""
+    """The extended order function of an orbit on a chart's dual generators.
+
+    The chart must contain the orbit's stratum, every ray of its face.
+    """
     if chart is None:
         if not isinstance(o.ambient, Cone):
             raise ValueError("a chart cone is required for labels over a fan")
         chart = o.ambient
+    elif not all(chart.contains(r) for r in o.face.rays):
+        raise ValueError(f"chart {chart!r} does not contain the stratum {list(o.face.key)}")
     gens = hilbert_basis_dual(chart)
     q = o.quotient
     values = []

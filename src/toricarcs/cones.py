@@ -8,13 +8,15 @@ use the exact rank criterion on tight constraint sets, so the generator list
 stays minimal after every insertion.
 
 On top of that sit face lattices, the smoothness test, Hilbert bases of
-pointed lattice semigroups, cone-order comparisons, quotients by faces, and
-exact vertex enumeration for the polyhedra the ideal machinery needs.
+pointed lattice semigroups, lattice points of parallelepipeds, cone-order
+comparisons, quotients by faces, and exact vertex enumeration for the
+polyhedra the ideal machinery needs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -410,6 +412,44 @@ def lattice_points_where(
     if any(a > b for a, b in zip(lo, hi)):
         return
     yield from rec([])
+
+
+def _parallelepiped(gens: Sequence[Sequence[int]], upper: bool):
+    """Lattice points sum l_i g_i of independent g_i, each l_i in (0, 1] or [0, 1).
+
+    The cube is (0, 1]^k if upper, else [0, 1)^k; either way there is one
+    point per coset of the lattice the g_i generate in the lattice points
+    of their span.  row_hermite on the matrix A of the g_i as columns gives
+    U A = H with H's top k x k block upper triangular, diagonal d, and zero
+    below.  So the span's lattice points are Uinv[:, :k] y for y in Z^k,
+    the g_i's lattice is the y in H Z^k, and the y with 0 <= y_i < d_i are
+    one point per coset: prod d_i = |det| of them.  D = prod d_i makes
+    D H^-1 the adjugate, so back-substitution gives D l in integers, and
+    subtracting whole g_i moves l into the cube.
+
+    Returns None if the g_i are dependent, else (count, points) with the
+    points an iterator, so a caller can weigh the count first.
+    """
+    k, n = len(gens), len(gens[0])
+    H, _, Uinv, rank = row_hermite([[g[i] for g in gens] for i in range(n)])
+    if rank < k:
+        return None
+    d = [H[i][i] for i in range(k)]
+    volume = math.prod(d)
+
+    def points():
+        for y in itertools.product(*(range(di) for di in d)):
+            scaled = [0] * k  # D l
+            for i in reversed(range(k)):
+                tail = sum(H[i][j] * scaled[j] for j in range(i + 1, k))
+                scaled[i] = (volume * y[i] - tail) // d[i]
+            # whole steps to take off: ceil(l_i) - 1 into (0, 1], floor(l_i) into [0, 1)
+            shift = [-(-s // volume) - 1 if upper else s // volume for s in scaled]
+            yield tuple(
+                sum(Uinv[r][i] * y[i] - shift[i] * gens[i][r] for i in range(k)) for r in range(n)
+            )
+
+    return volume, points()
 
 
 def _hilbert_of_pointed(gens, dim, halfspaces) -> tuple[tuple[int, ...], ...]:

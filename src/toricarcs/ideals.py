@@ -12,6 +12,7 @@ relative interiors of the singular faces.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -23,6 +24,7 @@ from .cones import (
     _dot,
     _face_keys,
     _homogenized_rays,
+    _parallelepiped,
     _unimodular,
     dual_generators,
     lattice_points_where,
@@ -37,6 +39,7 @@ from .lattice import (
     is_finite,
     pairing,
     primitive_part,
+    rank_of,
 )
 
 __all__ = [
@@ -304,18 +307,18 @@ def _component(point: tuple[int, ...], level: int | None) -> ContactComponent:
     return ContactComponent(point=point, e=e, v0=v0.coords, level=level)
 
 
-def _minimal_points(chart: Cone, member, halfspaces, lo, hi) -> list[tuple[int, ...]]:
-    """Minimal generators in the box lo..hi, cut by halfspaces, of an ideal I.
+def _minimal_points(chart: Cone, member, candidates, steps) -> list[tuple[int, ...]]:
+    """The minimal generators of an ideal I among the candidate points.
 
     member decides membership in I, a set of lattice points of the chart
-    with I + (chart cap N) inside I.  Then v in I is minimal iff no step
-    v - h by a Hilbert element h stays in the chart and in I: if w in I is
-    below v, then v - w = h + rest with rest in the chart, and v - h is in I.
+    with I + (chart cap N) inside I, and steps generate chart cap N as a
+    monoid, 0 left out.  Then v in I is minimal iff no step v - h stays in
+    the chart and in I: if w in I is below v, then v - w is a sum of steps,
+    h one of them, and v - h = w + (v - w - h) is in I.
     """
-    steps = [h.coords for h in chart.hilbert_basis()]
     walls = [normal for normal, _ in chart.halfspace_data()]
     out = []
-    for v in lattice_points_where(halfspaces, lo, hi):
+    for v in candidates:
         if not member(v):
             continue
         for h in steps:
@@ -344,8 +347,8 @@ def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
         raise ValueError(f"{tuple(vec.coords)} is not in the chart cone")
     if order_function(a, vec) != p:
         raise ValueError(f"order of {tuple(vec.coords)} is not {p}")
-    # the one-point box lo = hi = v runs the step test on v alone
-    return bool(_minimal_points(a.chart, _at_least(a, p), (), vec.coords, vec.coords))
+    steps = [h.coords for h in a.chart.hilbert_basis()]
+    return bool(_minimal_points(a.chart, _at_least(a, p), [vec.coords], steps))
 
 
 def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]:
@@ -372,7 +375,8 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
     rays = [r.coords for r in a.chart.rays]
     lo = [min(v[j] // v[-1] for v in tops) + sum(min(0, r[j]) for r in rays) for j in range(n)]
     hi = [max(-(-v[j] // v[-1]) for v in tops) + sum(max(0, r[j]) for r in rays) for j in range(n)]
-    points = _minimal_points(a.chart, _at_least(a, p), level, lo, hi)
+    steps = [h.coords for h in a.chart.hilbert_basis()]
+    points = _minimal_points(a.chart, _at_least(a, p), lattice_points_where(level, lo, hi), steps)
     return tuple(_component(pt, p) for pt in sorted(points) if order_function(a, pt) == p)
 
 
@@ -386,41 +390,74 @@ def singular_faces(c: Cone) -> tuple[FaceRef, ...]:
     return tuple(f for f in c.faces() if not _unimodular(f.key))
 
 
+# Most parallelepiped points sing_components may enumerate; see its
+# docstring.  The largest sing chart stored with the benchmark needs 39, far
+# below it; A_64 needs 130 and the 5D chart e1..e4,(1,2,3,4,9) 21.  A_1022
+# needs 2046 and takes about 2.3 s on a 2-vCPU Xeon VM under Python 3.11.
+MAX_SING_PARALLELEPIPED_POINTS = 2048
+
+
 def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     """Labels of the components of the arc fiber over the singular locus.
 
-    These are the cone-order-minimal lattice points in the union of the
+    These are the cone-order-minimal lattice points of the union I of the
     relative interiors of the singular faces, a monoid ideal of the cone's
     lattice points since every face containing a singular face is singular.
-    A point of the relative interior of a face tau with a repeated Hilbert
-    summand steps back by it and stays there, so a minimal point is a 0/1
-    sum of tau's Hilbert basis, the cone's Hilbert elements lying in tau:
-    the scan for tau is tau cut by the zonotope box of that basis.
+
+    Candidates.  A minimal v lies in relint tau for a singular face tau, and
+    Caratheodory writes v = sum l_i r_i, every l_i > 0, over a linearly
+    independent set S of tau's rays.  A face contains v iff it contains S,
+    so tau is the smallest face containing S, and relint cone(S) lies in
+    relint tau.  If some l_i > 1, then v - r_i is in relint cone(S), so in
+    I, and below v.  So every minimal point lies in the (0, 1]
+    parallelepiped of such an S; for a simplicial tau, S is all of tau's
+    rays, and its |det| points are the candidates.
+
+    Steps.  The step test of _minimal_points takes any generating set of
+    the cone's lattice points.  The simplicial cones on the independent
+    full-dimensional ray sets cover the cone, and a lattice point of one is
+    a point of its [0, 1) parallelepiped plus whole rays, so the rays and
+    those points generate.  No Hilbert basis is needed.
+
+    Work budget: the parallelepipeds hold sum |det| points, candidates and
+    steps together, counted before any is enumerated.  A ValueError naming
+    the count is raised when it exceeds MAX_SING_PARALLELEPIPED_POINTS =
+    2048.  The candidates and the steps off the r rays then number at most
+    2048 together, so the step test checks at most (1024 + r / 2)^2 pairs.
     """
     sing = singular_faces(c)
     if not sing:
         return ()
-    n = c.dim_ambient
     dual = [u.coords for u in c.dual_rays]
 
     def vanishing(vectors) -> frozenset:
         return frozenset(j for j, u in enumerate(dual) if all(_dot(u, v) == 0 for v in vectors))
 
-    singular = {vanishing([r.coords for r in f.rays]) for f in sing}
+    singular = {vanishing(f.key): f.key for f in sing}
 
     def member(v) -> bool:
         return vanishing([v]) in singular
 
-    basis = [h.coords for h in c.hilbert_basis()]
-    found: set[tuple[int, ...]] = set()
-    for zero in singular:
-        face_basis = [h for h in basis if vanishing([h]) >= zero]
-        lo = [sum(min(0, h[j]) for h in face_basis) for j in range(n)]
-        hi = [sum(max(0, h[j]) for h in face_basis) for j in range(n)]
-        # the dual rays in zero are >= 0 on the cone; also <= 0 keeps the scan on the face
-        walls = c.halfspace_data() + tuple((tuple(-x for x in dual[j]), 0) for j in zero)
-        found.update(_minimal_points(c, member, walls, lo, hi))
-    return tuple(_component(pt, None) for pt in sorted(found))
+    tops = [
+        _parallelepiped(s, True)
+        for zero, rays in singular.items()
+        for size in range(1, rank_of(rays) + 1)
+        for s in itertools.combinations(rays, size)
+        if vanishing(s) == zero
+    ]
+    bottoms = [_parallelepiped(s, False) for s in itertools.combinations(c.key, c.dim)]
+    tops, bottoms = [t for t in tops if t], [b for b in bottoms if b]
+    work = sum(count for count, _ in tops + bottoms)
+    if work > MAX_SING_PARALLELEPIPED_POINTS:
+        raise ValueError(
+            f"sing would enumerate {work} parallelepiped points, "
+            f"more than the budget of {MAX_SING_PARALLELEPIPED_POINTS}"
+        )
+    steps = dict.fromkeys(c.key)
+    for _, points in bottoms:
+        steps.update(dict.fromkeys(p for p in points if any(p)))
+    candidates = sorted({p for _, points in tops for p in points})
+    return tuple(_component(pt, None) for pt in _minimal_points(c, member, candidates, list(steps)))
 
 
 # ---------------------------------------------------------------------------

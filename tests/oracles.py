@@ -332,3 +332,62 @@ def dominates_by_hom_order(o1, o2):
         if all(order(a) <= order(b) for a, b in zip(h1, h2)):
             return True
     return False
+
+
+def parallelepiped_by_box_scan(gens, upper):
+    """Lattice points sum l_i g_i, l in (0, 1]^k if upper else [0, 1)^k.
+
+    Scans the bounding box of the parallelepiped, solves for l in Fraction
+    and keeps the points whose l lies in the half-open cube.
+    """
+    n = len(gens[0])
+    lo = [sum(min(0, g[j]) for g in gens) for j in range(n)]
+    hi = [sum(max(0, g[j]) for g in gens) for j in range(n)]
+    rows = [[g[j] for g in gens] for j in range(n)]
+    inside = (lambda l: 0 < l <= 1) if upper else (lambda l: 0 <= l < 1)
+    found = []
+    for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        lam = solve_square(rows, x)
+        if lam is not None and all(inside(l) for l in lam):
+            found.append(x)
+    return sorted(found)
+
+
+def sing_by_zonotope_scan(cone):
+    """Minimal points of the union of singular-face relative interiors.
+
+    The route sing_components took before parallelepipeds: for each
+    singular face tau, scan tau cut by the zonotope box of the cone's
+    Hilbert elements lying in tau, and keep the points of the ideal from
+    which no Hilbert-basis step stays in the cone and in the ideal.
+    """
+    from toricarcs.cones import lattice_points_where
+    from toricarcs.ideals import singular_faces
+
+    n = cone.dim_ambient
+    dual = [u.coords for u in cone.dual_rays]
+
+    def vanishing(vectors):
+        return frozenset(j for j, u in enumerate(dual) if all(dot(u, v) == 0 for v in vectors))
+
+    singular = {vanishing(f.key) for f in singular_faces(cone)}
+
+    def member(v):
+        return vanishing([v]) in singular
+
+    halfspaces = cone.halfspace_data()
+    walls = [normal for normal, _ in halfspaces]
+    basis = [h.coords for h in cone.hilbert_basis()]
+    found = set()
+    for zero in singular:
+        face_basis = [h for h in basis if vanishing([h]) >= zero]
+        lo = [sum(min(0, h[j]) for h in face_basis) for j in range(n)]
+        hi = [sum(max(0, h[j]) for h in face_basis) for j in range(n)]
+        on_face = halfspaces + tuple((tuple(-x for x in dual[j]), 0) for j in zero)
+        for v in lattice_points_where(on_face, lo, hi):
+            if not member(v):
+                continue
+            steps_back = (tuple(a - b for a, b in zip(v, h)) for h in basis)
+            if not any(all(dot(a, w) >= 0 for a in walls) and member(w) for w in steps_back):
+                found.add(v)
+    return sorted(found)

@@ -62,6 +62,17 @@ def test_hom_from_label_examples(a1):
     assert hom_from_label(top).values == (INF, INF, INF)
 
 
+def test_hom_from_label_refuses_a_chart_off_the_stratum():
+    c1 = Cone([(1, 0), (0, 1)])
+    c2 = Cone([(0, 1), (-1, -1)])
+    fan = Fan([c1, c2, Cone([(-1, -1), (1, 0)])])
+    ray = next(f for f in fan.strata() if f.key == ((1, 0),))
+    label = orbit_label(fan, ray, (0,))
+    assert hom_from_label(label, c1).values == (0, INF)
+    with pytest.raises(ValueError, match="does not contain the stratum"):
+        hom_from_label(label, c2)
+
+
 def test_round_trip_exhaustive_small_values(a1):
     # every consistent hom with finite values <= 5 comes from a label and
     # classifies back to it; every other assignment is rejected

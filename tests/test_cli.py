@@ -231,6 +231,18 @@ def test_orbits_beyond_the_work_budget_exits_1_at_once(capsys):
     assert "40000800004" in err and "512" in err
 
 
+def test_sing_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    rays = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 2, 3, 4, 10**9]]
+    doc.write_text(json.dumps({"dim": 5, "cones": [rays]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["sing", "--input", str(doc)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    # the full face has 10^9 candidates and 10^9 step points; the other three singular faces 8
+    assert "2000000008" in err and "2048" in err
+
+
 def test_negative_first_coordinate_is_passed_with_equals(capsys, tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text('{"dim":2,"cones":[[[-1,0],[0,1]]]}')

@@ -1,12 +1,21 @@
+import math
 import random
 
 import pytest
 
 from conftest import random_full_cone
-from oracles import brute_dual_generators, decomposes_over, in_cone_rational
+from oracles import (
+    brute_dual_generators,
+    decomposes_over,
+    in_cone_rational,
+    minors,
+    parallelepiped_by_box_scan,
+    solve_square,
+)
 
 from toricarcs.cones import (
     Cone,
+    _parallelepiped,
     Fan,
     dual_cone,
     faces,
@@ -170,6 +179,55 @@ def test_hilbert_basis_points_primal():
     assert [v.coords for v in hilbert_basis_points(c)] == [(1, 0), (1, 1), (1, 2)]
     ray = Cone([(2, 3)], 2)
     assert [v.coords for v in hilbert_basis_points(ray)] == [(2, 3)]
+
+
+# -- parallelepipeds ---------------------------------------------------------------
+
+
+def _parallelepiped_cases():
+    """Seeded independent generator sets of rank 1 to 5, some in a larger ambient."""
+    rng = random.Random(2010)
+    cases = [
+        [(2, 2, 0)],
+        [(1, 1, 0), (1, -1, 0)],
+        [(2, 0, 0, 0), (0, 0, 3, 0)],
+        [(1, 2, 0), (0, 2, 2)],
+    ]
+    # (rank, ambient, spread) keeps every bounding box below 8000 points
+    shapes = [(1, 2, 4), (1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 3, 2), (3, 4, 1), (4, 4, 1), (5, 5, 1)]
+    for rank, ambient, spread in shapes:
+        drawn = 0
+        while drawn < 3:
+            gens = [tuple(rng.randint(-spread, spread) for _ in range(ambient)) for _ in range(rank)]
+            if rank_of(gens) == rank:
+                cases.append(gens)
+                drawn += 1
+    return cases
+
+
+@pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+def test_parallelepiped_matches_box_scan_oracle(upper):
+    proper = 0
+    for gens in _parallelepiped_cases():
+        count, points = _parallelepiped(gens, upper)
+        points = list(points)
+        assert sorted(points) == parallelepiped_by_box_scan(gens, upper), gens
+        # one point per coset of the generated lattice in the span's lattice,
+        # whose index is the gcd of the maximal minors
+        index = math.gcd(*minors([list(g) for g in gens], len(gens)))
+        assert count == len(points) == index, gens
+        rows = [[g[j] for g in gens] for j in range(len(gens[0]))]
+        for i, p in enumerate(points):
+            for q in points[:i]:
+                lam = solve_square(rows, [a - b for a, b in zip(p, q)])
+                assert any(x.denominator != 1 for x in lam), (gens, p, q)
+        proper += index > 1
+    assert proper >= 10
+
+
+def test_parallelepiped_refuses_dependent_generators():
+    assert _parallelepiped([(1, 2, 3), (2, 4, 6)], True) is None
+    assert _parallelepiped([(1, 0), (0, 1), (1, 1)], False) is None
 
 
 # -- membership and the cone order ----------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     brute_sing_minimal,
     in_cone_rational,
     polar_by_face_lattice,
+    sing_by_zonotope_scan,
 )
 
 from toricarcs.arcs import monomial_arc, orbit_label, orbit_poset
@@ -429,6 +431,69 @@ def test_sing_components_match_brute_oracle_random_3d():
         assert got and max(abs(x) for v in got for x in v) <= 3, cone
         assert got == [list(v) for v in brute_sing_minimal(cone, 3)], cone
         checked += 1
+
+
+def _sing_scan_charts():
+    charts = [Cone([(1, 0), (1, n + 1)]) for n in range(1, 17)]
+    rng = random.Random(5)
+    while len(charts) < 22:
+        cone = random_full_cone(rng, 3, spread=2)
+        if singular_faces(cone):
+            charts.append(cone)
+    charts += [
+        Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+        Cone([(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]),
+        Cone([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+        Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -2, 1)]),
+        Cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)]),
+        Cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (3, 1, 3, 8)]),
+        # lower-dimensional charts
+        Cone([(1, 0, 1), (1, 3, 1)]),
+        Cone([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 3, 0)]),
+    ]
+    return charts
+
+
+@pytest.mark.parametrize("cone", _sing_scan_charts(), ids=repr)
+def test_sing_components_match_the_zonotope_scan(cone):
+    assert [c.point for c in sing_components(cone)] == sing_by_zonotope_scan(cone)
+
+
+def test_sing_components_rank_5_within_a_second():
+    # frozen after one comparison with sing_by_zonotope_scan, which took 42.6 s on a 2-vCPU Xeon VM
+    cone = Cone([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 2, 3, 4, 9)])
+    start = time.perf_counter()
+    got = [c.point for c in sing_components(cone)]
+    assert time.perf_counter() - start < 1.0
+    assert got == [
+        (1, 1, 1, 1, 1),
+        (1, 1, 1, 1, 2),
+        (1, 1, 1, 2, 3),
+        (1, 1, 2, 2, 4),
+        (1, 2, 2, 3, 5),
+        (1, 2, 2, 3, 6),
+        (1, 2, 3, 4, 7),
+        (1, 2, 3, 4, 8),
+    ]
+
+
+def test_sing_budget_counts_candidates_and_steps(a2, monkeypatch):
+    import toricarcs.ideals as ideals
+
+    # A_2: the full face is the only singular face; 3 candidates and 3 step points
+    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 6)
+    assert [c.point for c in sing_components(a2)] == [(1, 1), (1, 2)]
+    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 5)
+    with pytest.raises(ValueError, match="6 parallelepiped points, more than the budget of 5"):
+        sing_components(a2)
+
+
+def test_sing_default_budget_refuses_a_large_determinant_at_once():
+    cone = Cone([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 2, 3, 4, 10**9)])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget of 2048"):
+        sing_components(cone)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sing_equals_union_of_contact_components(a1, a2):
