@@ -2,9 +2,11 @@
 """Profile contact-locus components of sample ideals across levels.
 
 For each sample ideal, prints the Newton vertices, the dual subdivision,
-the polar polytope at p = 1, and then the component list for p = 1..12,
-marking levels where the minimal set coincides with the lattice points of
-the compact faces (which happens whenever p clears the polar denominators).
+the polar polytope at p = 1, and then the component list for p = 1..12.
+At levels p that clear the polar denominators it compares the minimal set
+with the lattice points of the compact faces.  They coincide on the 2D
+samples; on the singular 3D chart the face points are minimal, but so are
+some points of order p on the unbounded faces of the level set.
 """
 
 import math
@@ -24,6 +26,11 @@ SAMPLES = [
     ("monomial curve ideal on the plane", Cone([(0, 1), (1, 0)]), [(2, 0), (0, 3)]),
     ("maximal ideal of the A_1 chart", Cone([(1, 0), (1, 2)]), [(0, 1), (1, 0), (2, -1)]),
     ("principal ideal on the plane", Cone([(0, 1), (1, 0)]), [(1, 1)]),
+    (
+        "ideal on a singular 3D chart",
+        Cone([(0, 1, 0), (1, 0, 0), (1, 1, 2)]),
+        [(0, 0, 1), (0, 3, -1), (1, 1, -1)],
+    ),
 ]
 
 

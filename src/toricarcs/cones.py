@@ -371,47 +371,56 @@ class FaceRef(_Record):
         return f"FaceRef(indices={list(self.indices)})"
 
 
-def _interval_bounds(coeffs, lo, hi):
-    """Exact min/max of sum(c*x) over the integer box lo..hi."""
-    mn = mx = 0
-    for c, a, b in zip(coeffs, lo, hi):
-        if c >= 0:
-            mn += c * a
-            mx += c * b
-        else:
-            mn += c * b
-            mx += c * a
-    return mn, mx
-
-
 def lattice_points_where(
     constraints: Sequence[tuple[Sequence[int], int]],
     lo: Sequence[int],
     hi: Sequence[int],
 ) -> Iterator[tuple[int, ...]]:
-    """Integer points of a box satisfying a . x >= b for every (a, b).
+    """Integer points of a box with a . x >= b for every (a, b), in lexicographic order.
 
-    Enumerates coordinate by coordinate with exact interval pruning, which
-    keeps desk-scale cone/box intersections cheap.
+    The most sum_{i>k} a_i x_i can reach over the box does not depend on
+    x_0..x_k, so it is computed once.  With x_0..x_{k-1} fixed, each
+    constraint allows x_k the range where it can still be met, read off by
+    ceil or floor division, and x_k runs over the meet of these ranges with
+    [lo_k, hi_k]; a constraint with a_k = 0 that cannot be met ends the
+    branch.  Each range is necessary, so no point is lost.  At the last
+    coordinate nothing follows, so each range is exactly its constraint,
+    and no point reached is rejected.
     """
     dim = len(lo)
-
-    def rec(prefix):
-        k = len(prefix)
-        for a, b in constraints:
-            fixed = sum(a[i] * prefix[i] for i in range(k))
-            _, mx = _interval_bounds(a[k:], lo[k:], hi[k:])
-            if fixed + mx < b:
-                return
-        if k == dim:
-            yield tuple(prefix)
-            return
-        for x in range(lo[k], hi[k] + 1):
-            yield from rec(prefix + [x])
-
     if any(a > b for a, b in zip(lo, hi)):
         return
-    yield from rec([])
+    rows = [tuple(a) for a, _ in constraints]
+    # reach[k][c]: the most sum_{i>=k} a_i x_i of constraint c can be over the box
+    reach = [[0] * len(rows)]
+    for k in reversed(range(dim)):
+        reach.append([t + max(a[k] * lo[k], a[k] * hi[k]) for t, a in zip(reach[-1], rows)])
+    reach.reverse()
+
+    def rec(k, prefix, need):
+        # need[c] = b - sum_{i<k} a_i x_i for constraint c
+        low, high = lo[k], hi[k]
+        for a, r, t in zip(rows, need, reach[k + 1]):
+            c, g = a[k], r - t
+            if c > 0:
+                low = max(low, -(-g // c))
+            elif c < 0:
+                high = min(high, g // c)
+            elif g > 0:
+                return
+        if k == dim - 1:
+            for x in range(low, high + 1):
+                yield prefix + (x,)
+            return
+        for x in range(low, high + 1):
+            yield from rec(k + 1, prefix + (x,), [r - a[k] * x for a, r in zip(rows, need)])
+
+    need = [b for _, b in constraints]
+    if dim == 0:
+        if all(b <= 0 for b in need):
+            yield ()
+        return
+    yield from rec(0, (), need)
 
 
 def _parallelepiped(gens: Sequence[Sequence[int]], upper: bool):

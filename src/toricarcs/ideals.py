@@ -35,10 +35,12 @@ from .lattice import (
     N_SIDE,
     LatticeVector,
     _Record,
+    _set,
     ext_min,
     is_finite,
     pairing,
     primitive_part,
+    primitive_tuple,
     rank_of,
 )
 
@@ -71,6 +73,7 @@ class MonomialIdeal(_Record):
         "chart": "Cone",
         "generators": "tuple[LatticeVector, ...]",
         "discarded": "tuple[LatticeVector, ...]",
+        "_level_one": "homogenized rays of the level-1 set, once computed",
     }
 
 
@@ -223,22 +226,40 @@ def _level_constraints(a: MonomialIdeal, p: int) -> list[tuple[tuple[int, ...], 
     return [(u.coords, p) for u in a.generators] + list(a.chart.halfspace_data())
 
 
+def _check_level(p) -> None:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise ValueError("the level p must be a positive integer")
+
+
+def _level_rays(a: MonomialIdeal, p: int) -> list[tuple[int, ...]]:
+    """Extreme rays (x, s) of the homogenized level-p set: see polar_polytope."""
+    if a._level_one is None:
+        _set(a, "_level_one", _homogenized_rays(_level_constraints(a, 1), a.chart.dim_ambient))
+    return [
+        primitive_tuple(tuple(p * x for x in r[:-1]) + r[-1:])[1] if r[-1] else r
+        for r in a._level_one
+    ]
+
+
 def polar_polytope(a: MonomialIdeal, p: int) -> PolarData:
     """Vertices and compact faces of the level-p polytope of the order function.
 
-    One double-description pass gives the rays (x, s) of the homogenized
-    level set, vertices x / s where s > 0.  The faces of that cone are the
+    The homogenized level set has rays (x, s), vertices x / s where s > 0.
+    The order is homogeneous of degree one, so the level-p set is p times
+    the level-1 set: (x, s) -> (p x, s) maps one homogenized cone onto the
+    other, as u . x >= s becomes u . (p x) >= p s and the chart walls are
+    linear.  So the rays at level p are the primitive (p x, s), recession
+    rays (s = 0) unchanged, and one double-description pass at level 1,
+    kept on the ideal, serves every level.  The faces of that cone are the
     intersections of the ray sets on which the homogenized constraints are
     tight: each constraint is valid on the cone, so its tight set is a
     face, and every facet is cut out by one of the constraints.  The
     compact faces are the nonempty ones made of vertices alone.
     """
     _require_full_dim(a)
-    if not isinstance(p, int) or p < 1:
-        raise ValueError("the level p must be a positive integer")
-    n = a.chart.dim_ambient
+    _check_level(p)
     constraints = _level_constraints(a, p)
-    rays = _homogenized_rays(constraints, n)
+    rays = _level_rays(a, p)
     points = {i: tuple(Fraction(x, r[-1]) for x in r[:-1]) for i, r in enumerate(rays) if r[-1] > 0}
     vertices = tuple(sorted(points.values()))
     position = {v: k for k, v in enumerate(vertices)}
@@ -259,22 +280,45 @@ def polar_polytope(a: MonomialIdeal, p: int) -> PolarData:
     )
 
 
+# Most box points contact_components, or compact_face_lattice_points over
+# all its faces, may scan; a larger box raises ValueError before any scan.
+# The largest contact box stored with the benchmark holds 360 points.  On
+# the orthant with the ideal (1, 1, 1), p = 40 scans a box of 74,088 points,
+# which took 1.36 s with the scan that tried every value of each coordinate.
+MAX_CONTACT_BOX_POINTS = 100_000
+
+
+def _within_budget(what: str, boxes) -> None:
+    work = sum(math.prod(h - l + 1 for l, h in zip(lo, hi)) for lo, hi in boxes)
+    if work > MAX_CONTACT_BOX_POINTS:
+        raise ValueError(
+            f"{what} would scan {work} box points, more than the budget of {MAX_CONTACT_BOX_POINTS}"
+        )
+
+
 def compact_face_lattice_points(a: MonomialIdeal, p: int) -> tuple[tuple[int, ...], ...]:
-    """All lattice points on compact faces of the level-p set, sorted."""
+    """All lattice points on compact faces of the level-p set, sorted.
+
+    Each face is scanned in the box of its vertices, floor below and ceil
+    above.  The boxes are summed against MAX_CONTACT_BOX_POINTS first.
+    """
     data = polar_polytope(a, p)
     all_constraints = _level_constraints(a, p)
-    found = set()
+    n = a.chart.dim_ambient
+    boxes = []
     for face in data.compact_faces:
         verts = [data.vertices[i] for i in face]
-        lo = [min(v[j] for v in verts) for j in range(a.chart.dim_ambient)]
-        hi = [max(v[j] for v in verts) for j in range(a.chart.dim_ambient)]
-        lo = [math.floor(x) for x in lo]
-        hi = [math.ceil(x) for x in hi]
+        lo = [math.floor(min(v[j] for v in verts)) for j in range(n)]
+        hi = [math.ceil(max(v[j] for v in verts)) for j in range(n)]
         tight = [
             (c, b)
             for c, b in all_constraints
             if all(sum(x * y for x, y in zip(c, v)) == b for v in verts)
         ]
+        boxes.append((lo, hi, tight))
+    _within_budget("compact_face_lattice_points", [(lo, hi) for lo, hi, _ in boxes])
+    found = set()
+    for lo, hi, tight in boxes:
         for pt in lattice_points_where(all_constraints, lo, hi):
             if all(sum(x * y for x, y in zip(c, pt)) == b for c, b in tight):
                 found.add(pt)
@@ -342,6 +386,7 @@ def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
     the order function is monotone along the cone, so any descent can be
     taken one Hilbert step at a time without leaving the level set.
     """
+    _check_level(p)
     vec = v if isinstance(v, LatticeVector) else LatticeVector(tuple(int(x) for x in v), N_SIDE)
     if not a.chart.contains(vec):
         raise ValueError(f"{tuple(vec.coords)} is not in the chart cone")
@@ -360,21 +405,26 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
     ray r_i, then stepping back by r_i stays in the ideal.  So every minimal
     generator lies in conv(V) + sum [0, 1) r_i: the scanned box is the
     vertex box widened by sum min(0, r_i) below and sum max(0, r_i) above.
-    The vertex box is read in integers off the homogenized rays (x, s) with
-    s > 0: floor(x_j / s) = x_j // s below and ceil(x_j / s) = -(-x_j // s)
-    above.
+
+    The order is homogeneous of degree one, so the level-p vertices are
+    p x / s for the rays (x, s) of the homogenized level-1 set with s > 0,
+    as in polar_polytope.  The vertex box is read in integers off them:
+    floor(p x_j / s) below and ceil(p x_j / s) above.
+
+    Work budget: a box of more than MAX_CONTACT_BOX_POINTS points raises
+    ValueError before it is scanned.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError("contact loci are indexed by positive integers p")
+    _check_level(p)
     _require_full_dim(a)
     n = a.chart.dim_ambient
     level = _level_constraints(a, p)
-    tops = [r for r in _homogenized_rays(level, n) if r[-1] > 0]
+    tops = [r for r in _level_rays(a, p) if r[-1] > 0]
     if not tops:
         return ()
     rays = [r.coords for r in a.chart.rays]
     lo = [min(v[j] // v[-1] for v in tops) + sum(min(0, r[j]) for r in rays) for j in range(n)]
     hi = [max(-(-v[j] // v[-1]) for v in tops) + sum(max(0, r[j]) for r in rays) for j in range(n)]
+    _within_budget("contact", [(lo, hi)])
     steps = [h.coords for h in a.chart.hilbert_basis()]
     points = _minimal_points(a.chart, _at_least(a, p), lattice_points_where(level, lo, hi), steps)
     return tuple(_component(pt, p) for pt in sorted(points) if order_function(a, pt) == p)

@@ -130,19 +130,24 @@ class _Record:
     maps each field to its type, which becomes the slot's docstring.  A
     record builds from positional or keyword fields, equals only a record
     of its own class with equal fields, hashes as the tuple of its fields,
-    and refuses assignment and deletion.  Classes built in hot loops define
-    their own __init__, __eq__ and __hash__; classes with private slots
-    (Cone, Fan, TruncatedSeries) keep only the immutability and reduce to
-    their constructor arguments for copy and pickle.
+    and refuses assignment and deletion.  A slot named _x is a cache, not
+    a field, and the base __init__ sets it to None.  Classes built in hot
+    loops define their own __init__, __eq__ and __hash__; Cone, Fan and
+    TruncatedSeries keep only the immutability and reduce to their
+    constructor arguments for copy and pickle.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = getattr(cls, "_fields", ()) + tuple(cls.__dict__.get("__slots__", ()))
+        names = tuple(cls.__dict__.get("__slots__", ()))
+        cls._fields = getattr(cls, "_fields", ()) + tuple(n for n in names if n[0] != "_")
+        cls._caches = getattr(cls, "_caches", ()) + tuple(n for n in names if n[0] == "_")
 
     def __init__(self, *args, **kwargs):
+        for name in self._caches:
+            _set(self, name, None)
         names = self._fields
         if len(args) > len(names):
             raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")

@@ -154,6 +154,12 @@ def box_points(lo, hi, dim):
     return itertools.product(*(range(lo, hi + 1) for _ in range(dim)))
 
 
+def box_points_where(constraints, lo, hi):
+    """Points of the box lo..hi with a . x >= b for every (a, b), in lexicographic order."""
+    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return [x for x in box if all(dot(a, x) >= b for a, b in constraints)]
+
+
 def brute_dual_generators(rays, dim, box=3):
     """Primitive dual-cone generators with sup-norm <= box, by direct search.
 
@@ -361,7 +367,6 @@ def sing_by_zonotope_scan(cone):
     Hilbert elements lying in tau, and keep the points of the ideal from
     which no Hilbert-basis step stays in the cone and in the ideal.
     """
-    from toricarcs.cones import lattice_points_where
     from toricarcs.ideals import singular_faces
 
     n = cone.dim_ambient
@@ -384,7 +389,7 @@ def sing_by_zonotope_scan(cone):
         lo = [sum(min(0, h[j]) for h in face_basis) for j in range(n)]
         hi = [sum(max(0, h[j]) for h in face_basis) for j in range(n)]
         on_face = halfspaces + tuple((tuple(-x for x in dual[j]), 0) for j in zero)
-        for v in lattice_points_where(on_face, lo, hi):
+        for v in box_points_where(on_face, lo, hi):
             if not member(v):
                 continue
             steps_back = (tuple(a - b for a, b in zip(v, h)) for h in basis)

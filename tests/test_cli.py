@@ -243,6 +243,17 @@ def test_sing_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):
     assert "2000000008" in err and "2048" in err
 
 
+def test_contact_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"dim": 3, "cones": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "ideal": [[1, 1, 1]]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["contact", "--p", "100000", "--input", str(doc)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    # the box is [0, 100001]^3, against a budget of 100000
+    assert str(100002**3) in err and "100000" in err
+
+
 def test_negative_first_coordinate_is_passed_with_equals(capsys, tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text('{"dim":2,"cones":[[[-1,0],[0,1]]]}')

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_full_cone
 from oracles import (
+    box_points_where,
     brute_dual_generators,
     decomposes_over,
     in_cone_rational,
@@ -23,6 +24,7 @@ from toricarcs.cones import (
     hilbert_basis_points,
     intersect_cones,
     is_smooth,
+    lattice_points_where,
     leq_sigma,
     quotient_by_face,
 )
@@ -379,3 +381,36 @@ def test_dual_cone_two_dim_in_three_space():
 def test_faces_of_two_dim_cone_in_three_space():
     c = Cone([(1, 0, 0), (0, 1, 0)], 3)
     assert len(faces(c)) == 4
+
+
+# -- box enumeration ------------------------------------------------------------
+
+
+def test_lattice_points_where_matches_the_box_filter():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(800):
+        dim = rng.randint(0, 4)
+        lo = [rng.randint(-3, 2) for _ in range(dim)]
+        hi = [x + rng.randint(-1, 4) for x in lo]
+        constraints = [
+            (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-4, 8))
+            for _ in range(rng.randint(0, 4))
+        ]
+        expected = box_points_where(constraints, lo, hi)
+        assert list(lattice_points_where(constraints, lo, hi)) == expected, (constraints, lo, hi)
+        if any(a > b for a, b in zip(lo, hi)):
+            kinds.add("empty box")
+        elif not expected:
+            kinds.add("infeasible")
+        elif dim == 0:
+            kinds.add("dim 0")
+        else:
+            kinds.add("points")
+        if any(0 in a for a, _ in constraints):
+            kinds.add("zero coefficient")
+    assert kinds == {"empty box", "infeasible", "dim 0", "points", "zero coefficient"}
+    # a constraint with no variable that fails empties the box, and one that holds does nothing
+    assert list(lattice_points_where([((0, 0), 1)], [0, 0], [1, 1])) == []
+    assert list(lattice_points_where([((0, 0), 0)], [0, 0], [0, 1])) == [(0, 0), (0, 1)]
+    assert list(lattice_points_where([((), 1)], [], [])) == []

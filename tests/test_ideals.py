@@ -15,8 +15,10 @@ from oracles import (
 )
 
 from toricarcs.arcs import monomial_arc, orbit_label, orbit_poset
-from toricarcs.cones import Cone
+from toricarcs.cones import Cone, _homogenized_rays
 from toricarcs.ideals import (
+    _level_constraints,
+    _level_rays,
     compact_face_lattice_points,
     contact_components,
     dual_fan,
@@ -200,6 +202,48 @@ def test_polar_polytope_matches_face_lattice_route():
                 data = polar_polytope(ideal, p)
                 got = (data.vertices, data.recession_rays, data.compact_faces)
                 assert got == polar_by_face_lattice(ideal, p), (chart.key, gens, p)
+
+
+def test_level_p_set_is_p_times_the_level_1_set():
+    rng = random.Random(23)
+    for dim in (2, 3, 2, 3, 2, 3):
+        chart = random_full_cone(rng, dim, spread=2)
+        dual = [u.coords for u in chart.dual_rays]
+        count, gens = rng.randint(1, dim + 2), []
+        while len(gens) < count:
+            coeffs = [rng.randint(0, 3) for _ in dual]
+            u = tuple(sum(c * d[j] for c, d in zip(coeffs, dual)) for j in range(dim))
+            if any(u):
+                gens.append(u)
+        ideal = monomial_ideal(chart, gens)
+        one = polar_polytope(ideal, 1)
+        for p in range(1, 8):
+            data = polar_polytope(ideal, p)
+            assert data.vertices == tuple(tuple(p * x for x in v) for v in one.vertices)
+            assert (data.compact_faces, data.recession_rays) == (one.compact_faces, one.recession_rays)
+            # the scaled level-1 rays are those of a fresh pass at level p
+            fresh = _homogenized_rays(_level_constraints(ideal, p), dim)
+            assert sorted(_level_rays(ideal, p)) == list(fresh), (chart.key, gens, p)
+
+
+def test_one_ideal_answers_every_level_in_any_order():
+    chart = Cone([(0, 1, 0), (1, 0, 0), (1, 1, 2)])
+    gens = [(0, 0, 1), (0, 3, -1), (1, 1, -1)]
+    shared = monomial_ideal(chart, gens)
+    queries = [(query, p) for query in (polar_polytope, contact_components) for p in range(1, 13)]
+    random.Random(5).shuffle(queries)
+    for query, p in queries:
+        assert query(shared, p) == query(monomial_ideal(chart, gens), p), (query.__name__, p)
+    assert shared._level_one is not None
+
+
+def test_polar_and_contact_reject_a_bool_level(q23, a1_max):
+    for query in (polar_polytope, contact_components, compact_face_lattice_points):
+        with pytest.raises(ValueError):
+            query(q23, True)
+    # (1, 1) has order 1 == True
+    with pytest.raises(ValueError):
+        is_minimal_in_contact(a1_max, True, nvec(1, 1))
 
 
 # -- minimality ------------------------------------------------------------------------
@@ -493,6 +537,34 @@ def test_sing_default_budget_refuses_a_large_determinant_at_once():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="budget of 2048"):
         sing_components(cone)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_contact_budget_counts_box_points(monkeypatch):
+    import toricarcs.ideals as ideals
+
+    # the orthant with the ideal (1, 1, 1) at p = 1: the box is [0, 2]^3, 27 points; its
+    # compact faces, a triangle, three edges and three vertices, have boxes of 8 + 3 * 4 + 3
+    orthant = monomial_ideal(Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), [(1, 1, 1)])
+    monkeypatch.setattr(ideals, "MAX_CONTACT_BOX_POINTS", 27)
+    assert [c.point for c in contact_components(orthant, 1)] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    monkeypatch.setattr(ideals, "MAX_CONTACT_BOX_POINTS", 26)
+    with pytest.raises(ValueError, match="contact would scan 27 box points, more than the budget of 26"):
+        contact_components(orthant, 1)
+    monkeypatch.setattr(ideals, "MAX_CONTACT_BOX_POINTS", 23)
+    assert compact_face_lattice_points(orthant, 1) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    monkeypatch.setattr(ideals, "MAX_CONTACT_BOX_POINTS", 22)
+    with pytest.raises(ValueError, match="scan 23 box points, more than the budget of 22"):
+        compact_face_lattice_points(orthant, 1)
+
+
+def test_contact_default_budget_refuses_a_high_level_at_once():
+    orthant = monomial_ideal(Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), [(1, 1, 1)])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"{100002 ** 3} box points, more than the budget of 100000"):
+        contact_components(orthant, 100000)
+    with pytest.raises(ValueError, match="budget of 100000"):
+        compact_face_lattice_points(orthant, 100000)
     assert time.perf_counter() - start < 1.0
 
 

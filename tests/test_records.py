@@ -225,6 +225,18 @@ def test_records_copy_and_pickle_by_their_fields():
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_a_filled_cache_is_not_a_field():
+    ideal = monomial_ideal(Cone([(1, 0), (1, 2)]), [(0, 1), (1, 0), (2, -1)])
+    unfilled = MonomialIdeal(*_values(ideal))
+    polar_polytope(ideal, 3)
+    assert ideal._level_one is not None and unfilled._level_one is None
+    for twin in (ideal, copy.copy(ideal), copy.deepcopy(ideal), pickle.loads(pickle.dumps(ideal))):
+        assert twin == unfilled and unfilled == twin
+        assert hash(twin) == hash(unfilled) and repr(twin) == repr(unfilled)
+    with pytest.raises(AttributeError):
+        ideal._level_one = None
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     probe = (
         "import sys\n"
