@@ -20,12 +20,12 @@ from .cones import (
     FaceRef,
     Fan,
     _charts_containing,
+    _face_quotient_cached,
     _stratum_quotient,
     hilbert_basis_dual,
     is_face_of,
     is_smooth,
     lattice_points_where,
-    quotient_by_face,
 )
 from .lattice import (
     INF,
@@ -106,10 +106,6 @@ def _charts_over(ambient, face: FaceRef) -> tuple[Cone, ...]:
     return _charts_containing(_maximal_cones(ambient), face)
 
 
-def _face_in_chart(chart: Cone, face: FaceRef) -> FaceRef:
-    return chart.smallest_face_containing(face.rays)
-
-
 class OrbitLabel(_Record):
     """An arc-space orbit: a stratum face and a point of the quotient lattice."""
 
@@ -146,7 +142,7 @@ class OrbitLabel(_Record):
 
 
 def orbit_label(ambient, face: FaceRef, point: Sequence[int]) -> OrbitLabel:
-    """Validated orbit label: the point must land in some chart's image cone."""
+    """Validated orbit label: a face of each chart over it, a point in some chart's image cone."""
     label = OrbitLabel(ambient, face, tuple(point))
     q = label.quotient
     if len(label.point) != q.quotient_dim:
@@ -154,7 +150,9 @@ def orbit_label(ambient, face: FaceRef, point: Sequence[int]) -> OrbitLabel:
             f"point has {len(label.point)} coordinates, expected {q.quotient_dim}"
         )
     for chart in _charts_over(ambient, face):
-        image = quotient_by_face(chart, _face_in_chart(chart, face)).image_cone
+        if not is_face_of(face, chart.full_face()):
+            raise ValueError("the stratum is not a face of a chart containing its rays")
+        image = _face_quotient_cached(chart, face.key).image_cone
         if image.contains(label.point_vector):
             return label
     raise ValueError("point lies in no chart's image cone for this stratum")
@@ -313,10 +311,8 @@ def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
         return
     rho_v = _project_between(o1, gamma)
     for chart in _charts_over(o1.ambient, gamma):
-        f_tau = _face_in_chart(chart, tau)
-        f_gamma = _face_in_chart(chart, gamma)
-        image_tau = quotient_by_face(chart, f_tau).image_cone
-        image_gamma = quotient_by_face(chart, f_gamma).image_cone
+        image_tau = _face_quotient_cached(chart, tau.key).image_cone
+        image_gamma = _face_quotient_cached(chart, gamma.key).image_cone
         if not image_tau.contains(o1.point_vector):
             continue
         if not image_gamma.contains(o2.point_vector):
@@ -381,7 +377,7 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     for face, dim, charts in plan:
         points = set()
         for chart in charts:
-            image = quotient_by_face(chart, _face_in_chart(chart, face)).image_cone
+            image = _face_quotient_cached(chart, face.key).image_cone
             if dim == 0:
                 points.add(())
                 continue
@@ -480,8 +476,7 @@ def dominance_witness(
         raise ValueError("lattice criterion fails: o1 does not dominate o2")
     chart, rho_v = found
 
-    f_tau = _face_in_chart(chart, o1.face)
-    fq_tau = quotient_by_face(chart, f_tau)
+    fq_tau = _face_quotient_cached(chart, o1.face.key)
     sigma_bar = fq_tau.image_cone
     if not is_smooth(sigma_bar):
         raise ValueError("image cone of the smooth chart failed the smoothness test")

@@ -7,10 +7,12 @@ then combining adjacent rays across the new wall.  Adjacency and extremality
 use the exact rank criterion on tight constraint sets, so the generator list
 stays minimal after every insertion.
 
-On top of that sit face lattices, the smoothness test, Hilbert bases of
-pointed lattice semigroups, lattice points of parallelepipeds, cone-order
+On top of that sit face lattices, the smoothness test, lattice points of
+parallelepipeds, Hilbert bases of pointed lattice semigroups, cone-order
 comparisons, quotients by faces, and exact vertex enumeration for the
-polyhedra the ideal machinery needs.
+polyhedra the ideal machinery needs.  A Hilbert basis is the irreducible
+part of one generating set: the rays and the [0, 1) parallelepiped points
+of the simplicial cones on independent rays, which cover the cone.
 """
 
 from __future__ import annotations
@@ -306,9 +308,7 @@ class Cone(_Record):
 
     def hilbert_basis(self) -> tuple[LatticeVector, ...]:
         if self._hilbert is None:
-            basis = _hilbert_of_pointed(
-                [r.coords for r in self.rays], self.dim_ambient, self.halfspace_data()
-            )
+            basis = _hilbert_of_pointed(self.key, self.halfspace_data())
             _set(self, "_hilbert", tuple(LatticeVector(b, N_SIDE) for b in basis))
         return self._hilbert
 
@@ -461,35 +461,57 @@ def _parallelepiped(gens: Sequence[Sequence[int]], upper: bool):
     return volume, points()
 
 
-def _hilbert_of_pointed(gens, dim, halfspaces) -> tuple[tuple[int, ...], ...]:
-    """Minimal generating set of (pointed cone given by halfspaces) cap Z^dim.
+def _cover_generators(gens: Sequence[Sequence[int]]):
+    """The gens and the [0, 1) parallelepiped points of a cover of cone(gens).
 
-    Every irreducible element lies in the zonotope of the extreme rays, so
-    candidates are enumerated in the zonotope's bounding box and pruned by
-    decomposability against irreducibles found earlier in increasing order
-    of a functional that is strictly positive on the cone minus the origin.
+    With k the rank of the gens, the simplicial cones on the linearly
+    independent k-subsets S cover cone(gens) (Caratheodory).  A lattice
+    point of cone(S) is sum l_i g_i with every l_i >= 0, and taking off
+    the whole steps floor(l_i) g_i leaves a lattice point of the [0, 1)
+    parallelepiped of S.  So the gens and the nonzero points of these
+    parallelepipeds generate cone(gens) cap Z^n as a monoid.
+
+    Returns (count, points): count, the sum of |det S| over the S, bounds
+    the points and is known before the points iterator runs.
+    """
+    subsets = itertools.combinations(gens, rank_of(gens))
+    cells = [c for c in (_parallelepiped(s, False) for s in subsets) if c]
+    points = itertools.chain(gens, (p for _, cell in cells for p in cell if any(p)))
+    return sum(count for count, _ in cells), points
+
+
+# Most cover points a Hilbert basis may enumerate; see _hilbert_of_pointed.
+# The largest cover in the benchmark pool counts 12 points; the dual of the
+# 5D chart e1..e4,(1,2,3,5,13) counts 28,561 and takes about 1 s.
+MAX_HILBERT_COVER_POINTS = 50_000
+
+
+def _hilbert_of_pointed(gens, halfspaces) -> tuple[tuple[int, ...], ...]:
+    """Minimal generating set of cone(gens) cap Z^n, a pointed cone cut out by halfspaces.
+
+    Every generating set of a monoid holds its irreducible elements, so the
+    candidates are the generators of _cover_generators.  They are taken in
+    increasing order of a functional positive on the cone minus the origin,
+    and a candidate is dropped when it minus an irreducible found earlier
+    stays in the cone.  A reducible p is q + r with q irreducible and r
+    nonzero, so q comes first and p is dropped; an irreducible is kept.
+
+    Work budget: a cover of more than MAX_HILBERT_COVER_POINTS points
+    raises ValueError before any is enumerated.
     """
     if not gens:
         return ()
-    lo = [sum(min(0, g[j]) for g in gens) for j in range(dim)]
-    hi = [sum(max(0, g[j]) for g in gens) for j in range(dim)]
-
-    def member(p):
-        return all(_dot(a, p) >= b for a, b in halfspaces)
-
-    candidates = [p for p in lattice_points_where(halfspaces, lo, hi) if any(p)]
-    positive = [a for a, b in halfspaces]
-    ell = tuple(sum(col) for col in zip(*positive))
-    candidates.sort(key=lambda p: (_dot(ell, p), p))
+    count, cover = _cover_generators(gens)
+    if count > MAX_HILBERT_COVER_POINTS:
+        raise ValueError(
+            f"Hilbert basis would enumerate {count} cover points, "
+            f"more than the budget of {MAX_HILBERT_COVER_POINTS}"
+        )
+    ell = tuple(sum(col) for col in zip(*(a for a, _ in halfspaces)))
     irreducible: list[tuple[int, ...]] = []
-    for p in candidates:
-        decomposable = False
-        for q in irreducible:
-            diff = tuple(a - b for a, b in zip(p, q))
-            if not any(diff) or member(diff):
-                decomposable = True
-                break
-        if not decomposable:
+    for p in sorted(set(cover), key=lambda p: (_dot(ell, p), p)):
+        diffs = (tuple(x - y for x, y in zip(p, q)) for q in irreducible)
+        if not any(all(_dot(a, d) >= b for a, b in halfspaces) for d in diffs):
             irreducible.append(p)
     return tuple(sorted(irreducible))
 
@@ -533,7 +555,7 @@ def hilbert_basis_dual(c: Cone) -> tuple[LatticeVector, ...]:
         )
     gens = [u.coords for u in c.dual_rays]
     halfspaces = tuple((r.coords, 0) for r in c.rays)
-    basis = _hilbert_of_pointed(gens, c.dim_ambient, halfspaces)
+    basis = _hilbert_of_pointed(gens, halfspaces)
     return tuple(LatticeVector(b, M_SIDE) for b in basis)
 
 

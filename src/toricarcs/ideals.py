@@ -21,6 +21,7 @@ from .arcs import OrbitLabel
 from .cones import (
     Cone,
     FaceRef,
+    _cover_generators,
     _dot,
     _face_keys,
     _homogenized_rays,
@@ -358,13 +359,12 @@ def _minimal_points(chart: Cone, member, candidates, steps) -> list[tuple[int, .
     with I + (chart cap N) inside I, and steps generate chart cap N as a
     monoid, 0 left out.  Then v in I is minimal iff no step v - h stays in
     the chart and in I: if w in I is below v, then v - w is a sum of steps,
-    h one of them, and v - h = w + (v - w - h) is in I.
+    h one of them, and v - h = w + (v - w - h) is in I.  Every candidate
+    must lie in I; membership is not tested again here.
     """
     walls = [normal for normal, _ in chart.halfspace_data()]
     out = []
     for v in candidates:
-        if not member(v):
-            continue
         for h in steps:
             w = tuple(x - y for x, y in zip(v, h))
             if all(_dot(a, w) >= 0 for a in walls) and member(w):
@@ -464,10 +464,8 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     rays, and its |det| points are the candidates.
 
     Steps.  The step test of _minimal_points takes any generating set of
-    the cone's lattice points.  The simplicial cones on the independent
-    full-dimensional ray sets cover the cone, and a lattice point of one is
-    a point of its [0, 1) parallelepiped plus whole rays, so the rays and
-    those points generate.  No Hilbert basis is needed.
+    the cone's lattice points, and cones._cover_generators gives one
+    without a Hilbert basis.
 
     Work budget: the parallelepipeds hold sum |det| points, candidates and
     steps together, counted before any is enumerated.  A ValueError naming
@@ -495,19 +493,17 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
         for s in itertools.combinations(rays, size)
         if vanishing(s) == zero
     ]
-    bottoms = [_parallelepiped(s, False) for s in itertools.combinations(c.key, c.dim)]
-    tops, bottoms = [t for t in tops if t], [b for b in bottoms if b]
-    work = sum(count for count, _ in tops + bottoms)
+    tops = [t for t in tops if t]
+    work, cover = _cover_generators(c.key)
+    work += sum(count for count, _ in tops)
     if work > MAX_SING_PARALLELEPIPED_POINTS:
         raise ValueError(
             f"sing would enumerate {work} parallelepiped points, "
             f"more than the budget of {MAX_SING_PARALLELEPIPED_POINTS}"
         )
-    steps = dict.fromkeys(c.key)
-    for _, points in bottoms:
-        steps.update(dict.fromkeys(p for p in points if any(p)))
     candidates = sorted({p for _, points in tops for p in points})
-    return tuple(_component(pt, None) for pt in _minimal_points(c, member, candidates, list(steps)))
+    steps = list(dict.fromkeys(cover))
+    return tuple(_component(pt, None) for pt in _minimal_points(c, member, candidates, steps))
 
 
 # ---------------------------------------------------------------------------

@@ -396,3 +396,30 @@ def sing_by_zonotope_scan(cone):
             if not any(all(dot(a, w) >= 0 for a in walls) and member(w) for w in steps_back):
                 found.add(v)
     return sorted(found)
+
+
+def hilbert_by_zonotope_scan(gens, halfspaces):
+    """Minimal generating set of the pointed cone(gens) cap Z^n, cut out by halfspaces.
+
+    The route Hilbert bases took before the parallelepiped cover: every
+    irreducible element lies in the zonotope sum [0, 1] g_i, so scan the
+    zonotope's bounding box, and keep a point, taken in increasing order of
+    a functional positive on the cone, unless it minus an irreducible found
+    earlier stays in the cone.
+    """
+    if not gens:
+        return []
+    n = len(gens[0])
+    lo = [sum(min(0, g[j]) for g in gens) for j in range(n)]
+    hi = [sum(max(0, g[j]) for g in gens) for j in range(n)]
+
+    def member(p):
+        return all(dot(a, p) >= b for a, b in halfspaces)
+
+    ell = [sum(col) for col in zip(*(a for a, _ in halfspaces))]
+    candidates = sorted((p for p in box_points_where(halfspaces, lo, hi) if any(p)), key=lambda p: (dot(ell, p), p))
+    irreducible = []
+    for p in candidates:
+        if not any(member(tuple(a - b for a, b in zip(p, q))) for q in irreducible):
+            irreducible.append(p)
+    return sorted(irreducible)

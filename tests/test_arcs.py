@@ -73,6 +73,24 @@ def test_hom_from_label_refuses_a_chart_off_the_stratum():
         hom_from_label(label, c2)
 
 
+def test_orbit_label_refuses_a_foreign_face():
+    # ray sets of a chart that are not faces of it: two opposite conifold rays, and
+    # three of the four rays of a conifold face, which span that face
+    conifold = Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    over = Cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 1)])
+    cases = [
+        (conifold, Cone([(1, 0, 1), (-1, 0, 1)]).full_face()),
+        (over, Cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0)]).full_face()),
+    ]
+    for chart, face in cases:
+        for point in [(0,), (1,)]:
+            with pytest.raises(ValueError, match="not a face of a chart"):
+                orbit_label(chart, face, point)
+    face = over.smallest_face_containing(cases[1][1].rays)
+    assert len(face.key) == 4
+    assert orbit_label(over, face, (1,)).face == face
+
+
 def test_round_trip_exhaustive_small_values(a1):
     # every consistent hom with finite values <= 5 comes from a label and
     # classifies back to it; every other assignment is rejected

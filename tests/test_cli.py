@@ -243,6 +243,17 @@ def test_sing_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):
     assert "2000000008" in err and "2048" in err
 
 
+def test_hilbert_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"dim": 2, "cones": [[[1, 0], [1, 10**9]]]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["hilbert", "--input", str(doc)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    # the dual rays (0, 1) and (10^9, -1) span a parallelepiped of 10^9 points
+    assert "1000000000" in err and "50000" in err
+
+
 def test_contact_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"dim": 3, "cones": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "ideal": [[1, 1, 1]]}))

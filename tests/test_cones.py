@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from oracles import (
     box_points_where,
     brute_dual_generators,
     decomposes_over,
+    hilbert_by_zonotope_scan,
     in_cone_rational,
     minors,
     parallelepiped_by_box_scan,
@@ -28,6 +30,7 @@ from toricarcs.cones import (
     leq_sigma,
     quotient_by_face,
 )
+from toricarcs.ideals import singular_faces
 from toricarcs.lattice import nvec, rank_of
 
 
@@ -181,6 +184,84 @@ def test_hilbert_basis_points_primal():
     assert [v.coords for v in hilbert_basis_points(c)] == [(1, 0), (1, 1), (1, 2)]
     ray = Cone([(2, 3)], 2)
     assert [v.coords for v in hilbert_basis_points(ray)] == [(2, 3)]
+
+
+def _hilbert_scan_cones():
+    cones = [Cone([(1, 0), (1, n + 1)]) for n in range(1, 17)]
+    # the seeded random 3D charts of the sing zonotope-scan test
+    rng = random.Random(5)
+    while len(cones) < 22:
+        cone = random_full_cone(rng, 3, spread=2)
+        if singular_faces(cone):
+            cones.append(cone)
+    cones += [
+        Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+        Cone([(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]),
+        Cone([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+        Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -2, 1)]),
+        Cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)]),
+        Cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (3, 1, 3, 8)]),
+        Cone([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 2, 3, 4, 9)]),
+        # lower-dimensional cones: primal bases only
+        Cone([(2, 3)], 2),
+        Cone([(1, 0, 1), (1, 3, 1)]),
+        Cone([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 3, 0)]),
+    ]
+    return cones
+
+
+@pytest.mark.parametrize("c", _hilbert_scan_cones(), ids=repr)
+def test_hilbert_bases_match_the_zonotope_scan(c):
+    primal = hilbert_by_zonotope_scan(list(c.key), c.halfspace_data())
+    assert [v.coords for v in hilbert_basis_points(c)] == primal
+    if c.is_full_dimensional():
+        dual = hilbert_by_zonotope_scan([u.coords for u in c.dual_rays], [(r, 0) for r in c.key])
+        assert [u.coords for u in hilbert_basis_dual(c)] == dual
+
+
+def test_hilbert_bases_scan_no_box(monkeypatch):
+    import toricarcs.cones as cones
+
+    scans = []
+
+    def counting_scan(*args):
+        scans.append(args)
+        return lattice_points_where(*args)
+
+    monkeypatch.setattr(cones, "lattice_points_where", counting_scan)
+    c = Cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (3, 1, 3, 8)])
+    assert len(hilbert_basis_dual.__wrapped__(c)) == 29
+    assert len(hilbert_basis_points(c)) == 11
+    assert scans == []
+
+
+def test_hilbert_basis_dual_rank_5():
+    c = Cone([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 2, 3, 5, 13)])
+    basis = hilbert_basis_dual(c)
+    assert len(basis) == 59
+    assert {u.coords for u in c.dual_rays} <= {u.coords for u in basis}
+
+
+def test_hilbert_budget_counts_the_cover(monkeypatch):
+    import toricarcs.cones as cones
+
+    # the hexagon's 20 independent ray triples have determinants summing to 36
+    hexagon = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]
+    monkeypatch.setattr(cones, "MAX_HILBERT_COVER_POINTS", 36)
+    assert len(hilbert_basis_points(Cone(hexagon))) == 7
+    monkeypatch.setattr(cones, "MAX_HILBERT_COVER_POINTS", 35)
+    with pytest.raises(ValueError, match="36 cover points, more than the budget of 35"):
+        hilbert_basis_points(Cone(hexagon))
+
+
+def test_hilbert_default_budget_refuses_a_large_determinant_at_once():
+    c = Cone([(1, 0), (1, 10**9)])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="1000000000 cover points, more than the budget of 50000"):
+        hilbert_basis_dual(c)
+    with pytest.raises(ValueError, match="1000000000 cover points, more than the budget of 50000"):
+        hilbert_basis_points(c)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- parallelepipeds ---------------------------------------------------------------

@@ -255,6 +255,27 @@ def test_is_minimal_examples(q23, a1_max):
     assert is_minimal_in_contact(a1_max, 1, nvec(1, 1))
 
 
+def test_minimal_points_do_not_test_a_candidate_again(quadrant, monkeypatch):
+    import toricarcs.ideals as ideals
+
+    calls = []
+    at_least = ideals._at_least
+
+    def counting(a, p):
+        member = at_least(a, p)
+        return lambda v: calls.append(v) or member(v)
+
+    monkeypatch.setattr(ideals, "_at_least", counting)
+    # the box [1, 2]^2 of the level-1 set of (x, y), steps (0, 1) then (1, 0):
+    # (1, 1) tries both steps, (1, 2) and (2, 2) stop at (0, 1), (2, 1) tries both
+    ideal = monomial_ideal(quadrant, [(1, 0), (0, 1)])
+    assert [c.point for c in contact_components(ideal, 1)] == [(1, 1)]
+    assert len(calls) == 6
+    calls.clear()
+    assert is_minimal_in_contact(ideal, 1, nvec(1, 1))
+    assert calls == [(1, 0), (0, 1)]
+
+
 def test_is_minimal_rejects_wrong_level(q23):
     with pytest.raises(ValueError):
         is_minimal_in_contact(q23, 5, nvec(3, 2))

@@ -25,11 +25,13 @@ def test_script_runs(script):
     assert done.stdout.strip()
 
 
-def test_traced_worker_pass_reads_the_package_internals():
+@pytest.mark.parametrize("workload", ["sing", "contact", "orbits", "cli"])
+def test_traced_worker_pass_reads_the_package_internals(workload):
     # perfbench/worker.py reads private caches of toricarcs for its per-layer metrics
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    worker = [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload]
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", "sing", "--seed", "1", "--trace", "1"],
+        [*worker, "--seed", "1", "--trace", "1", "--cli-in-process", str(int(workload == "cli"))],
         env=env,
         cwd=ROOT,
         capture_output=True,
@@ -39,4 +41,4 @@ def test_traced_worker_pass_reads_the_package_internals():
     assert done.returncode == 0, done.stderr
     last = json.loads(done.stdout.strip().splitlines()[-1])
     assert last["answered"] == last["queries"]
-    assert isinstance(last["layers"], dict)
+    assert {"hilbert_basis_dual.hit_ratio", "face_quotient.hit_ratio"} <= set(last["layers"])
