@@ -19,7 +19,6 @@ from .cones import (
     Cone,
     FaceRef,
     Fan,
-    _charts_containing,
     _face_quotient_cached,
     _stratum_quotient,
     hilbert_basis_dual,
@@ -36,6 +35,7 @@ from .lattice import (
     QuotientLattice,
     _Record,
     _set,
+    _within_budget,
     is_finite,
     pairing,
     row_hermite,
@@ -82,9 +82,6 @@ class SemigroupHom(_Record):
     def generators(self) -> tuple[LatticeVector, ...]:
         return hilbert_basis_dual(self.cone)
 
-    def as_dict(self) -> dict[tuple[int, ...], object]:
-        return {g.coords: v for g, v in zip(self.generators, self.values)}
-
 
 def _maximal_cones(ambient) -> tuple[Cone, ...]:
     if isinstance(ambient, Cone):
@@ -103,11 +100,18 @@ def _strata(ambient) -> tuple[FaceRef, ...]:
 
 
 def _charts_over(ambient, face: FaceRef) -> tuple[Cone, ...]:
-    return _charts_containing(_maximal_cones(ambient), face)
+    """The maximal cones of the ambient that contain every ray of the face."""
+    return tuple(c for c in _maximal_cones(ambient) if all(c.contains(r) for r in face.rays))
 
 
 class OrbitLabel(_Record):
-    """An arc-space orbit: a stratum face and a point of the quotient lattice."""
+    """An arc-space orbit: a stratum face and a point of the quotient lattice.
+
+    The constructor validates its arguments and raises ValueError unless
+    the point has one coordinate per rank of the stratum's quotient
+    lattice, the face is a face of every chart over it, and the point lies
+    in some chart's image cone.  orbit_label is this constructor.
+    """
 
     __slots__ = {"ambient": "Cone | Fan", "face": "FaceRef", "point": "tuple[int, ...]"}
 
@@ -115,6 +119,24 @@ class OrbitLabel(_Record):
         _set(self, "ambient", ambient)
         _set(self, "face", face)
         _set(self, "point", tuple(map(int, point)))
+        dim = self.quotient.quotient_dim
+        if len(self.point) != dim:
+            raise ValueError(f"point has {len(self.point)} coordinates, expected {dim}")
+        charts = _charts_over(ambient, face)
+        if not all(is_face_of(face, chart.full_face()) for chart in charts):
+            raise ValueError("the stratum is not a face of a chart containing its rays")
+        v = self.point_vector
+        if not any(_face_quotient_cached(chart, face.key).image_cone.contains(v) for chart in charts):
+            raise ValueError("point lies in no chart's image cone for this stratum")
+
+    @classmethod
+    def _from_image(cls, ambient, face: FaceRef, point: tuple[int, ...]) -> "OrbitLabel":
+        """A label without the checks, for a point read off a chart's image cone."""
+        label = cls.__new__(cls)
+        _set(label, "ambient", ambient)
+        _set(label, "face", face)
+        _set(label, "point", point)
+        return label
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -134,28 +156,17 @@ class OrbitLabel(_Record):
     def point_vector(self) -> LatticeVector:
         return LatticeVector(self.point, N_SIDE)
 
-    def sort_key(self):
-        return (len(self.face.key), self.face.key, self.point)
+    def order_at(self, u: LatticeVector):
+        """The orbit's order along the character u: INF unless u vanishes on the face."""
+        if any(pairing(r, u) for r in self.face.rays):
+            return INF
+        return sum(a * b for a, b in zip(self.point, self.quotient.push_dual(u).coords))
 
     def __repr__(self) -> str:
         return f"OrbitLabel(stratum={[list(r) for r in self.face.key]}, v={list(self.point)})"
 
 
-def orbit_label(ambient, face: FaceRef, point: Sequence[int]) -> OrbitLabel:
-    """Validated orbit label: a face of each chart over it, a point in some chart's image cone."""
-    label = OrbitLabel(ambient, face, tuple(point))
-    q = label.quotient
-    if len(label.point) != q.quotient_dim:
-        raise ValueError(
-            f"point has {len(label.point)} coordinates, expected {q.quotient_dim}"
-        )
-    for chart in _charts_over(ambient, face):
-        if not is_face_of(face, chart.full_face()):
-            raise ValueError("the stratum is not a face of a chart containing its rays")
-        image = _face_quotient_cached(chart, face.key).image_cone
-        if image.contains(label.point_vector):
-            return label
-    raise ValueError("point lies in no chart's image cone for this stratum")
+orbit_label = OrbitLabel
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +231,7 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
         if x.denominator != 1:
             raise ValueError("values violate an additive relation among the generators")
         point.append(int(x))
-    return orbit_label(c, tau, tuple(point))
+    return OrbitLabel(c, tau, point)
 
 
 def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
@@ -234,15 +245,7 @@ def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
         chart = o.ambient
     elif not all(chart.contains(r) for r in o.face.rays):
         raise ValueError(f"chart {chart!r} does not contain the stratum {list(o.face.key)}")
-    gens = hilbert_basis_dual(chart)
-    q = o.quotient
-    values = []
-    for g in gens:
-        if all(pairing(r, g) == 0 for r in o.face.rays):
-            values.append(pairing(o.point_vector, q.push_dual(g)))
-        else:
-            values.append(INF)
-    return SemigroupHom(chart, tuple(values))
+    return SemigroupHom(chart, tuple(o.order_at(g) for g in hilbert_basis_dual(chart)))
 
 
 def monomial_arc(
@@ -301,8 +304,8 @@ def _project_between(
 def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
     """Charts where the lattice criterion for dominance can be evaluated.
 
-    Yields (chart, projected_point, image_cone_mod_gamma, holds) for every
-    maximal cone containing both orbits' strata.
+    Yields (chart, projected_point, holds) for every maximal cone
+    containing both orbits' strata.
     """
     if o1.ambient != o2.ambient:
         raise ValueError("orbit labels live over different ambients")
@@ -318,7 +321,7 @@ def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
         if not image_gamma.contains(o2.point_vector):
             continue
         holds = image_gamma.contains(o2.point_vector - rho_v)
-        yield chart, rho_v, image_gamma, holds
+        yield chart, rho_v, holds
 
 
 def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
@@ -329,7 +332,7 @@ def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
     the image cone's order.  Labels over charts sharing no maximal cone are
     never comparable.
     """
-    return any(holds for _, _, _, holds in _dominance_charts(o1, o2))
+    return any(holds for _, _, holds in _dominance_charts(o1, o2))
 
 
 class OrbitPoset(_Record):
@@ -368,11 +371,7 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
         dim = _stratum_quotient(face.parent.dim_ambient, face.key).quotient_dim
         plan.append((face, dim, _charts_over(ambient, face)))
     box = sum(len(charts) * (2 * bound + 1) ** dim for _, dim, charts in plan)
-    if box > MAX_POSET_BOX_POINTS:
-        raise ValueError(
-            f"orbit poset at bound {bound} would scan {box} box points, "
-            f"more than the budget of {MAX_POSET_BOX_POINTS}"
-        )
+    _within_budget(box, MAX_POSET_BOX_POINTS, f"orbit poset at bound {bound} would scan", "box points")
     nodes: list[OrbitLabel] = []
     for face, dim, charts in plan:
         points = set()
@@ -386,7 +385,7 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
             for p in lattice_points_where(image.halfspace_data(), lo, hi):
                 points.add(p)
         for p in sorted(points):
-            nodes.append(OrbitLabel(ambient, face, p))
+            nodes.append(OrbitLabel._from_image(ambient, face, p))
     relation = set()
     for i, a in enumerate(nodes):
         for j, b in enumerate(nodes):
@@ -464,7 +463,7 @@ def dominance_witness(
     lambda recovers o1's orders, and that lambda = 0 recovers o2's.
     """
     found = None
-    for chart, rho_v, image_gamma, holds in _dominance_charts(o1, o2):
+    for chart, rho_v, holds in _dominance_charts(o1, o2):
         if holds and is_smooth(chart):
             found = (chart, rho_v)
             break
@@ -477,15 +476,11 @@ def dominance_witness(
     chart, rho_v = found
 
     fq_tau = _face_quotient_cached(chart, o1.face.key)
-    sigma_bar = fq_tau.image_cone
-    if not is_smooth(sigma_bar):
-        raise ValueError("image cone of the smooth chart failed the smoothness test")
     nbar = fq_tau.lattice.quotient_dim
-    rays = [r.coords for r in sigma_bar.rays]
+    rays = [r.coords for r in fq_tau.image_cone.rays]
     d = len(rays)
     basis_rows = _adapted_dual_basis(rays, nbar)
 
-    q_gamma = _stratum_quotient(chart.dim_ambient, o2.face.key)
     v1 = o1.point_vector
 
     pair_data = []  # (character ambient coords, a_i, b_i) per basis row
@@ -493,11 +488,7 @@ def dominance_witness(
         e_i = LatticeVector(tuple(row), M_SIDE)
         a_i = pairing(v1, e_i)
         u_i = fq_tau.lattice.pull_dual(e_i)
-        if all(pairing(r, u_i) == 0 for r in o2.face.rays):
-            b_i = pairing(o2.point_vector, q_gamma.push_dual(u_i))
-        else:
-            b_i = INF
-        pair_data.append((u_i.coords, a_i, b_i))
+        pair_data.append((u_i.coords, a_i, o2.order_at(u_i)))
 
     finite_orders = [a for _, a, _ in pair_data] + [
         b for _, _, b in pair_data if is_finite(b)

@@ -9,8 +9,8 @@ stays minimal after every insertion.
 
 On top of that sit face lattices, the smoothness test, lattice points of
 parallelepipeds, Hilbert bases of pointed lattice semigroups, cone-order
-comparisons, quotients by faces, and exact vertex enumeration for the
-polyhedra the ideal machinery needs.  A Hilbert basis is the irreducible
+comparisons, quotients by faces, and the homogenized rays of the polyhedra
+the ideal machinery needs.  A Hilbert basis is the irreducible
 part of one generating set: the rays and the [0, 1) parallelepiped points
 of the simplicial cones on independent rays, which cover the cone.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -30,6 +29,7 @@ from .lattice import (
     QuotientLattice,
     _Record,
     _set,
+    _within_budget,
     pairing,
     primitive_tuple,
     quotient_lattice,
@@ -52,7 +52,6 @@ __all__ = [
     "quotient_by_face",
     "intersect_cones",
     "is_face_of",
-    "polyhedron_vertices",
     "lattice_points_where",
     "dual_generators",
 ]
@@ -257,12 +256,6 @@ class Cone(_Record):
         return all(pairing(v, u) >= 0 for u in self.dual_rays) and all(
             pairing(v, l) == 0 for l in self.span_normals
         )
-
-    def relint_contains(self, v: LatticeVector) -> bool:
-        """Membership in the relative interior: inside, and on no proper face."""
-        if not self.contains(v):
-            return False
-        return all(pairing(v, u) > 0 for u in self.dual_rays)
 
     def tight_ray_indices(self, u: LatticeVector) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.rays) if pairing(r, u) == 0)
@@ -502,11 +495,7 @@ def _hilbert_of_pointed(gens, halfspaces) -> tuple[tuple[int, ...], ...]:
     if not gens:
         return ()
     count, cover = _cover_generators(gens)
-    if count > MAX_HILBERT_COVER_POINTS:
-        raise ValueError(
-            f"Hilbert basis would enumerate {count} cover points, "
-            f"more than the budget of {MAX_HILBERT_COVER_POINTS}"
-        )
+    _within_budget(count, MAX_HILBERT_COVER_POINTS, "Hilbert basis would enumerate", "cover points")
     ell = tuple(sum(col) for col in zip(*(a for a, _ in halfspaces)))
     irreducible: list[tuple[int, ...]] = []
     for p in sorted(set(cover), key=lambda p: (_dot(ell, p), p)):
@@ -635,35 +624,10 @@ def _homogenized_rays(
     return rays
 
 
-def polyhedron_vertices(
-    constraints: Sequence[tuple[Sequence[int], int]], dim: int
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[int, ...], ...], Cone]:
-    """V-representation of {x : a . x >= b for all (a, b)} via homogenization.
-
-    Returns (vertices, recession_rays, homogenized_cone); vertices carry
-    exact rational coordinates.  The polyhedron must not contain a line.
-    """
-    cone = Cone(_homogenized_rays(constraints, dim), dim + 1)
-    vertices = []
-    recession = []
-    for r in cone.rays:
-        s = r.coords[-1]
-        if s > 0:
-            vertices.append(tuple(Fraction(x, s) for x in r.coords[:-1]))
-        else:
-            recession.append(r.coords[:-1])
-    return tuple(sorted(vertices)), tuple(sorted(recession)), cone
-
-
-def _charts_containing(charts: Iterable[Cone], face: FaceRef) -> tuple[Cone, ...]:
-    """The cones among charts that contain every ray of the face."""
-    return tuple(c for c in charts if all(c.contains(r) for r in face.rays))
-
-
 class Fan(_Record):
     """A finite fan: face-closed, intersection-compatible strongly convex cones."""
 
-    __slots__ = ("dim_ambient", "maximal_cones", "all_cones")
+    __slots__ = ("dim_ambient", "maximal_cones")
 
     def __init__(self, maximal_cones: Sequence[Cone]):
         cones = sorted(set(maximal_cones), key=lambda c: c.key)
@@ -682,13 +646,8 @@ class Fan(_Record):
             meet = intersect_cones(c1, c2).full_face()
             if not is_face_of(meet, c1.full_face()) or not is_face_of(meet, c2.full_face()):
                 raise ValueError("cones do not intersect in a common face; not a valid fan")
-        all_cones = {}
-        for c in kept:
-            for f in c.faces():
-                all_cones.setdefault(f.key, f.as_cone())
         _set(self, "dim_ambient", dim)
         _set(self, "maximal_cones", tuple(kept))
-        _set(self, "all_cones", tuple(all_cones[k] for k in sorted(all_cones, key=lambda k: (len(k), k))))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Fan) and self.maximal_cones == other.maximal_cones
@@ -706,9 +665,6 @@ class Fan(_Record):
             for f in c.faces():
                 seen.setdefault(f.key, f)
         return tuple(seen[k] for k in sorted(seen, key=lambda k: (len(k), k)))
-
-    def charts_containing(self, face: FaceRef) -> tuple[Cone, ...]:
-        return _charts_containing(self.maximal_cones, face)
 
     def contains(self, v: LatticeVector) -> bool:
         return any(c.contains(v) for c in self.maximal_cones)

@@ -31,12 +31,12 @@ from .cones import (
     lattice_points_where,
 )
 from .lattice import (
-    INF,
     M_SIDE,
     N_SIDE,
     LatticeVector,
     _Record,
     _set,
+    _within_budget,
     ext_min,
     is_finite,
     pairing,
@@ -129,14 +129,7 @@ def order_function(a: MonomialIdeal, v) -> int:
     annihilator.  Homogeneous of degree one and monotone along the cone.
     """
     if isinstance(v, OrbitLabel):
-        q = v.quotient
-        vals = []
-        for u in a.generators:
-            if all(pairing(r, u) == 0 for r in v.face.rays):
-                vals.append(pairing(v.point_vector, q.push_dual(u)))
-            else:
-                vals.append(INF)
-        return ext_min(vals)
+        return ext_min(v.order_at(u) for u in a.generators)
     if not isinstance(v, LatticeVector):
         v = LatticeVector(tuple(int(x) for x in v), N_SIDE)
     if not a.chart.contains(v):
@@ -289,12 +282,8 @@ def polar_polytope(a: MonomialIdeal, p: int) -> PolarData:
 MAX_CONTACT_BOX_POINTS = 100_000
 
 
-def _within_budget(what: str, boxes) -> None:
-    work = sum(math.prod(h - l + 1 for l, h in zip(lo, hi)) for lo, hi in boxes)
-    if work > MAX_CONTACT_BOX_POINTS:
-        raise ValueError(
-            f"{what} would scan {work} box points, more than the budget of {MAX_CONTACT_BOX_POINTS}"
-        )
+def _box_points(lo: Sequence[int], hi: Sequence[int]) -> int:
+    return math.prod(h - l + 1 for l, h in zip(lo, hi))
 
 
 def compact_face_lattice_points(a: MonomialIdeal, p: int) -> tuple[tuple[int, ...], ...]:
@@ -317,7 +306,8 @@ def compact_face_lattice_points(a: MonomialIdeal, p: int) -> tuple[tuple[int, ..
             if all(sum(x * y for x, y in zip(c, v)) == b for v in verts)
         ]
         boxes.append((lo, hi, tight))
-    _within_budget("compact_face_lattice_points", [(lo, hi) for lo, hi, _ in boxes])
+    work = sum(_box_points(lo, hi) for lo, hi, _ in boxes)
+    _within_budget(work, MAX_CONTACT_BOX_POINTS, "compact_face_lattice_points would scan", "box points")
     found = set()
     for lo, hi, tight in boxes:
         for pt in lattice_points_where(all_constraints, lo, hi):
@@ -424,7 +414,7 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
     rays = [r.coords for r in a.chart.rays]
     lo = [min(v[j] // v[-1] for v in tops) + sum(min(0, r[j]) for r in rays) for j in range(n)]
     hi = [max(-(-v[j] // v[-1]) for v in tops) + sum(max(0, r[j]) for r in rays) for j in range(n)]
-    _within_budget("contact", [(lo, hi)])
+    _within_budget(_box_points(lo, hi), MAX_CONTACT_BOX_POINTS, "contact would scan", "box points")
     steps = [h.coords for h in a.chart.hilbert_basis()]
     points = _minimal_points(a.chart, _at_least(a, p), lattice_points_where(level, lo, hi), steps)
     return tuple(_component(pt, p) for pt in sorted(points) if order_function(a, pt) == p)
@@ -496,11 +486,7 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     tops = [t for t in tops if t]
     work, cover = _cover_generators(c.key)
     work += sum(count for count, _ in tops)
-    if work > MAX_SING_PARALLELEPIPED_POINTS:
-        raise ValueError(
-            f"sing would enumerate {work} parallelepiped points, "
-            f"more than the budget of {MAX_SING_PARALLELEPIPED_POINTS}"
-        )
+    _within_budget(work, MAX_SING_PARALLELEPIPED_POINTS, "sing would enumerate", "parallelepiped points")
     candidates = sorted({p for _, points in tops for p in points})
     steps = list(dict.fromkeys(cover))
     return tuple(_component(pt, None) for pt in _minimal_points(c, member, candidates, steps))

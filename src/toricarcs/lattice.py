@@ -8,11 +8,10 @@ arbitrary-precision integers; no floating point anywhere.
 The module also provides the small amount of integer linear algebra the
 rest of the package needs, all of it on one elimination: Hermite-style row
 reduction with a tracked unimodular transform.  Rank is its pivot count,
-Smith elementary divisors alternate it with the transpose, and exact linear
-solving eliminates the augmented matrix and back-substitutes in
-fractions.Fraction, the only rational step.  Quotient lattices by a
-saturated subspace are built from the Hermite transform so that
-projections are reproducible across runs.
+and exact linear solving eliminates the augmented matrix and
+back-substitutes in fractions.Fraction, the only rational step.
+Quotient lattices by a saturated subspace are built from the Hermite
+transform so that projections are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "QuotientLattice",
     "quotient_lattice",
     "row_hermite",
-    "smith_diagonal",
     "rank_of",
     "solve_linear",
 ]
@@ -118,6 +116,16 @@ def ext_min(values):
     if best is None:
         raise ValueError("ext_min of empty iterable")
     return best
+
+
+def _within_budget(work: int, budget: int, doing: str, unit: str) -> None:
+    """Refuse a scan whose work, counted before it starts, exceeds its budget.
+
+    Every work budget of the package is checked here; the ValueError reads
+    "<doing> <work> <unit>, more than the budget of <budget>".
+    """
+    if work > budget:
+        raise ValueError(f"{doing} {work} {unit}, more than the budget of {budget}")
 
 
 _set = object.__setattr__
@@ -249,9 +257,6 @@ class LatticeVector(_Record):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def sup_norm(self) -> int:
-        return max((abs(c) for c in self.coords), default=0)
-
 
 def nvec(*coords: int) -> LatticeVector:
     return LatticeVector(tuple(coords), N_SIDE)
@@ -362,37 +367,6 @@ def row_hermite(matrix: Sequence[Sequence[int]]):
 def rank_of(matrix: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals, computed exactly."""
     return row_hermite(matrix)[3]
-
-
-def smith_diagonal(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Elementary divisors of an integer matrix (positive, divisibility chain).
-
-    Alternates row echelon forms of the matrix and of its transpose until
-    every nonzero row has a single nonzero entry (Kannan & Bachem, SIAM J.
-    Comput. 8 (1979)).  This ends: the leading pivot is the gcd of its column,
-    so it shrinks until it divides its row, and then the next echelon form
-    clears its row and column at once, leaving the rest to the same argument.
-    """
-    A = matrix
-    while True:
-        H, _, _, rank = row_hermite(A)
-        A = H[:rank]
-        if all(len(row) - row.count(0) == 1 for row in A):
-            break
-        A = tuple(zip(*A))
-    diag = [next(x for x in row if x) for row in A]
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if b % a != 0:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-        diag.sort()
-    return tuple(diag)
 
 
 def solve_linear(matrix: Sequence[Sequence[int]], rhs: Sequence) -> tuple[Fraction, ...] | None:

@@ -271,14 +271,24 @@ def decomposes_over(point, basis, member):
 def polar_by_face_lattice(ideal, p):
     """(vertices, recession rays, compact faces) of the level-p set of an ideal.
 
-    Read off the face lattice of the homogenized cone, rebuilt as a Cone by
-    polyhedron_vertices and dualized again for its facets.
+    Read off the face lattice of the homogenized cone a . x - b s >= 0,
+    s >= 0, built as a Cone from the dual generators of those constraints:
+    the rays (x, s) with s > 0 are the vertices x / s, those with s = 0 the
+    recession rays.  The library reads the level-p rays off the level-1
+    set instead, and its face lattice off the tight constraints.
     """
-    from toricarcs.cones import polyhedron_vertices
+    from toricarcs.cones import Cone, dual_generators
 
+    n = ideal.chart.dim_ambient
     constraints = [(u.coords, p) for u in ideal.generators]
     constraints += list(ideal.chart.halfspace_data())
-    vertices, recession, homog = polyhedron_vertices(constraints, ideal.chart.dim_ambient)
+    homogenized = [tuple(a) + (-b,) for a, b in constraints] + [(0,) * n + (1,)]
+    rays, lineality = dual_generators(homogenized, n + 1)
+    if lineality:
+        raise ValueError("polyhedron contains a line")
+    homog = Cone(rays, n + 1)
+    vertices = tuple(sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in homog.key if r[-1] > 0))
+    recession = tuple(sorted(r[:-1] for r in homog.key if r[-1] == 0))
     index = {}
     for i, r in enumerate(homog.rays):
         s = r.coords[-1]

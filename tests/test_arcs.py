@@ -7,6 +7,7 @@ from conftest import random_smooth_cone
 from oracles import dominates_by_hom_order, is_face_by_cone
 
 from toricarcs.arcs import (
+    OrbitLabel,
     classify_hom,
     cylinder_level,
     dominance_witness,
@@ -60,6 +61,10 @@ def test_hom_from_label_examples(a1):
     assert hom_from_label(label).values == (1, 1, 1)
     top = orbit_label(a1, a1.full_face(), ())
     assert hom_from_label(top).values == (INF, INF, INF)
+    # the ray (1, 2): its quotient's image cone is the ray -1; order_at is INF off its annihilator
+    ray = orbit_label(a1, a1.face_from_indices([1]), (-1,))
+    assert [ray.order_at(u) for u in hilbert_basis_dual(a1)] == [INF, INF, 1]
+    assert hom_from_label(ray).values == (INF, INF, 1)
 
 
 def test_hom_from_label_refuses_a_chart_off_the_stratum():
@@ -89,6 +94,23 @@ def test_orbit_label_refuses_a_foreign_face():
     face = over.smallest_face_containing(cases[1][1].rays)
     assert len(face.key) == 4
     assert orbit_label(over, face, (1,)).face == face
+
+
+def test_orbit_label_constructor_validates(a1):
+    over = Cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 0, 1)])
+    not_a_face = Cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0)]).full_face()
+    # so dominates never sees these labels
+    for point in [(1,), (2,)]:
+        with pytest.raises(ValueError, match="not a face of a chart"):
+            OrbitLabel(over, not_a_face, point)
+    with pytest.raises(ValueError, match="point has 1 coordinates, expected 2"):
+        OrbitLabel(a1, a1.zero_face(), (1,))
+    # (-1, 0) pairs to -2 with the dual ray (2, -1) of A_1
+    with pytest.raises(ValueError, match="point lies in no chart's image cone"):
+        OrbitLabel(a1, a1.zero_face(), (-1, 0))
+    with pytest.raises(ValueError, match="point lies in no chart's image cone"):
+        OrbitLabel(a1, a1.face_from_indices([1]), (1,))
+    assert orbit_label is OrbitLabel
 
 
 def test_round_trip_exhaustive_small_values(a1):

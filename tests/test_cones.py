@@ -54,11 +54,18 @@ def test_dual_cone_single_ray_has_lineality_pair():
 
 
 def test_dual_cone_matches_brute_oracle():
+    # The oracle searches a box, so the box must hold every dual ray.  A 2D cone's
+    # rays are primitive parts of generators with entries in [-spread, spread], so
+    # their entries are too; its dual's extreme rays are the primitive inward normals
+    # of its two extreme rays, (-b, a) or (b, -a) for a primitive ray (a, b).  So
+    # every dual ray has sup-norm at most the spread, and box = spread is enough.
     rng = random.Random(11)
+    spread = box = 3
     for _ in range(25):
-        c = random_full_cone(rng, 2, spread=3)
-        expected = brute_dual_generators([r.coords for r in c.rays], 2, box=12)
+        c = random_full_cone(rng, 2, spread=spread)
+        expected = brute_dual_generators([r.coords for r in c.rays], 2, box=box)
         got = sorted(u.coords for u in c.dual_rays)
+        assert all(abs(x) <= box for u in got for x in u), (c.key, got)
         assert got == expected, (c.key, got, expected)
 
 
@@ -430,7 +437,24 @@ def test_duality_involution_fuzz():
 def test_fan_accepts_compatible_cones():
     fan = Fan([Cone([(1, 0), (0, 1)]), Cone([(0, 1), (-1, 0)])])
     assert len(fan.maximal_cones) == 2
-    assert any(c.key == ((0, 1),) for c in fan.all_cones)
+    assert any(f.key == ((0, 1),) for f in fan.strata())
+
+
+def test_fan_builds_no_cone_beyond_its_intersections(monkeypatch):
+    # six cones between consecutive rays, singular and smooth ones
+    rays = [(1, 0), (1, 2), (0, 1), (-1, 2), (-1, 0), (-2, -1), (0, -1)]
+    maximal = [Cone([a, b]) for a, b in zip(rays, rays[1:])]
+    built = []
+    init = Cone.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cone, "__init__", counting_init)
+    fan = Fan(maximal)
+    assert len(fan.maximal_cones) == 6
+    assert len(built) <= math.comb(6, 2)
 
 
 def test_fan_rejects_bad_intersection():
