@@ -304,8 +304,8 @@ def _project_between(
 def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
     """Charts where the lattice criterion for dominance can be evaluated.
 
-    Yields (chart, projected_point, holds) for every maximal cone
-    containing both orbits' strata.
+    Yields (chart, holds) for every maximal cone containing both orbits'
+    strata.
     """
     if o1.ambient != o2.ambient:
         raise ValueError("orbit labels live over different ambients")
@@ -321,7 +321,7 @@ def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
         if not image_gamma.contains(o2.point_vector):
             continue
         holds = image_gamma.contains(o2.point_vector - rho_v)
-        yield chart, rho_v, holds
+        yield chart, holds
 
 
 def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
@@ -332,7 +332,7 @@ def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
     the image cone's order.  Labels over charts sharing no maximal cone are
     never comparable.
     """
-    return any(holds for _, _, holds in _dominance_charts(o1, o2))
+    return any(holds for _, holds in _dominance_charts(o1, o2))
 
 
 class OrbitPoset(_Record):
@@ -454,44 +454,39 @@ def dominance_witness(
 ) -> DominanceWitness:
     """Deformation family certifying that o1's orbit closure contains o2's.
 
-    On a smooth chart, each basis character is sent to t^b + lambda*t^a
-    (a, b the pairings against o1 and o2) when the target order b is finite,
-    and to lambda*t^a when the character is infinite on the target stratum;
-    torus-factor characters go to 1 + lambda, their inverses to the unit
-    inverse (expanded to the same depth in lambda).  The verification report
-    checks that every image lies in the power-series ring, that generic
-    lambda recovers o1's orders, and that lambda = 0 recovers o2's.
+    The family lives on the first smooth chart where the lattice criterion
+    holds, in the chart's own dual basis: the rows dual to its rays, then
+    the torus-factor rows orthogonal to every ray.  Each character u takes
+    the orders a = o1.order_at(u) and b = o2.order_at(u); characters with a
+    INF are dual to a ray of o1's stratum and are left out.  A ray character
+    is sent to t^b + lambda*t^a when b is finite and to lambda*t^a when it
+    is infinite on the target stratum.  A torus-factor character has orders
+    (0, 0), and it and its inverse are both sent to the constant series 1,
+    an exact unit pair, so the cost does not depend on the precision.  The
+    verification report checks that every image lies in the power-series
+    ring, that generic lambda recovers o1's orders, and that lambda = 0
+    recovers o2's.
     """
-    found = None
-    for chart, rho_v, holds in _dominance_charts(o1, o2):
+    for chart, holds in _dominance_charts(o1, o2):
         if holds and is_smooth(chart):
-            found = (chart, rho_v)
             break
-    if found is None:
+    else:
         if dominates(o1, o2):
             raise ValueError(
                 "no smooth chart realizes this domination; witness unsupported"
             )
         raise ValueError("lattice criterion fails: o1 does not dominate o2")
-    chart, rho_v = found
 
-    fq_tau = _face_quotient_cached(chart, o1.face.key)
-    nbar = fq_tau.lattice.quotient_dim
-    rays = [r.coords for r in fq_tau.image_cone.rays]
-    d = len(rays)
-    basis_rows = _adapted_dual_basis(rays, nbar)
+    d = len(chart.rays)
+    pair_data = []  # (character, a, b, is a ray character)
+    for i, row in enumerate(_adapted_dual_basis(chart.key, chart.dim_ambient)):
+        u = LatticeVector(tuple(row), M_SIDE)
+        a = o1.order_at(u)
+        if is_finite(a):
+            pair_data.append((u.coords, a, o2.order_at(u), i < d))
 
-    v1 = o1.point_vector
-
-    pair_data = []  # (character ambient coords, a_i, b_i) per basis row
-    for i, row in enumerate(basis_rows):
-        e_i = LatticeVector(tuple(row), M_SIDE)
-        a_i = pairing(v1, e_i)
-        u_i = fq_tau.lattice.pull_dual(e_i)
-        pair_data.append((u_i.coords, a_i, o2.order_at(u_i)))
-
-    finite_orders = [a for _, a, _ in pair_data] + [
-        b for _, _, b in pair_data if is_finite(b)
+    finite_orders = [a for _, a, _, _ in pair_data] + [
+        b for _, _, b, _ in pair_data if is_finite(b)
     ]
     max_order = max(finite_orders, default=0)
     if t_precision is None:
@@ -523,28 +518,18 @@ def dominance_witness(
             )
         )
 
-    for i in range(d):
-        char, a_i, b_i = pair_data[i]
-        if is_finite(b_i):
-            series = TruncatedSeries.monomial(
-                b_i, 0, 1, t_precision=t_precision
-            ) + TruncatedSeries.monomial(a_i, 1, 1, t_precision=t_precision)
+    for char, a, b, on_ray in pair_data:
+        if on_ray:
+            series = TruncatedSeries.monomial(a, 1, 1, t_precision=t_precision)
+            if is_finite(b):
+                series = TruncatedSeries.monomial(b, t_precision=t_precision) + series
+            record(char, series, a, b)
+        elif a != 0 or b != 0:
+            raise ArithmeticError(f"unit character {char} has orders ({a}, {b}), not (0, 0)")
         else:
-            series = TruncatedSeries.monomial(a_i, 1, 1, t_precision=t_precision)
-        record(char, series, a_i, b_i)
-    for i in range(d, nbar):
-        char, a_i, b_i = pair_data[i]
-        if a_i != 0 or b_i != 0:
-            raise ArithmeticError(f"unit character {char} has orders ({a_i}, {b_i}), not (0, 0)")
-        unit = TruncatedSeries.monomial(0, 0, 1, t_precision=t_precision) + (
-            TruncatedSeries.monomial(0, 1, 1, t_precision=t_precision)
-        )
-        record(char, unit, 0, 0)
-        inverse = TruncatedSeries(
-            {(0, k): (-1) ** k for k in range(t_precision)}, t_precision
-        )
-        neg_char = tuple(-x for x in char)
-        record(neg_char, inverse, 0, 0)
+            one = TruncatedSeries.monomial(0, t_precision=t_precision)
+            record(char, one, 0, 0)
+            record(tuple(-x for x in char), one, 0, 0)
 
     verified = all(e.ok for e in entries)
     return DominanceWitness(

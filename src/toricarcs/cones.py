@@ -353,9 +353,6 @@ class FaceRef(_Record):
     def key(self) -> tuple:
         return tuple(r.coords for r in self.rays)
 
-    def as_cone(self) -> Cone:
-        return Cone(self.rays, self.parent.dim_ambient)
-
     @property
     def is_zero(self) -> bool:
         return not self.indices

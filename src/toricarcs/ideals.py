@@ -37,7 +37,6 @@ from .lattice import (
     _Record,
     _set,
     _within_budget,
-    ext_min,
     is_finite,
     pairing,
     primitive_part,
@@ -129,7 +128,7 @@ def order_function(a: MonomialIdeal, v) -> int:
     annihilator.  Homogeneous of degree one and monotone along the cone.
     """
     if isinstance(v, OrbitLabel):
-        return ext_min(v.order_at(u) for u in a.generators)
+        return min(v.order_at(u) for u in a.generators)
     if not isinstance(v, LatticeVector):
         v = LatticeVector(tuple(int(x) for x in v), N_SIDE)
     if not a.chart.contains(v):

@@ -28,7 +28,6 @@ __all__ = [
     "M_SIDE",
     "INF",
     "Infinite",
-    "ext_min",
     "is_finite",
     "LatticeVector",
     "nvec",
@@ -105,17 +104,6 @@ INF = Infinite()
 
 def is_finite(value) -> bool:
     return not isinstance(value, Infinite)
-
-
-def ext_min(values):
-    """Minimum of a nonempty iterable of ints and INF."""
-    best = None
-    for v in values:
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise ValueError("ext_min of empty iterable")
-    return best
 
 
 def _within_budget(work: int, budget: int, doing: str, unit: str) -> None:
@@ -449,18 +437,6 @@ class QuotientLattice(_Record):
         coords = tuple(
             sum(self.section_matrix[i][j] * u.coords[i] for i in range(self.ambient_dim))
             for j in range(self.quotient_dim)
-        )
-        return LatticeVector(coords, M_SIDE)
-
-    def pull_dual(self, w: LatticeVector) -> LatticeVector:
-        """Ambient character representing a quotient character."""
-        if w.side != M_SIDE:
-            raise ValueError("pull_dual expects an M-side vector")
-        if w.dim != self.quotient_dim:
-            raise ValueError("dimension mismatch")
-        coords = tuple(
-            sum(self.projection_matrix[j][i] * w.coords[j] for j in range(self.quotient_dim))
-            for i in range(self.ambient_dim)
         )
         return LatticeVector(coords, M_SIDE)
 

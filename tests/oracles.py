@@ -302,13 +302,20 @@ def polar_by_face_lattice(ideal, p):
     return vertices, recession, tuple(sorted(compact))
 
 
+def face_cone(f):
+    """The face f rebuilt as a Cone of its own, in its parent's ambient."""
+    from toricarcs.cones import Cone
+
+    return Cone(f.rays, f.parent.dim_ambient)
+
+
 def is_face_by_cone(sub, sup):
     """Face test that rebuilds sup as a Cone and asks for its smallest face.
 
     The route the library's is_face_of took before it read the face off
     sup's parent; kept here as an independent reference.
     """
-    sup_cone = sup.as_cone()
+    sup_cone = face_cone(sup)
     if not all(sup_cone.contains(r) for r in sub.rays):
         return False
     if not sub.rays:

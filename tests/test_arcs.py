@@ -417,8 +417,45 @@ def test_witness_lower_dimensional_smooth_chart():
     unit_char = next(c for c in chars if fam[c].t_order_generic() == 0 and c[0] >= 0)
     inv_char = tuple(-x for x in unit_char)
     product = fam[unit_char] * fam[inv_char]
-    assert product.t_order_generic() == 0
-    assert product.t_order_at_zero() == 0
+    assert product == TruncatedSeries.monomial(0, t_precision=wit.precision)
+    # no series grows with the precision
+    wit = dominance_witness(
+        orbit_label(ray, zero, (1, 0)), orbit_label(ray, zero, (3, 0)), t_precision=10**5
+    )
+    assert wit.verified and wit.precision == 10**5
+    assert all(len(series.terms) <= 2 for _, series in wit.family)
+
+
+def test_witness_fuzz_over_strata_of_smooth_charts():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(40):
+        dim = rng.randint(2, 4)
+        # any nonempty subset of a lattice basis spans a smooth chart
+        basis = [r.coords for r in random_smooth_cone(rng, dim).rays]
+        chart = Cone(rng.sample(basis, rng.randint(1, dim)), dim)
+        faces = chart.faces()
+        gamma = rng.choice(faces)
+        tau = rng.choice([f for f in faces if is_face_of(f, gamma)])
+        combo = lambda: sum((rng.randint(0, 3) * r for r in chart.rays), nvec(*(0,) * dim))
+        w, s = combo(), combo()
+        q_tau = quotient_by_face(chart, tau).lattice
+        q_gamma = quotient_by_face(chart, gamma).lattice
+        o1 = orbit_label(chart, tau, q_tau.project(w).coords)
+        o2 = orbit_label(chart, gamma, q_gamma.project(w + s).coords)
+        assert dominates(o1, o2)
+        wit = dominance_witness(o1, o2)
+        assert wit.verified, (chart, o1, o2)
+        fam = dict(wit.family)
+        for char in fam:
+            assert all(pairing(r, mvec(*char)) == 0 for r in tau.rays)
+            inverse = tuple(-x for x in char)
+            if inverse in fam:
+                product = fam[char] * fam[inverse]
+                assert product == TruncatedSeries.monomial(0, t_precision=wit.precision)
+        seen.add((len(chart.rays) < dim, not tau.is_zero))
+    # full and lower-dimensional charts, zero and nonzero source strata
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_witness_agreement_fuzz():

@@ -123,6 +123,18 @@ def test_exit_code_1_on_nonsmooth_witness(capsys):
     assert "smooth" in err
 
 
+def test_witness_output_does_not_grow_with_precision(capsys, tmp_path):
+    ray_doc = tmp_path / "ray.json"
+    ray_doc.write_text('{"dim":2,"cones":[[[1,0]]]}')
+    code, out, err = run_cli(
+        ["witness", "--v", "1,0", "--v2", "3,0", "--precision", "100000", "--input", str(ray_doc)],
+        capsys,
+    )
+    assert code == 0, err
+    assert len(out.encode()) < 1024
+    assert json.loads(out)["verified"] is True
+
+
 def test_exit_code_1_on_bad_contact_level(capsys):
     code, out, err = run_cli(
         ["contact", "--p", "0", "--input", str(FIXTURES / "quadrant_ideal.json")],

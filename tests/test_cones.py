@@ -9,6 +9,7 @@ from oracles import (
     box_points_where,
     brute_dual_generators,
     decomposes_over,
+    face_cone,
     hilbert_by_zonotope_scan,
     in_cone_rational,
     minors,
@@ -125,7 +126,7 @@ def test_faces_closed_under_intersection():
 
 def test_face_cone_roundtrip(a1):
     for f in faces(a1):
-        sub = f.as_cone()
+        sub = face_cone(f)
         for r in sub.rays:
             assert a1.contains(r)
 

@@ -9,6 +9,7 @@ from conftest import random_full_cone
 from oracles import (
     brute_contact_minimal,
     brute_sing_minimal,
+    face_cone,
     in_cone_rational,
     polar_by_face_lattice,
     sing_by_zonotope_scan,
@@ -425,7 +426,7 @@ def test_singular_faces_match_smoothness_of_face_cones():
     rng = random.Random(3)
     charts += [random_full_cone(rng, 3, spread=2) for _ in range(8)]
     for c in charts:
-        expected = tuple(f for f in c.faces() if not is_smooth(f.as_cone()))
+        expected = tuple(f for f in c.faces() if not is_smooth(face_cone(f)))
         assert singular_faces(c) == expected, c
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "toricarcs"
 
@@ -48,3 +49,58 @@ def test_package_modules_import_no_unused_name():
 def test_unused_import_rule_sees_a_name_that_is_never_read():
     tree = ast.parse("from fractions import Fraction\nimport math\nfrom .lattice import INF\nx = math.pi\n")
     assert _unused_imports(tree) == [(1, "Fraction"), (3, "INF")]
+
+
+def _unnamed_definitions(trees, readme):
+    """Functions, methods and classes that nothing names but their own def.
+
+    A name counts as used when it appears as a Name, an Attribute, an
+    imported name or an __all__ string in any of the trees, or as a word of
+    the README text.  Dunders are left out: the language calls them.
+    """
+    defined = {}
+    named = set()
+    for where, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, (where, node.lineno))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named |= {alias.name.split(".")[-1] for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                named |= {elt.value for elt in node.value.elts}
+    named |= set(re.findall(r"\w+", readme))
+    return [
+        f"{where}:{line} {name}"
+        for (where, line), name in sorted((place, name) for name, place in defined.items())
+        if not (name.startswith("__") and name.endswith("__")) and name not in named
+    ]
+
+
+def test_package_defines_nothing_unnamed():
+    # a def that nothing in src/ or README names is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(SRC.glob("*.py"))}
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert _unnamed_definitions(trees, readme) == []
+
+
+def test_unnamed_definition_rule_sees_a_dead_def():
+    source = (
+        "__all__ = ['exported']\n"
+        "def exported(): return helper()\n"
+        "def helper(): pass\n"
+        "def imported(): pass\n"
+        "def documented(): pass\n"
+        "def dead(): pass\n"
+        "class Box:\n"
+        "    def __repr__(self): return ''\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "Box().used()\n"
+    )
+    trees = {"m.py": ast.parse(source), "n.py": ast.parse("from .m import imported\n")}
+    found = _unnamed_definitions(trees, "Call `documented()` first.")
+    assert found == ["m.py:6 dead", "m.py:10 unused"]
