@@ -1,14 +1,13 @@
 """Orbit calculus on the arc space of a toric variety.
 
 Orbits of the arc-torus action are labelled by a stratum face tau together
-with a lattice point of the quotient lattice N_tau lying in the image of a
-chart cone.  Equivalently, an orbit is a semigroup homomorphism from the
-chart's dual semigroup to the extended nonnegative integers; this module
-converts between the two pictures, realizes labels as explicit monomial
-arcs, decides dominance (orbit-closure containment) through the cone order
-on lattice points, enumerates bounded dominance posets, and certifies
-dominating pairs with explicit one-parameter deformation families verified
-by truncated power-series arithmetic.
+with a lattice point of the quotient lattice N_tau.  Equivalently, an orbit
+is a semigroup hom from the chart's dual semigroup to Z>=0 + INF, and
+OrbitLabel.order_at is that hom: label validity, dominance (orbit-closure
+containment) and the poset's walls are all read from it on a chart's dual
+generators.  The module also converts between the two pictures, realizes
+labels as monomial arcs, and certifies dominating pairs with one-parameter
+deformation families verified by truncated power-series arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .cones import (
     Cone,
     FaceRef,
     Fan,
-    _face_quotient_cached,
     _stratum_quotient,
     hilbert_basis_dual,
     is_face_of,
@@ -29,7 +27,6 @@ from .cones import (
 from .lattice import (
     INF,
     M_SIDE,
-    N_SIDE,
     Infinite,
     LatticeVector,
     QuotientLattice,
@@ -109,24 +106,29 @@ class OrbitLabel(_Record):
 
     The constructor validates its arguments and raises ValueError unless
     the point has one coordinate per rank of the stratum's quotient
-    lattice, the face is a face of every chart over it, and the point lies
-    in some chart's image cone.  orbit_label is this constructor.
+    lattice, the face is a face of every chart over it, and on some chart
+    order_at is >= 0 on every dual generator.  orbit_label is this constructor.
     """
 
-    __slots__ = {"ambient": "Cone | Fan", "face": "FaceRef", "point": "tuple[int, ...]"}
+    __slots__ = {
+        "ambient": "Cone | Fan",
+        "face": "FaceRef",
+        "point": "tuple[int, ...]",
+        "_lift": "the point lifted to N, an N-side LatticeVector",
+    }
 
     def __init__(self, ambient, face: FaceRef, point: Sequence[int]):
         _set(self, "ambient", ambient)
         _set(self, "face", face)
         _set(self, "point", tuple(map(int, point)))
-        dim = self.quotient.quotient_dim
-        if len(self.point) != dim:
-            raise ValueError(f"point has {len(self.point)} coordinates, expected {dim}")
+        q = self.quotient
+        if len(self.point) != q.quotient_dim:
+            raise ValueError(f"point has {len(self.point)} coordinates, expected {q.quotient_dim}")
+        _set(self, "_lift", q.lift(self.point))
         charts = _charts_over(ambient, face)
         if not all(is_face_of(face, chart.full_face()) for chart in charts):
             raise ValueError("the stratum is not a face of a chart containing its rays")
-        v = self.point_vector
-        if not any(_face_quotient_cached(chart, face.key).image_cone.contains(v) for chart in charts):
+        if not any(all(self.order_at(u) >= 0 for u in c.dual_generator_list()) for c in charts):
             raise ValueError("point lies in no chart's image cone for this stratum")
 
     @classmethod
@@ -136,6 +138,7 @@ class OrbitLabel(_Record):
         _set(label, "ambient", ambient)
         _set(label, "face", face)
         _set(label, "point", point)
+        _set(label, "_lift", label.quotient.lift(point))
         return label
 
     def __eq__(self, other):
@@ -152,15 +155,11 @@ class OrbitLabel(_Record):
         dim = self.face.parent.dim_ambient
         return _stratum_quotient(dim, self.face.key)
 
-    @property
-    def point_vector(self) -> LatticeVector:
-        return LatticeVector(self.point, N_SIDE)
-
     def order_at(self, u: LatticeVector):
-        """The orbit's order along the character u: INF unless u vanishes on the face."""
+        """The orbit's hom at u: INF unless u vanishes on the face, else u at the point lifted to N."""
         if any(pairing(r, u) for r in self.face.rays):
             return INF
-        return sum(a * b for a, b in zip(self.point, self.quotient.push_dual(u).coords))
+        return pairing(self._lift, u)
 
     def __repr__(self) -> str:
         return f"OrbitLabel(stratum={[list(r) for r in self.face.key]}, v={list(self.point)})"
@@ -291,48 +290,34 @@ def cylinder_level(o: OrbitLabel) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _project_between(
-    o1: OrbitLabel, o2_face: FaceRef
-) -> LatticeVector:
-    """Image of o1's point under the projection N_tau -> N_gamma."""
-    q_tau = o1.quotient
-    q_gamma = _stratum_quotient(o1.face.parent.dim_ambient, o2_face.key)
-    lifted = q_tau.lift(o1.point)
-    return q_gamma.project(lifted)
-
-
 def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
-    """Charts where the lattice criterion for dominance can be evaluated.
-
-    Yields (chart, holds) for every maximal cone containing both orbits'
-    strata.
-    """
+    """The charts that show o1 dominating o2; see dominates."""
     if o1.ambient != o2.ambient:
         raise ValueError("orbit labels live over different ambients")
-    tau, gamma = o1.face, o2.face
-    if not is_face_of(tau, gamma):
+    if not is_face_of(o1.face, o2.face):
         return
-    rho_v = _project_between(o1, gamma)
-    for chart in _charts_over(o1.ambient, gamma):
-        image_tau = _face_quotient_cached(chart, tau.key).image_cone
-        image_gamma = _face_quotient_cached(chart, gamma.key).image_cone
-        if not image_tau.contains(o1.point_vector):
-            continue
-        if not image_gamma.contains(o2.point_vector):
-            continue
-        holds = image_gamma.contains(o2.point_vector - rho_v)
-        yield chart, holds
+    for chart in _charts_over(o1.ambient, o2.face):
+        if all(0 <= o1.order_at(u) <= o2.order_at(u) for u in chart.dual_generator_list()):
+            yield chart
 
 
 def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
-    """Orbit-closure containment, decided by the lattice criterion.
+    """Orbit-closure containment: o1 <= o2 as homs on one chart's dual generators.
 
-    True iff o1's stratum face is a face of o2's, some maximal cone contains
-    both orbits' charts, and the projected point of o1 precedes o2's point in
-    the image cone's order.  Labels over charts sharing no maximal cone are
-    never comparable.
+    True iff o1's stratum tau is a face of o2's stratum gamma and some
+    maximal cone sigma over gamma has 0 <= o1.order_at(u) <= o2.order_at(u),
+    INF above every integer, for each u of sigma.dual_generator_list().
+    This is the lattice criterion: o1's point lies in sigma's image in
+    N_tau, and o2's point minus o1's, projected to N_gamma, in sigma's
+    image in N_gamma.  That image is dual to the face sigma^vee cap
+    gamma^perp of sigma^vee, and the face is spanned by the generators of
+    sigma^vee lying in it: the dual rays vanishing on gamma and, on a
+    lower-dimensional chart, the +/- span normals.  On those o2 is finite
+    and o1 <= o2 is a wall inequality of the difference; on the others o2
+    is INF.  Likewise 0 <= o1 reads the walls of the image in N_tau.
+    Labels over charts sharing no maximal cone are never comparable.
     """
-    return any(holds for _, holds in _dominance_charts(o1, o2))
+    return next(_dominance_charts(o1, o2), None) is not None
 
 
 class OrbitPoset(_Record):
@@ -356,6 +341,10 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     Cover edges are the transitive reduction of dominance restricted to the
     node set.
 
+    A chart's image in N_tau is cut out by the chart's dual generators
+    that vanish on tau, pushed down to N_tau: they span the dual face
+    sigma^vee cap tau^perp (see dominates), so no image cone is built.
+
     Work budget: every node is a point of a box that is scanned, one box
     [-bound, bound]^d per stratum and chart over it, d the rank of the
     stratum's quotient lattice.  So the node count is at most the sum of
@@ -368,22 +357,21 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
         raise ValueError("bound must be nonnegative")
     plan = []
     for face in _strata(ambient):
-        dim = _stratum_quotient(face.parent.dim_ambient, face.key).quotient_dim
-        plan.append((face, dim, _charts_over(ambient, face)))
-    box = sum(len(charts) * (2 * bound + 1) ** dim for _, dim, charts in plan)
+        q = _stratum_quotient(face.parent.dim_ambient, face.key)
+        plan.append((face, q, _charts_over(ambient, face)))
+    box = sum(len(charts) * (2 * bound + 1) ** q.quotient_dim for _, q, charts in plan)
     _within_budget(box, MAX_POSET_BOX_POINTS, f"orbit poset at bound {bound} would scan", "box points")
     nodes: list[OrbitLabel] = []
-    for face, dim, charts in plan:
+    for face, q, charts in plan:
+        box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim
         points = set()
         for chart in charts:
-            image = _face_quotient_cached(chart, face.key).image_cone
-            if dim == 0:
-                points.add(())
-                continue
-            lo = [-bound] * dim
-            hi = [bound] * dim
-            for p in lattice_points_where(image.halfspace_data(), lo, hi):
-                points.add(p)
+            walls = [
+                (q.push_dual(u).coords, 0)
+                for u in chart.dual_generator_list()
+                if not any(pairing(r, u) for r in face.rays)
+            ]
+            points.update(lattice_points_where(walls, box_lo, box_hi))
         for p in sorted(points):
             nodes.append(OrbitLabel._from_image(ambient, face, p))
     relation = set()
@@ -467,10 +455,8 @@ def dominance_witness(
     ring, that generic lambda recovers o1's orders, and that lambda = 0
     recovers o2's.
     """
-    for chart, holds in _dominance_charts(o1, o2):
-        if holds and is_smooth(chart):
-            break
-    else:
+    chart = next((c for c in _dominance_charts(o1, o2) if is_smooth(c)), None)
+    if chart is None:
         if dominates(o1, o2):
             raise ValueError(
                 "no smooth chart realizes this domination; witness unsupported"

@@ -275,27 +275,28 @@ class Cone(_Record):
         return self._faces
 
     def face_from_indices(self, indices: Sequence[int]) -> "FaceRef":
+        """The face spanned by the given rays; refused unless they are all of its rays."""
         wanted = tuple(sorted(indices))
-        for f in self.faces():
-            if f.indices == wanted:
-                return f
+        if all(0 <= i < len(self.rays) for i in wanted):
+            face = self.smallest_face_containing([self.rays[i] for i in wanted])
+            if face.indices == wanted:
+                return face
         raise ValueError(f"ray subset {list(wanted)} does not span a face")
 
     def zero_face(self) -> "FaceRef":
-        return self.faces()[0]
+        return FaceRef(self, ())
 
     def full_face(self) -> "FaceRef":
-        return self.face_from_indices(range(len(self.rays)))
+        return FaceRef(self, range(len(self.rays)))
 
     def smallest_face_containing(self, vectors: Sequence[LatticeVector]) -> "FaceRef":
+        """The rays on every dual ray tight at all the vectors, without the face lattice."""
         for v in vectors:
             if not self.contains(v):
                 raise ValueError("vector outside the cone has no containing face")
-        tight = [u for u in self.dual_rays if all(pairing(v, u) == 0 for v in vectors)]
-        indices = tuple(
-            i for i, r in enumerate(self.rays) if all(pairing(r, u) == 0 for u in tight)
-        )
-        return self.face_from_indices(indices)
+        tight = [u.coords for u in self.dual_rays if not any(_dot(v.coords, u.coords) for v in vectors)]
+        indices = (i for i, r in enumerate(self.key) if not any(_dot(r, u) for u in tight))
+        return FaceRef(self, indices)
 
     # -- Hilbert basis of the cone's own semigroup ----------------------------
 

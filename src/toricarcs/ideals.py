@@ -28,6 +28,7 @@ from .cones import (
     _parallelepiped,
     _unimodular,
     dual_generators,
+    is_smooth,
     lattice_points_where,
 )
 from .lattice import (
@@ -426,6 +427,8 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
 
 def singular_faces(c: Cone) -> tuple[FaceRef, ...]:
     """Faces whose primitive rays do not extend to a lattice basis."""
+    if is_smooth(c):
+        return ()
     return tuple(f for f in c.faces() if not _unimodular(f.key))
 
 
@@ -508,7 +511,7 @@ def lift_to_open_stratum(a: MonomialIdeal, o: OrbitLabel) -> LatticeVector:
     if not is_finite(p):
         raise ValueError("orbit meets no contact locus: order is infinite")
     if o.face.is_zero:
-        return o.point_vector
+        return LatticeVector(o.point, N_SIDE)
     chart = a.chart
     q = o.quotient
     w = q.lift(o.point)

@@ -5,6 +5,19 @@ import pytest
 from toricarcs.cones import Cone
 
 
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; returns the record."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture
 def a1():
     return Cone([(1, 0), (1, 2)])

@@ -323,6 +323,22 @@ def is_face_by_cone(sub, sup):
     return sup_cone.smallest_face_containing(list(sub.rays)).key == sub.key
 
 
+def _charts_and_strata(ambient):
+    from toricarcs.cones import Cone
+
+    if isinstance(ambient, Cone):
+        return (ambient,), ambient.faces()
+    return tuple(ambient.maximal_cones), ambient.strata()
+
+
+@lru_cache(maxsize=None)
+def _charts_over(charts, face):
+    return [c for c in charts if all(in_cone_rational(c.key, r.coords) for r in face.rays)]
+
+
+_is_face = lru_cache(maxsize=None)(is_face_by_cone)
+
+
 def dominates_by_hom_order(o1, o2):
     """Dominance as the pointwise order of semigroup homs on a common chart.
 
@@ -335,17 +351,14 @@ def dominates_by_hom_order(o1, o2):
     image), and shows o1's values <= o2's.
     """
     from toricarcs.arcs import hom_from_label
-    from toricarcs.cones import Cone
 
-    ambient = o1.ambient
-    charts = (ambient,) if isinstance(ambient, Cone) else ambient.maximal_cones
-    strata_rays = o1.face.key + o2.face.key
+    charts = _charts_and_strata(o1.ambient)[0]
 
     def order(value):
         return (0, value) if isinstance(value, int) else (1, 0)
 
-    for chart in charts:
-        if not all(in_cone_rational(chart.key, r) for r in strata_rays):
+    for chart in _charts_over(charts, o1.face):
+        if chart not in _charts_over(charts, o2.face):
             continue
         try:
             h1 = hom_from_label(o1, chart).values
@@ -355,6 +368,49 @@ def dominates_by_hom_order(o1, o2):
         if all(order(a) <= order(b) for a, b in zip(h1, h2)):
             return True
     return False
+
+
+def dominates_by_image_cones(o1, o2):
+    """Dominance as the cone order in a chart's image cones, built as Cones.
+
+    The route the library took before it read orbits as homs: o1's stratum
+    tau is a face of o2's stratum gamma, and some maximal cone over gamma
+    has o1's point in its image cone in N_tau, o2's point in its image
+    cone in N_gamma, and o2's point minus o1's (lifted to N, projected to
+    N_gamma) in that image cone too.
+    """
+    from toricarcs.cones import quotient_by_face
+    from toricarcs.lattice import N_SIDE, LatticeVector
+
+    if not _is_face(o1.face, o2.face):
+        return False
+    v1, v2 = LatticeVector(o1.point, N_SIDE), LatticeVector(o2.point, N_SIDE)
+    for chart in _charts_over(_charts_and_strata(o1.ambient)[0], o2.face):
+        q_tau, q_gamma = quotient_by_face(chart, o1.face), quotient_by_face(chart, o2.face)
+        moved = v2 - q_gamma.project(q_tau.lattice.lift(v1))
+        image = q_gamma.image_cone
+        if q_tau.image_cone.contains(v1) and image.contains(v2) and image.contains(moved):
+            return True
+    return False
+
+
+def poset_nodes_by_image_cones(ambient, bound):
+    """(stratum key, point) of every label with sup-norm <= bound, strata in face order.
+
+    A point is a label iff some chart over its stratum has it in its image
+    cone; each box is scanned in full and tested with Cone.contains.
+    """
+    from toricarcs.cones import quotient_by_face
+    from toricarcs.lattice import N_SIDE, LatticeVector
+
+    charts, strata = _charts_and_strata(ambient)
+    nodes = []
+    for face in strata:
+        images = [quotient_by_face(c, face).image_cone for c in _charts_over(charts, face)]
+        box = box_points(-bound, bound, images[0].dim_ambient)
+        points = [p for p in box if any(im.contains(LatticeVector(p, N_SIDE)) for im in images)]
+        nodes += [(face.key, p) for p in points]
+    return nodes
 
 
 def parallelepiped_by_box_scan(gens, upper):

@@ -3,9 +3,16 @@ import random
 
 import pytest
 
-from conftest import random_smooth_cone
-from oracles import dominates_by_hom_order, is_face_by_cone
+from conftest import counting, random_smooth_cone
+from oracles import (
+    dominates_by_hom_order,
+    dominates_by_image_cones,
+    is_face_by_cone,
+    poset_nodes_by_image_cones,
+    rank_fraction,
+)
 
+from toricarcs import cones
 from toricarcs.arcs import (
     OrbitLabel,
     classify_hom,
@@ -620,7 +627,34 @@ ORACLE_FANS = [
 ]
 
 
-@pytest.mark.parametrize("ambient,bound", ORACLE_CONES + ORACLE_FANS)
+def _random_ambients(seed=14, count=10):
+    """Seeded random cones in Z^2..Z^4 with 1 to dim + 1 generators, so
+    lower-dimensional ones among them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.choice([2, 3, 4])
+        gens = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, dim + 1))]
+        try:
+            cone = Cone(gens, dim)
+        except ValueError:
+            continue
+        if cone.rays:
+            out.append(pytest.param(cone, 1, id=f"random_{len(out)}"))
+    return out
+
+
+LOWER_DIMENSIONAL = [
+    pytest.param(Cone([(1, 0)], 2), 2, id="ray_in_z2"),
+    pytest.param(Cone([(1, 0, 0), (1, 2, 0)]), 1, id="a1_in_z3"),
+]
+RANDOM_CONES = _random_ambients()
+# the hom-order oracle reads the dual Hilbert basis, which only full-dimensional charts have
+HOM_ORDER_AMBIENTS = ORACLE_CONES + ORACLE_FANS + [p for p in RANDOM_CONES if p.values[0].is_full_dimensional()]
+IMAGE_CONE_AMBIENTS = ORACLE_CONES + ORACLE_FANS + LOWER_DIMENSIONAL + RANDOM_CONES
+
+
+@pytest.mark.parametrize("ambient,bound", HOM_ORDER_AMBIENTS)
 def test_dominates_matches_the_hom_order_oracle(ambient, bound):
     nodes = orbit_poset(ambient, bound).nodes
     pairs = [(a, b, dominates(a, b)) for a in nodes for b in nodes]
@@ -649,15 +683,75 @@ def test_is_face_of_matches_the_cone_rebuilding_oracle():
 
 def test_is_face_of_builds_no_cone(monkeypatch):
     groups = _oracle_faces()
-    built = []
-    init = Cone.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Cone, "__init__", counting_init)
+    built = counting(monkeypatch, Cone, "__init__")
     for group in groups:
         for sub, sup in itertools.product(group, repeat=2):
             is_face_of(sub, sup)
     assert built == []
+
+
+def test_image_cone_ambients_include_lower_dimensional_random_cones():
+    random_cones = [p.values[0] for p in RANDOM_CONES]
+    assert {c.dim_ambient for c in random_cones} == {2, 3, 4}
+    assert sum(not c.is_full_dimensional() for c in random_cones) >= 4
+
+
+@pytest.mark.parametrize("ambient,bound", IMAGE_CONE_AMBIENTS)
+def test_orbits_match_the_image_cone_oracle(ambient, bound):
+    nodes = orbit_poset(ambient, bound).nodes
+    assert [(n.face.key, n.point) for n in nodes] == poset_nodes_by_image_cones(ambient, bound)
+    pairs = [(a, b, dominates(a, b)) for a in nodes for b in nodes]
+    assert [(a, b) for a, b, holds in pairs if holds != dominates_by_image_cones(a, b)] == []
+    # a label is accepted iff its point lies in some chart's image cone
+    strata = ambient.faces() if isinstance(ambient, Cone) else ambient.strata()
+    accepted = []
+    for face in strata:
+        dim = ambient.dim_ambient - rank_fraction(face.key)
+        for point in itertools.product(range(-2, 3), repeat=dim):
+            try:
+                orbit_label(ambient, face, point)
+            except ValueError as err:
+                assert str(err) == "point lies in no chart's image cone for this stratum"
+            else:
+                accepted.append((face.key, point))
+    assert accepted == poset_nodes_by_image_cones(ambient, 2)
+
+
+def test_orbit_layer_builds_no_cone(monkeypatch):
+    # a smooth chart no other test builds, so no image cone of it is cached anywhere
+    chart = Cone([(1, 0, 0), (3, 1, 0), (2, 5, 1)])
+    ray = chart.face_from_indices([0])
+    # the sum of the rays, that sum plus the ray (1, 0, 0), and its image (6, 1) in N_ray
+    points = [(6, 6, 1), (7, 6, 1)]
+    built = counting(monkeypatch, Cone, "__init__")
+    low, high = (orbit_label(chart, chart.zero_face(), p) for p in points)
+    on_ray = orbit_label(chart, ray, (6, 1))
+    assert dominates(low, high) and dominates(low, on_ray) and not dominates(on_ray, low)
+    assert dominance_witness(low, high).verified
+    assert len(orbit_poset(chart, 1).nodes) > 1
+    assert built == []
+
+
+def test_orbit_labels_and_dominance_build_no_face_lattice(monkeypatch):
+    chart = Cone(CONIFOLD)
+    walked = counting(monkeypatch, cones, "_face_keys")
+    zero, full = chart.zero_face(), chart.full_face()
+    edge = chart.face_from_indices([0, 1])
+    o1, o2 = orbit_label(chart, zero, (0, 0, 0)), orbit_label(chart, edge, (1,))
+    assert dominates(o1, o2) and not dominates(o2, o1)
+    assert orbit_label(chart, full, ()).face == full
+    assert walked == []
+    # the 20-dim orthant has 2^20 faces; a label on it and a witness read none of them
+    orthant = Cone([tuple(int(i == j) for j in range(20)) for i in range(20)])
+    o1 = orbit_label(orthant, orthant.zero_face(), (1,) * 20)
+    o2 = orbit_label(orthant, orthant.zero_face(), (2,) * 20)
+    assert dominates(o1, o2) and dominance_witness(o1, o2).verified
+    assert walked == []
+
+
+def test_order_at_refuses_a_bad_character_on_the_zero_face(a1):
+    label = orbit_label(a1, a1.zero_face(), (1, 1))
+    assert label.order_at(mvec(2, -1)) == 1
+    for bad in [nvec(2, -1), mvec(2, -1, 0)]:
+        with pytest.raises(ValueError):
+            label.order_at(bad)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -122,6 +123,35 @@ def test_faces_closed_under_intersection():
     for a in keys:
         for b in keys:
             assert tuple(sorted(set(a) & set(b))) in keys
+
+
+def test_face_from_indices_accepts_exactly_the_faces():
+    from test_arcs import ORACLE_CONES, ORACLE_FANS
+
+    charts = [p.values[0] for p in ORACLE_CONES]
+    charts += [c for p in ORACLE_FANS for c in p.values[0].maximal_cones]
+    charts += [Cone([(1, 0)], 2), Cone([(1, 0, 0), (1, 2, 0)])]
+    for c in charts:
+        for f in c.faces():
+            assert c.face_from_indices(f.indices) == f
+            assert c.face_from_indices(reversed(f.indices)) == f
+        n = len(c.rays)
+        found = [s for k in range(n + 1) for s in itertools.combinations(range(n), k) if _spans_face(c, s)]
+        assert found == sorted((f.indices for f in c.faces()), key=lambda s: (len(s), s))
+        for bad in [(n,), (-1,), (0, n), (0, 0)]:
+            with pytest.raises(ValueError, match=r"ray subset \[.*\] does not span a face"):
+                c.face_from_indices(bad)
+    conifold = charts[0]
+    with pytest.raises(ValueError, match=r"ray subset \[0, 3\] does not span a face"):
+        conifold.face_from_indices((3, 0))
+
+
+def _spans_face(c, indices):
+    try:
+        c.face_from_indices(indices)
+    except ValueError:
+        return False
+    return True
 
 
 def test_face_cone_roundtrip(a1):

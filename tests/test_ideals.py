@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_full_cone
+from conftest import counting, random_full_cone
 from oracles import (
     brute_contact_minimal,
     brute_sing_minimal,
@@ -430,6 +430,17 @@ def test_singular_faces_match_smoothness_of_face_cones():
         assert singular_faces(c) == expected, c
 
 
+def test_singular_faces_of_a_smooth_cone_build_no_face_lattice(monkeypatch):
+    # the 18-dim orthant has 2^18 faces, all smooth
+    from toricarcs import cones
+
+    orthant = Cone([tuple(int(i == j) for j in range(18)) for i in range(18)])
+    walked = counting(monkeypatch, cones, "_face_keys")
+    assert singular_faces(orthant) == ()
+    assert sing_components(orthant) == ()
+    assert walked == []
+
+
 def test_sing_components_examples(quadrant, a1, a2):
     assert sing_components(quadrant) == ()
     assert [c.point for c in sing_components(a1)] == [(1, 1)]
@@ -647,6 +658,18 @@ def test_stratum_lifting_constructive(a1, a1_max):
         assert a1.contains(lifted)
         assert node.quotient.project(lifted).coords == node.point
         assert order_function(a1_max, lifted) == p
+
+
+def test_stratum_lifting_on_the_open_stratum_is_the_point(a1, a1_max):
+    lifted_any = False
+    for node in orbit_poset(a1, 3).nodes:
+        if not node.face.is_zero or not is_finite(order_function(a1_max, node)):
+            continue
+        lifted = lift_to_open_stratum(a1_max, node)
+        assert lifted == nvec(*node.point)
+        assert order_function(a1_max, lifted) == order_function(a1_max, node)
+        lifted_any = True
+    assert lifted_any
 
 
 # -- toric valuations ------------------------------------------------------------------------------

@@ -104,3 +104,56 @@ def test_unnamed_definition_rule_sees_a_dead_def():
     trees = {"m.py": ast.parse(source), "n.py": ast.parse("from .m import imported\n")}
     found = _unnamed_definitions(trees, "Call `documented()` first.")
     assert found == ["m.py:6 dead", "m.py:10 unused"]
+
+
+# the caches perfbench reads with cache_info() and cache_clear(); entries may be
+# removed from this set, and none added
+HARNESS_CACHES = {"hilbert_basis_dual", "_stratum_quotient", "_face_quotient_cached"}
+
+
+def _memoized(tree):
+    """Functions a module wraps in functools.lru_cache or functools.cache.
+
+    A decorated function counts by its name; any other use of either name,
+    such as lru_cache(maxsize=None)(f), counts as "line <n>".
+    """
+    def is_cache(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name in ("lru_cache", "cache")
+
+    found, decorators = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if is_cache(target):
+                    found.append(node.name)
+                    decorators.add(target)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and is_cache(node) and node not in decorators:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_package_caches_only_what_the_benchmark_reads():
+    found = [
+        f"{path.name} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _memoized(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if name not in HARNESS_CACHES
+    ]
+    assert found == []
+
+
+def test_cache_rule_sees_every_memoized_function():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(x): return x\n"
+        "@functools.cache\n"
+        "def b(x): return x\n"
+        "def c(x): return x\n"
+        "d = lru_cache(maxsize=8)(c)\n"
+    )
+    assert _memoized(ast.parse(source)) == ["a", "b", "line 8"]
