@@ -2,7 +2,8 @@
 """Survey the components of the arc fiber over Sing X for small charts.
 
 Walks the A_n family, a batch of random two- and three-dimensional
-charts and two simplicial charts of rank 4 and 5, printing each
+charts, two simplicial charts of rank 4 and 5 and one of rank 12 whose
+singular faces are the 2^10 faces holding an A_1 2-face, printing each
 component's lattice point and its divisorial valuation data (multiplicity
 times primitive vector), with timings.
 """
@@ -57,6 +58,12 @@ def main() -> None:
     print("== rank 4 and 5 ==")
     survey(Cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 11)]))
     survey(Cone([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 2, 3, 4, 9)]))
+
+    print()
+    print("== rank 12 ==")
+    rays = [tuple(int(i == j) for j in range(12)) for i in range(12)]
+    rays[1] = (1, 2) + (0,) * 10
+    survey(Cone(rays))
 
 
 if __name__ == "__main__":

@@ -351,16 +351,21 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     (2 bound + 1)^d over strata and charts.  That sum is computed before
     any box is scanned, and a ValueError naming it is raised when it
     exceeds MAX_POSET_BOX_POINTS = 512.  The dominance test therefore runs
-    on at most 512 * 511 = 261,632 ordered pairs of nodes.
+    on at most 512 * 511 = 261,632 ordered pairs of nodes.  Each stratum
+    has a chart over it and each box holds its origin, so the number of
+    strata is weighed first, before any quotient lattice is built.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    strata = _strata(ambient)
+    doing = f"orbit poset at bound {bound} would scan"
+    _within_budget(len(strata), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
     plan = []
-    for face in _strata(ambient):
+    for face in strata:
         q = _stratum_quotient(face.parent.dim_ambient, face.key)
         plan.append((face, q, _charts_over(ambient, face)))
     box = sum(len(charts) * (2 * bound + 1) ** q.quotient_dim for _, q, charts in plan)
-    _within_budget(box, MAX_POSET_BOX_POINTS, f"orbit poset at bound {bound} would scan", "box points")
+    _within_budget(box, MAX_POSET_BOX_POINTS, doing, "box points")
     nodes: list[OrbitLabel] = []
     for face, q, charts in plan:
         box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim

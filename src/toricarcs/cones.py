@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import (
@@ -302,7 +303,7 @@ class Cone(_Record):
 
     def hilbert_basis(self) -> tuple[LatticeVector, ...]:
         if self._hilbert is None:
-            basis = _hilbert_of_pointed(self.key, self.halfspace_data())
+            basis = _hilbert_of_pointed(self.key, [a for a, _ in self.halfspace_data()])
             _set(self, "_hilbert", tuple(LatticeVector(b, N_SIDE) for b in basis))
         return self._hilbert
 
@@ -460,7 +461,8 @@ def _cover_generators(gens: Sequence[Sequence[int]]):
     point of cone(S) is sum l_i g_i with every l_i >= 0, and taking off
     the whole steps floor(l_i) g_i leaves a lattice point of the [0, 1)
     parallelepiped of S.  So the gens and the nonzero points of these
-    parallelepipeds generate cone(gens) cap Z^n as a monoid.
+    parallelepipeds generate cone(gens) cap Z^n as a monoid.  Only Hilbert
+    bases read it: sing and contact take their minimal points without steps.
 
     Returns (count, points): count, the sum of |det S| over the S, bounds
     the points and is known before the points iterator runs.
@@ -471,21 +473,42 @@ def _cover_generators(gens: Sequence[Sequence[int]]):
     return sum(count for count, _ in cells), points
 
 
+def _minimal(points: Iterable[tuple[int, ...]], normals: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The minimal points, sorted, in the order q <= p iff a . q <= a . p for every normal a.
+
+    Each point is read once as its tuple of values a . p.  The points are
+    taken by the sum of their values, l . p for l the sum of the normals,
+    ties broken lexicographically, and a point is kept unless a kept point
+    has every value <= its own.  A point q < p has no value larger and one
+    smaller, so it is taken before p; the first point taken among those
+    below p has no kept point below it, so it is kept and p is dropped.
+    Points with equal values differ by the lineality of the order (for the
+    dual of a lower-dimensional cone, the cone's annihilator); of these the
+    lexicographically first is kept.  This is the degree-ordered reduction
+    of Normaliz (Bruns & Ichim, J. Algebra 324, 2010).
+    """
+    values = {p: tuple(_dot(a, p) for a in normals) for p in points}
+    kept: list[tuple[int, ...]] = []
+    for p in sorted(values, key=lambda p: (sum(values[p]), p)):
+        if not any(all(map(le, q, values[p])) for q in map(values.get, kept)):
+            kept.append(p)
+    return sorted(kept)
+
+
 # Most cover points a Hilbert basis may enumerate; see _hilbert_of_pointed.
 # The largest cover in the benchmark pool counts 12 points; the dual of the
 # 5D chart e1..e4,(1,2,3,5,13) counts 28,561 and takes about 1 s.
 MAX_HILBERT_COVER_POINTS = 50_000
 
 
-def _hilbert_of_pointed(gens, halfspaces) -> tuple[tuple[int, ...], ...]:
-    """Minimal generating set of cone(gens) cap Z^n, a pointed cone cut out by halfspaces.
+def _hilbert_of_pointed(gens, normals) -> tuple[tuple[int, ...], ...]:
+    """Minimal generating set of cone(gens) cap Z^n, a pointed cone cut out by a . x >= 0.
 
     Every generating set of a monoid holds its irreducible elements, so the
-    candidates are the generators of _cover_generators.  They are taken in
-    increasing order of a functional positive on the cone minus the origin,
-    and a candidate is dropped when it minus an irreducible found earlier
-    stays in the cone.  A reducible p is q + r with q irreducible and r
-    nonzero, so q comes first and p is dropped; an irreducible is kept.
+    candidates are the generators of _cover_generators, 0 left out.  A
+    reducible p is q + r with q and r nonzero in the cone, so q < p in the
+    cone order; an irreducible p has no candidate q < p, as p - q would be
+    a nonzero point of the cone.  So the basis is _minimal of the cover.
 
     Work budget: a cover of more than MAX_HILBERT_COVER_POINTS points
     raises ValueError before any is enumerated.
@@ -494,13 +517,7 @@ def _hilbert_of_pointed(gens, halfspaces) -> tuple[tuple[int, ...], ...]:
         return ()
     count, cover = _cover_generators(gens)
     _within_budget(count, MAX_HILBERT_COVER_POINTS, "Hilbert basis would enumerate", "cover points")
-    ell = tuple(sum(col) for col in zip(*(a for a, _ in halfspaces)))
-    irreducible: list[tuple[int, ...]] = []
-    for p in sorted(set(cover), key=lambda p: (_dot(ell, p), p)):
-        diffs = (tuple(x - y for x, y in zip(p, q)) for q in irreducible)
-        if not any(all(_dot(a, d) >= b for a, b in halfspaces) for d in diffs):
-            irreducible.append(p)
-    return tuple(sorted(irreducible))
+    return tuple(_minimal(cover, normals))
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +557,7 @@ def hilbert_basis_dual(c: Cone) -> tuple[LatticeVector, ...]:
             "dual semigroup of a lower-dimensional cone is not pointed; "
             "Hilbert basis is unsupported"
         )
-    gens = [u.coords for u in c.dual_rays]
-    halfspaces = tuple((r.coords, 0) for r in c.rays)
-    basis = _hilbert_of_pointed(gens, halfspaces)
+    basis = _hilbert_of_pointed([u.coords for u in c.dual_rays], c.key)
     return tuple(LatticeVector(b, M_SIDE) for b in basis)
 
 

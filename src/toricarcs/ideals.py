@@ -21,10 +21,10 @@ from .arcs import OrbitLabel
 from .cones import (
     Cone,
     FaceRef,
-    _cover_generators,
     _dot,
     _face_keys,
     _homogenized_rays,
+    _minimal,
     _parallelepiped,
     _unimodular,
     dual_generators,
@@ -87,7 +87,10 @@ def monomial_ideal(chart: Cone, exponents: Iterable) -> MonomialIdeal:
 
     A generator is discarded when it lies in another generator plus the dual
     cone (its monomial is a multiple of the other's); the discarded list is
-    kept for reporting.
+    kept for reporting.  The kept ones are cones._minimal of the exponents
+    in the order read on the chart's rays; of generators that differ by the
+    dual's lineality (on a lower-dimensional chart) the lexicographically
+    smallest is kept.
     """
     gens: list[LatticeVector] = []
     for e in exponents:
@@ -103,22 +106,9 @@ def monomial_ideal(chart: Cone, exponents: Iterable) -> MonomialIdeal:
     if not gens:
         raise ValueError("a monomial ideal needs at least one generator")
     gens.sort(key=lambda u: u.coords)
-    kept: list[LatticeVector] = []
-    discarded: list[LatticeVector] = []
-    for i, u in enumerate(gens):
-        redundant = False
-        for j, w in enumerate(gens):
-            if i == j:
-                continue
-            if _in_dual(chart, u - w):
-                # mutual domination only happens along dual lineality; keep
-                # the lexicographically smaller representative
-                if _in_dual(chart, w - u) and j > i:
-                    continue
-                redundant = True
-                break
-        (discarded if redundant else kept).append(u)
-    return MonomialIdeal(chart, tuple(kept), tuple(discarded))
+    minimal = set(_minimal([u.coords for u in gens], chart.key))
+    kept = tuple(u for u in gens if u.coords in minimal)
+    return MonomialIdeal(chart, kept, tuple(u for u in gens if u.coords not in minimal))
 
 
 def order_function(a: MonomialIdeal, v) -> int:
@@ -342,33 +332,6 @@ def _component(point: tuple[int, ...], level: int | None) -> ContactComponent:
     return ContactComponent(point=point, e=e, v0=v0.coords, level=level)
 
 
-def _minimal_points(chart: Cone, member, candidates, steps) -> list[tuple[int, ...]]:
-    """The minimal generators of an ideal I among the candidate points.
-
-    member decides membership in I, a set of lattice points of the chart
-    with I + (chart cap N) inside I, and steps generate chart cap N as a
-    monoid, 0 left out.  Then v in I is minimal iff no step v - h stays in
-    the chart and in I: if w in I is below v, then v - w is a sum of steps,
-    h one of them, and v - h = w + (v - w - h) is in I.  Every candidate
-    must lie in I; membership is not tested again here.
-    """
-    walls = [normal for normal, _ in chart.halfspace_data()]
-    out = []
-    for v in candidates:
-        for h in steps:
-            w = tuple(x - y for x, y in zip(v, h))
-            if all(_dot(a, w) >= 0 for a in walls) and member(w):
-                break
-        else:
-            out.append(v)
-    return out
-
-
-def _at_least(a: MonomialIdeal, p: int):
-    gens = [u.coords for u in a.generators]
-    return lambda v: min(_dot(v, u) for u in gens) >= p
-
-
 def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
     """Local minimality test: no single Hilbert-basis step stays at order p.
 
@@ -382,8 +345,11 @@ def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
         raise ValueError(f"{tuple(vec.coords)} is not in the chart cone")
     if order_function(a, vec) != p:
         raise ValueError(f"order of {tuple(vec.coords)} is not {p}")
-    steps = [h.coords for h in a.chart.hilbert_basis()]
-    return bool(_minimal_points(a.chart, _at_least(a, p), [vec.coords], steps))
+    for h in a.chart.hilbert_basis():
+        w = vec - h
+        if a.chart.contains(w) and order_function(a, w) >= p:
+            return False
+    return True
 
 
 def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]:
@@ -401,6 +367,14 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
     as in polar_polytope.  The vertex box is read in integers off them:
     floor(p x_j / s) below and ceil(p x_j / s) above.
 
+    The candidates are the box points of order exactly p.  The order is
+    monotone along the cone, so a point of the ideal below one of order p
+    has order p too: a point of order p is minimal in the ideal iff no
+    other point of order p lies below it, and then it is a candidate.
+    Below a candidate that is not minimal lies a minimal point of order p,
+    itself a candidate, so cones._minimal of the candidates, read on the
+    chart's dual rays, gives the components without a Hilbert basis.
+
     Work budget: a box of more than MAX_CONTACT_BOX_POINTS points raises
     ValueError before it is scanned.
     """
@@ -415,9 +389,9 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
     lo = [min(v[j] // v[-1] for v in tops) + sum(min(0, r[j]) for r in rays) for j in range(n)]
     hi = [max(-(-v[j] // v[-1]) for v in tops) + sum(max(0, r[j]) for r in rays) for j in range(n)]
     _within_budget(_box_points(lo, hi), MAX_CONTACT_BOX_POINTS, "contact would scan", "box points")
-    steps = [h.coords for h in a.chart.hilbert_basis()]
-    points = _minimal_points(a.chart, _at_least(a, p), lattice_points_where(level, lo, hi), steps)
-    return tuple(_component(pt, p) for pt in sorted(points) if order_function(a, pt) == p)
+    gens = [u.coords for u in a.generators]
+    exact = (v for v in lattice_points_where(level, lo, hi) if min(_dot(v, u) for u in gens) == p)
+    return tuple(_component(pt, p) for pt in _minimal(exact, [u.coords for u in a.chart.dual_rays]))
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +406,10 @@ def singular_faces(c: Cone) -> tuple[FaceRef, ...]:
     return tuple(f for f in c.faces() if not _unimodular(f.key))
 
 
-# Most parallelepiped points sing_components may enumerate; see its
-# docstring.  The largest sing chart stored with the benchmark needs 39, far
-# below it; A_64 needs 130 and the 5D chart e1..e4,(1,2,3,4,9) 21.  A_1022
-# needs 2046 and takes about 2.3 s on a 2-vCPU Xeon VM under Python 3.11.
+# Most candidates sing_components may enumerate; see its docstring.  The
+# largest sing chart stored with the benchmark needs 23, far below it; A_64
+# needs 65 and the 5D chart e1..e4,(1,2,3,4,9) 12.  A_2047 needs 2048 and
+# takes about 0.7 s on a 2-vCPU Xeon VM under Python 3.11.
 MAX_SING_PARALLELEPIPED_POINTS = 2048
 
 
@@ -455,15 +429,16 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     parallelepiped of such an S; for a simplicial tau, S is all of tau's
     rays, and its |det| points are the candidates.
 
-    Steps.  The step test of _minimal_points takes any generating set of
-    the cone's lattice points, and cones._cover_generators gives one
-    without a Hilbert basis.
+    The candidates lie in I, as relint cone(S) does, and hold every
+    minimal point of I.  So a candidate is minimal in I iff it is minimal
+    among the candidates: below a candidate that is not, a minimal point
+    of I lies, and it is a candidate.  cones._minimal reads them on the
+    chart's dual rays; no generating set of the chart is needed.
 
-    Work budget: the parallelepipeds hold sum |det| points, candidates and
-    steps together, counted before any is enumerated.  A ValueError naming
-    the count is raised when it exceeds MAX_SING_PARALLELEPIPED_POINTS =
-    2048.  The candidates and the steps off the r rays then number at most
-    2048 together, so the step test checks at most (1024 + r / 2)^2 pairs.
+    Work budget: the parallelepipeds hold sum |det| candidates, counted
+    before any is enumerated.  A ValueError naming the count is raised
+    when it exceeds MAX_SING_PARALLELEPIPED_POINTS = 2048, so _minimal
+    makes at most 2048 * 2047 / 2 comparisons.
     """
     sing = singular_faces(c)
     if not sing:
@@ -474,24 +449,20 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
         return frozenset(j for j, u in enumerate(dual) if all(_dot(u, v) == 0 for v in vectors))
 
     singular = {vanishing(f.key): f.key for f in sing}
-
-    def member(v) -> bool:
-        return vanishing([v]) in singular
-
     tops = [
         _parallelepiped(s, True)
         for zero, rays in singular.items()
-        for size in range(1, rank_of(rays) + 1)
+        for rank in [rank_of(rays)]
+        # a face with independent rays has one such S: all of its rays
+        for size in (range(1, rank + 1) if len(rays) > rank else [rank])
         for s in itertools.combinations(rays, size)
         if vanishing(s) == zero
     ]
     tops = [t for t in tops if t]
-    work, cover = _cover_generators(c.key)
-    work += sum(count for count, _ in tops)
+    work = sum(count for count, _ in tops)
     _within_budget(work, MAX_SING_PARALLELEPIPED_POINTS, "sing would enumerate", "parallelepiped points")
-    candidates = sorted({p for _, points in tops for p in points})
-    steps = list(dict.fromkeys(cover))
-    return tuple(_component(pt, None) for pt in _minimal_points(c, member, candidates, steps))
+    candidates = (p for _, points in tops for p in points)
+    return tuple(_component(pt, None) for pt in _minimal(candidates, dual))
 
 
 # ---------------------------------------------------------------------------

@@ -496,3 +496,23 @@ def hilbert_by_zonotope_scan(gens, halfspaces):
         if not any(member(tuple(a - b for a, b in zip(p, q))) for q in irreducible):
             irreducible.append(p)
     return sorted(irreducible)
+
+
+def minimal_by_pairs(points, normals):
+    """Minimal points of the order q <= p iff a . (p - q) >= 0 for every normal a.
+
+    The pairwise rule monomial_ideal used before cones._minimal: p is
+    dropped when some other point lies below it, unless that point is also
+    above p (they differ by the order's lineality) and comes later
+    lexicographically.  Every pair is tested; no order of the points is used.
+    """
+    pts = sorted(set(points))
+
+    def below(q, p):
+        return all(dot(a, p) - dot(a, q) >= 0 for a in normals)
+
+    return [
+        p
+        for i, p in enumerate(pts)
+        if not any(below(q, p) and not (below(p, q) and j > i) for j, q in enumerate(pts) if j != i)
+    ]

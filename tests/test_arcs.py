@@ -596,6 +596,18 @@ def test_orbit_poset_budget_counts_box_points_per_stratum_and_chart(a1, monkeypa
         orbit_poset(fan, 1)
 
 
+def test_orbit_poset_weighs_its_strata_before_any_quotient(monkeypatch):
+    import toricarcs.arcs as arcs
+
+    quotients = counting(monkeypatch, arcs, "_stratum_quotient")
+    charts = counting(monkeypatch, arcs, "_charts_over")
+    orthant = Cone([tuple(int(i == j) for j in range(10)) for i in range(10)])
+    message = "orbit poset at bound 0 would scan at least 1024 box points, more than the budget of 512"
+    with pytest.raises(ValueError, match=message):
+        orbit_poset(orthant, 0)
+    assert quotients == [] and charts == []
+
+
 def test_orbit_poset_default_budget_refuses_a_large_bound_at_once(a1):
     with pytest.raises(ValueError, match="budget of 512"):
         orbit_poset(a1, 11)

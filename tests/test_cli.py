@@ -251,8 +251,8 @@ def test_sing_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):
     code, out, err = run_cli(["sing", "--input", str(doc)], capsys)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
-    # the full face has 10^9 candidates and 10^9 step points; the other three singular faces 8
-    assert "2000000008" in err and "2048" in err
+    # the full face has 10^9 candidates, the other three singular faces 8
+    assert "1000000008" in err and "2048" in err
 
 
 def test_hilbert_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):

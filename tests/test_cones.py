@@ -10,9 +10,11 @@ from oracles import (
     box_points_where,
     brute_dual_generators,
     decomposes_over,
+    dot,
     face_cone,
     hilbert_by_zonotope_scan,
     in_cone_rational,
+    minimal_by_pairs,
     minors,
     parallelepiped_by_box_scan,
     solve_square,
@@ -20,6 +22,7 @@ from oracles import (
 
 from toricarcs.cones import (
     Cone,
+    _minimal,
     _parallelepiped,
     Fan,
     dual_cone,
@@ -271,6 +274,32 @@ def test_hilbert_bases_scan_no_box(monkeypatch):
     assert len(hilbert_basis_dual.__wrapped__(c)) == 29
     assert len(hilbert_basis_points(c)) == 11
     assert scans == []
+
+
+def test_minimal_matches_the_pairwise_rule():
+    # both orders of a chart: sigma's cut out by its dual generators, and sigma^vee's by its
+    # rays, which has the lineality sigma^perp when sigma is lower-dimensional
+    rng = random.Random(15)
+    ties = kinds = 0
+    for trial in range(60):
+        dim = 2 + trial % 3
+        while True:
+            gens = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, dim + 1))]
+            try:
+                chart = Cone(gens, dim)
+            except ValueError:
+                continue
+            if chart.rays:
+                break
+        for normals in ([u.coords for u in chart.dual_generator_list()], list(chart.key)):
+            box = [p for p in itertools.product(range(-3, 4), repeat=dim) if all(dot(a, p) >= 0 for a in normals)]
+            points = rng.sample(box, min(len(box), rng.randint(2, 14)))
+            points += [tuple(x + y for x, y in zip(p, l.coords)) for p in points[:3] for l in chart.span_normals]
+            values = {tuple(dot(a, p) for a in normals) for p in points}
+            ties += len(values) < len(set(points))
+            kinds |= 1 << chart.is_full_dimensional()
+            assert _minimal(points, normals) == minimal_by_pairs(points, normals), (chart, normals, points)
+    assert ties > 5 and kinds == 3
 
 
 def test_hilbert_basis_dual_rank_5():

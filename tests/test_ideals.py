@@ -256,25 +256,29 @@ def test_is_minimal_examples(q23, a1_max):
     assert is_minimal_in_contact(a1_max, 1, nvec(1, 1))
 
 
-def test_minimal_points_do_not_test_a_candidate_again(quadrant, monkeypatch):
+def test_contact_takes_no_step_set(quadrant, monkeypatch):
     import toricarcs.ideals as ideals
 
-    calls = []
-    at_least = ideals._at_least
-
-    def counting(a, p):
-        member = at_least(a, p)
-        return lambda v: calls.append(v) or member(v)
-
-    monkeypatch.setattr(ideals, "_at_least", counting)
-    # the box [1, 2]^2 of the level-1 set of (x, y), steps (0, 1) then (1, 0):
-    # (1, 1) tries both steps, (1, 2) and (2, 2) stop at (0, 1), (2, 1) tries both
+    hilbert = counting(monkeypatch, Cone, "hilbert_basis")
     ideal = monomial_ideal(quadrant, [(1, 0), (0, 1)])
     assert [c.point for c in contact_components(ideal, 1)] == [(1, 1)]
-    assert len(calls) == 6
-    calls.clear()
+    assert [c.point for c in contact_components(ideal, 2)] == [(2, 2)]
+    assert hilbert == []
+    # the local test still steps back by the chart's Hilbert basis (0, 1) and (1, 0)
+    orders = counting(monkeypatch, ideals, "order_function")
     assert is_minimal_in_contact(ideal, 1, nvec(1, 1))
-    assert calls == [(1, 0), (0, 1)]
+    assert [v.coords for _, v in orders] == [(1, 1), (1, 0), (0, 1)]
+    assert len(hilbert) == 1
+
+
+def test_sing_takes_no_step_set(a2, monkeypatch):
+    import toricarcs.cones as cones
+    import toricarcs.ideals as ideals
+
+    # the candidates are (0, 1] parallelepipeds; a [0, 1) one would be part of a step cover
+    boxes = [counting(monkeypatch, m, "_parallelepiped") for m in (cones, ideals)]
+    assert [c.point for c in sing_components(a2)] == [(1, 1), (1, 2)]
+    assert boxes[0] == [] and [upper for _, upper in boxes[1]] == [True]
 
 
 def test_is_minimal_rejects_wrong_level(q23):
@@ -554,15 +558,28 @@ def test_sing_components_rank_5_within_a_second():
     ]
 
 
-def test_sing_budget_counts_candidates_and_steps(a2, monkeypatch):
+def test_sing_budget_counts_candidates_only(a2, monkeypatch):
     import toricarcs.ideals as ideals
 
-    # A_2: the full face is the only singular face; 3 candidates and 3 step points
-    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 6)
+    # A_2: the full face is the only singular face, with 3 candidates
+    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 3)
     assert [c.point for c in sing_components(a2)] == [(1, 1), (1, 2)]
-    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 5)
-    with pytest.raises(ValueError, match="6 parallelepiped points, more than the budget of 5"):
+    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 2)
+    with pytest.raises(ValueError, match="3 parallelepiped points, more than the budget of 2"):
         sing_components(a2)
+
+
+def test_sing_takes_one_parallelepiped_per_simplicial_singular_face(monkeypatch):
+    import toricarcs.ideals as ideals
+
+    # e1, (1, 2, 0, ...), e3..e12: the 2^10 faces holding the A_1 2-face are the singular ones,
+    # each simplicial with 2 candidates
+    n = 12
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays[1] = (1, 2) + (0,) * (n - 2)
+    boxes = counting(monkeypatch, ideals, "_parallelepiped")
+    assert [c.point for c in sing_components(Cone(rays))] == [(1, 1) + (0,) * (n - 2)]
+    assert len(boxes) == 2**10
 
 
 def test_sing_default_budget_refuses_a_large_determinant_at_once():
