@@ -88,14 +88,6 @@ def _maximal_cones(ambient) -> tuple[Cone, ...]:
     raise TypeError("ambient must be a Cone or a Fan")
 
 
-def _strata(ambient) -> tuple[FaceRef, ...]:
-    if isinstance(ambient, Cone):
-        return ambient.faces()
-    if isinstance(ambient, Fan):
-        return ambient.strata()
-    raise TypeError("ambient must be a Cone or a Fan")
-
-
 def _charts_over(ambient, face: FaceRef) -> tuple[Cone, ...]:
     """The maximal cones of the ambient that contain every ray of the face."""
     return tuple(c for c in _maximal_cones(ambient) if all(c.contains(r) for r in face.rays))
@@ -353,12 +345,15 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     exceeds MAX_POSET_BOX_POINTS = 512.  The dominance test therefore runs
     on at most 512 * 511 = 261,632 ordered pairs of nodes.  Each stratum
     has a chart over it and each box holds its origin, so the number of
-    strata is weighed first, before any quotient lattice is built.
+    strata is weighed first; before the faces are walked, a simplicial
+    maximal cone with k rays is weighed by its 2^k faces.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    strata = _strata(ambient)
     doing = f"orbit poset at bound {bound} would scan"
+    simplicial = [2 ** c.dim for c in _maximal_cones(ambient) if len(c.rays) == c.dim]
+    _within_budget(max(simplicial, default=0), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
+    strata = ambient.strata() if isinstance(ambient, Fan) else ambient.faces()
     _within_budget(len(strata), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
     plan = []
     for face in strata:

@@ -7,12 +7,12 @@ then combining adjacent rays across the new wall.  Adjacency and extremality
 use the exact rank criterion on tight constraint sets, so the generator list
 stays minimal after every insertion.
 
-On top of that sit face lattices, the smoothness test, lattice points of
-parallelepipeds, Hilbert bases of pointed lattice semigroups, cone-order
-comparisons, quotients by faces, and the homogenized rays of the polyhedra
-the ideal machinery needs.  A Hilbert basis is the irreducible
-part of one generating set: the rays and the [0, 1) parallelepiped points
-of the simplicial cones on independent rays, which cover the cone.
+On top of that sit face lattices, the smoothness test, the pulling
+triangulation, lattice points of parallelepipeds, Hilbert bases of pointed
+lattice semigroups, cone-order comparisons, quotients by faces, and the
+homogenized rays of the polyhedra the ideal machinery needs.  A Hilbert
+basis is the irreducible part of one generating set: the rays and the
+[0, 1) parallelepiped points of the simplices of the triangulation.
 """
 
 from __future__ import annotations
@@ -415,18 +415,17 @@ def lattice_points_where(
     yield from rec(0, (), need)
 
 
-def _parallelepiped(gens: Sequence[Sequence[int]], upper: bool):
-    """Lattice points sum l_i g_i of independent g_i, each l_i in (0, 1] or [0, 1).
+def _parallelepiped(gens: Sequence[Sequence[int]]):
+    """Lattice points sum l_i g_i of independent g_i, each l_i in [0, 1).
 
-    The cube is (0, 1]^k if upper, else [0, 1)^k; either way there is one
-    point per coset of the lattice the g_i generate in the lattice points
-    of their span.  row_hermite on the matrix A of the g_i as columns gives
-    U A = H with H's top k x k block upper triangular, diagonal d, and zero
-    below.  So the span's lattice points are Uinv[:, :k] y for y in Z^k,
-    the g_i's lattice is the y in H Z^k, and the y with 0 <= y_i < d_i are
-    one point per coset: prod d_i = |det| of them.  D = prod d_i makes
-    D H^-1 the adjugate, so back-substitution gives D l in integers, and
-    subtracting whole g_i moves l into the cube.
+    There is one point per coset of the lattice the g_i generate in the
+    lattice points of their span.  row_hermite on the matrix A of the g_i
+    as columns gives U A = H with H's top k x k block upper triangular,
+    diagonal d, and zero below.  So the span's lattice points are
+    Uinv[:, :k] y for y in Z^k, the g_i's lattice is the y in H Z^k, and
+    the y with 0 <= y_i < d_i are one point per coset: prod d_i = |det| of
+    them.  D = prod d_i makes D H^-1 the adjugate, so back-substitution
+    gives D l in integers, and taking off floor(l_i) g_i leaves the cube.
 
     Returns None if the g_i are dependent, else (count, points) with the
     points an iterator, so a caller can weigh the count first.
@@ -444,8 +443,7 @@ def _parallelepiped(gens: Sequence[Sequence[int]], upper: bool):
             for i in reversed(range(k)):
                 tail = sum(H[i][j] * scaled[j] for j in range(i + 1, k))
                 scaled[i] = (volume * y[i] - tail) // d[i]
-            # whole steps to take off: ceil(l_i) - 1 into (0, 1], floor(l_i) into [0, 1)
-            shift = [-(-s // volume) - 1 if upper else s // volume for s in scaled]
+            shift = [s // volume for s in scaled]
             yield tuple(
                 sum(Uinv[r][i] * y[i] - shift[i] * gens[i][r] for i in range(k)) for r in range(n)
             )
@@ -453,24 +451,36 @@ def _parallelepiped(gens: Sequence[Sequence[int]], upper: bool):
     return volume, points()
 
 
-def _cover_generators(gens: Sequence[Sequence[int]]):
-    """The gens and the [0, 1) parallelepiped points of a cover of cone(gens).
+def _triangulation(gens: Sequence[Sequence[int]], walls: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
+    """Maximal simplices, sorted index tuples into gens, of the pulling triangulation of cone(gens).
 
-    With k the rank of the gens, the simplicial cones on the linearly
-    independent k-subsets S cover cone(gens) (Caratheodory).  A lattice
-    point of cone(S) is sum l_i g_i with every l_i >= 0, and taking off
-    the whole steps floor(l_i) g_i leaves a lattice point of the [0, 1)
-    parallelepiped of S.  So the gens and the nonzero points of these
-    parallelepipeds generate cone(gens) cap Z^n as a monoid.  Only Hilbert
-    bases read it: sing and contact take their minimal points without steps.
-
-    Returns (count, points): count, the sum of |det S| over the S, bounds
-    the points and is known before the points iterator runs.
+    walls are the index sets of the gens on which valid inequalities of the
+    pointed cone vanish, every facet among them.  A face K with independent
+    gens is its own simplex; any other is coned from its least index a over
+    its facets that miss a.  These are the K cap W, W a wall missing a, of
+    rank one less than K's: a facet G is the meet of the walls holding it,
+    one of which, W, misses a gen of K, so K cap W is G.  They cover K, as
+    x - t g_a leaves the pointed K through a facet positive at g_a.  Each
+    face is triangulated by one rule, whichever face reaches it (a face
+    holding a is pulled from a too), so the simplices meet in common faces
+    (De Loera, Rambau & Santos, Triangulations, 4.3).  No gens, no simplex.
     """
-    subsets = itertools.combinations(gens, rank_of(gens))
-    cells = [c for c in (_parallelepiped(s, False) for s in subsets) if c]
-    points = itertools.chain(gens, (p for _, cell in cells for p in cell if any(p)))
-    return sum(count for count, _ in cells), points
+    walls = [frozenset(w) for w in walls]
+    done: dict[frozenset[int], list[tuple[int, ...]]] = {}
+
+    def pull(face: frozenset[int], rank: int) -> list[tuple[int, ...]]:
+        if face in done:
+            return done[face]
+        if len(face) == rank:
+            done[face] = [tuple(sorted(face))]
+        else:
+            a = min(face)
+            facets = {face & w for w in walls if a not in w}
+            rank_less = (f for f in facets if rank_of([gens[i] for i in f]) == rank - 1)
+            done[face] = [(a,) + s for f in rank_less for s in pull(f, rank - 1)]
+        return done[face]
+
+    return sorted(pull(frozenset(range(len(gens))), rank_of(gens))) if gens else []
 
 
 def _minimal(points: Iterable[tuple[int, ...]], normals: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -496,28 +506,29 @@ def _minimal(points: Iterable[tuple[int, ...]], normals: Sequence[Sequence[int]]
 
 
 # Most cover points a Hilbert basis may enumerate; see _hilbert_of_pointed.
-# The largest cover in the benchmark pool counts 12 points; the dual of the
-# 5D chart e1..e4,(1,2,3,5,13) counts 28,561 and takes about 1 s.
+# The benchmark's charts need at most 49; the dual of e1..e4,(1,2,3,5,13) needs
+# 28,561 (0.9 s), the 5-cube cone dual to the cross-polytope 3840 (0.3 s).
 MAX_HILBERT_COVER_POINTS = 50_000
 
 
 def _hilbert_of_pointed(gens, normals) -> tuple[tuple[int, ...], ...]:
     """Minimal generating set of cone(gens) cap Z^n, a pointed cone cut out by a . x >= 0.
 
-    Every generating set of a monoid holds its irreducible elements, so the
-    candidates are the generators of _cover_generators, 0 left out.  A
-    reducible p is q + r with q and r nonzero in the cone, so q < p in the
-    cone order; an irreducible p has no candidate q < p, as p - q would be
-    a nonzero point of the cone.  So the basis is _minimal of the cover.
+    The simplices S of _triangulation cover the cone.  A lattice point of S
+    less its whole steps floor(l_i) g_i is in the [0, 1) parallelepiped of
+    S, so the gens and the nonzero box points generate the monoid, and hold
+    its irreducible elements.  A reducible p is q + r, q and r nonzero in
+    the cone, so q < p; an irreducible p has no candidate q < p, as p - q
+    would be a nonzero point of the cone.  So the basis is their _minimal.
 
-    Work budget: a cover of more than MAX_HILBERT_COVER_POINTS points
-    raises ValueError before any is enumerated.
+    Work budget: the boxes hold sum |det S| points, counted before any is
+    enumerated; more than MAX_HILBERT_COVER_POINTS raises ValueError.
     """
-    if not gens:
-        return ()
-    count, cover = _cover_generators(gens)
+    walls = ([i for i, g in enumerate(gens) if not _dot(a, g)] for a in normals)
+    cells = [_parallelepiped([gens[i] for i in s]) for s in _triangulation(gens, walls)]
+    count = sum(volume for volume, _ in cells)
     _within_budget(count, MAX_HILBERT_COVER_POINTS, "Hilbert basis would enumerate", "cover points")
-    return tuple(_minimal(cover, normals))
+    return tuple(_minimal(itertools.chain(gens, (p for _, cell in cells for p in cell if any(p))), normals))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .cones import (
     _homogenized_rays,
     _minimal,
     _parallelepiped,
+    _triangulation,
     _unimodular,
     dual_generators,
     is_smooth,
@@ -42,7 +43,6 @@ from .lattice import (
     pairing,
     primitive_part,
     primitive_tuple,
-    rank_of,
 )
 
 __all__ = [
@@ -407,9 +407,8 @@ def singular_faces(c: Cone) -> tuple[FaceRef, ...]:
 
 
 # Most candidates sing_components may enumerate; see its docstring.  The
-# largest sing chart stored with the benchmark needs 23, far below it; A_64
-# needs 65 and the 5D chart e1..e4,(1,2,3,4,9) 12.  A_2047 needs 2048 and
-# takes about 0.7 s on a 2-vCPU Xeon VM under Python 3.11.
+# benchmark's largest sing chart needs 21, the 4-cube cone 24 + 624, the 5-cube
+# cone 6960 (refused).  A_2047 needs 2048: about 1 s on a 2-vCPU Xeon, Python 3.11.
 MAX_SING_PARALLELEPIPED_POINTS = 2048
 
 
@@ -417,52 +416,53 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     """Labels of the components of the arc fiber over the singular locus.
 
     These are the cone-order-minimal lattice points of the union I of the
-    relative interiors of the singular faces, a monoid ideal of the cone's
-    lattice points since every face containing a singular face is singular.
+    relative interiors of the singular faces, a monoid ideal since every
+    face containing a singular face is singular.  A point sum_F l_i r_i,
+    every l_i > 0, lies in relint tau(F), tau(F) the smallest face holding
+    the rays F.  On the simplices of cones._triangulation the candidates
+    are (a) the nonzero points of each [0, 1) parallelepiped and (b) the
+    ray sum over each face F of a simplex whose tau(F) has more rays than F.
 
-    Candidates.  A minimal v lies in relint tau for a singular face tau, and
-    Caratheodory writes v = sum l_i r_i, every l_i > 0, over a linearly
-    independent set S of tau's rays.  A face contains v iff it contains S,
-    so tau is the smallest face containing S, and relint cone(S) lies in
-    relint tau.  If some l_i > 1, then v - r_i is in relint cone(S), so in
-    I, and below v.  So every minimal point lies in the (0, 1]
-    parallelepiped of such an S; for a simplicial tau, S is all of tau's
-    rays, and its |det| points are the candidates.
+    (a) is in I: a box point g with support F is in span F but not in ZF,
+    so the rays of tau(F), which hold F, are no lattice basis of its span,
+    as g's coordinates on them would be integers.  (b) is in I: tau(F) is
+    not simplicial.  A minimal v is sum l_i r_i on some simplex.  If its
+    fractional part g is nonzero, g is in I and v - g is in the cone, so
+    v = g.  Otherwise the ray sum w over the support F is in relint tau(F)
+    with v, and w <= v, so v = w.  Were tau(F) simplicial, its rays would
+    be F, and a nonzero box point of F, the singular tau(F) having index
+    > 1, would lie in I below w; so w is of kind (b).  A simplicial chart
+    is its own one simplex, where no F qualifies, so (b) is skipped.  Only
+    the cover is used; the simplices also meet in common faces, each face
+    triangulated by one rule, whichever face reaches it.
 
-    The candidates lie in I, as relint cone(S) does, and hold every
-    minimal point of I.  So a candidate is minimal in I iff it is minimal
-    among the candidates: below a candidate that is not, a minimal point
-    of I lies, and it is a candidate.  cones._minimal reads them on the
-    chart's dual rays; no generating set of the chart is needed.
+    The candidates lie in I and hold its minimal points, so the minimal
+    candidates, by cones._minimal on the chart's dual rays, are the
+    components: below a candidate not minimal in I lies a minimal point of
+    I, itself a candidate.  No generating set of the chart is needed.
 
-    Work budget: the parallelepipeds hold sum |det| candidates, counted
-    before any is enumerated.  A ValueError naming the count is raised
-    when it exceeds MAX_SING_PARALLELEPIPED_POINTS = 2048, so _minimal
-    makes at most 2048 * 2047 / 2 comparisons.
+    Work budget: sum |det| box points plus, off a simplicial chart, one ray
+    sum, a corner of the closed parallelepiped, per face of two or more
+    rays of each simplex (one ray or none is a chart face), counted before
+    any is enumerated.  More than MAX_SING_PARALLELEPIPED_POINTS = 2048
+    raises ValueError, so _minimal makes at most 2048 * 2047 / 2 comparisons.
     """
-    sing = singular_faces(c)
-    if not sing:
-        return ()
-    dual = [u.coords for u in c.dual_rays]
-
-    def vanishing(vectors) -> frozenset:
-        return frozenset(j for j, u in enumerate(dual) if all(_dot(u, v) == 0 for v in vectors))
-
-    singular = {vanishing(f.key): f.key for f in sing}
-    tops = [
-        _parallelepiped(s, True)
-        for zero, rays in singular.items()
-        for rank in [rank_of(rays)]
-        # a face with independent rays has one such S: all of its rays
-        for size in (range(1, rank + 1) if len(rays) > rank else [rank])
-        for s in itertools.combinations(rays, size)
-        if vanishing(s) == zero
-    ]
-    tops = [t for t in tops if t]
-    work = sum(count for count, _ in tops)
+    rays = c.key
+    simplices = _triangulation(rays, (c.tight_ray_indices(u) for u in c.dual_rays))
+    cells = [_parallelepiped([rays[i] for i in s]) for s in simplices]
+    scanned = simplices if len(simplices) > 1 else []
+    work = sum(volume for volume, _ in cells) + sum(2 ** len(s) - len(s) - 1 for s in scanned)
     _within_budget(work, MAX_SING_PARALLELEPIPED_POINTS, "sing would enumerate", "parallelepiped points")
-    candidates = (p for _, points in tops for p in points)
-    return tuple(_component(pt, None) for pt in _minimal(candidates, dual))
+    sums = (
+        tuple(map(sum, zip(*(rays[i] for i in f))))
+        for s in scanned
+        for k in range(2, len(s) + 1)
+        for f in itertools.combinations(s, k)
+        if len(c.smallest_face_containing([c.rays[i] for i in f]).indices) > k
+    )
+    boxes = (p for _, cell in cells for p in cell if any(p))
+    minimal = _minimal(itertools.chain(boxes, sums), [u.coords for u in c.dual_rays])
+    return tuple(_component(pt, None) for pt in minimal)
 
 
 # ---------------------------------------------------------------------------

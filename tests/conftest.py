@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -56,3 +57,22 @@ def random_smooth_cone(rng: random.Random, dim: int, shear: int = 2) -> Cone:
         c = rng.randint(-shear, shear)
         basis[i] = [a + c * b for a, b in zip(basis[i], basis[j])]
     return Cone(basis, dim)
+
+
+def cube_cone(n: int) -> Cone:
+    """The cone over the unit cube: rays (x, 1) for x in {0, 1}^n."""
+    return Cone([x + (1,) for x in itertools.product((0, 1), repeat=n)])
+
+
+def cross_polytope_cone(n: int) -> Cone:
+    """The cone over the cross-polytope: rays (+-e_i, 1)."""
+    return Cone([tuple(s * (i == j) for j in range(n)) + (1,) for i in range(n) for s in (1, -1)])
+
+
+def simplex_product_cone(a: int, b: int) -> Cone:
+    """The cone over Delta_a x Delta_b: rays (p, q, 1), p in {0, e_1..e_a}, q in {0, e_1..e_b}."""
+
+    def vertices(k):
+        return [tuple(int(i == j) for j in range(k)) for i in range(-1, k)]
+
+    return Cone([p + q + (1,) for p in vertices(a) for q in vertices(b)])

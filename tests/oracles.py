@@ -8,6 +8,7 @@ desk scale.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -413,8 +414,8 @@ def poset_nodes_by_image_cones(ambient, bound):
     return nodes
 
 
-def parallelepiped_by_box_scan(gens, upper):
-    """Lattice points sum l_i g_i, l in (0, 1]^k if upper else [0, 1)^k.
+def parallelepiped_by_box_scan(gens):
+    """Lattice points sum l_i g_i with l in [0, 1)^k.
 
     Scans the bounding box of the parallelepiped, solves for l in Fraction
     and keeps the points whose l lies in the half-open cube.
@@ -423,13 +424,90 @@ def parallelepiped_by_box_scan(gens, upper):
     lo = [sum(min(0, g[j]) for g in gens) for j in range(n)]
     hi = [sum(max(0, g[j]) for g in gens) for j in range(n)]
     rows = [[g[j] for g in gens] for j in range(n)]
-    inside = (lambda l: 0 < l <= 1) if upper else (lambda l: 0 <= l < 1)
     found = []
     for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         lam = solve_square(rows, x)
-        if lam is not None and all(inside(l) for l in lam):
+        if lam is not None and all(0 <= l < 1 for l in lam):
             found.append(x)
     return sorted(found)
+
+
+def cone_by_facets(rays):
+    """(cols, forms, normals) cutting out cone(rays), a pointed cone of rank k >= 2, exactly.
+
+    The span projects one to one onto some k coordinates cols.  There every
+    facet of the projected cone is spanned by k - 1 independent rays, and
+    its normal is their generalized cross product, the signed (k - 1)-minors;
+    the normals with every ray on one side cut the cone out.  On the span
+    each other coordinate j is a linear form of the projection, solved on k
+    independent rays and kept as (scale, integer w).  So v is in the cone
+    iff scale * v_j = w . v[cols] for every form and u . v[cols] >= 0 for
+    every normal u.
+    """
+    k = rank_fraction(rays)
+    cols = next(J for J in itertools.combinations(range(len(rays[0])), k) if rank_fraction([[r[j] for j in J] for r in rays]) == k)
+    projected = [[r[j] for j in cols] for r in rays]
+    normals = []
+    for spanning in itertools.combinations(projected, k - 1):
+        u = [(-1) ** j * minors([row[:j] + row[j + 1 :] for row in spanning], k - 1)[0] for j in range(k)]
+        sides = {(dot(u, r) > 0) - (dot(u, r) < 0) for r in projected} - {0}
+        if any(u) and len(sides) == 1:
+            side = sides.pop()
+            normals.append([side * x for x in u])
+    basis = []
+    for r in rays:
+        if rank_fraction(basis + [r]) > len(basis):
+            basis.append(r)
+    forms = {}
+    for j in range(len(rays[0])):
+        if j not in cols:
+            w = solve_square([[b[i] for i in cols] for b in basis], [b[j] for b in basis])
+            scale = math.lcm(*(x.denominator for x in w))
+            forms[j] = (scale, [int(scale * x) for x in w])
+    return cols, forms, normals
+
+
+def triangulation_faults(rays, simplices, bound):
+    """What keeps simplices, index tuples into rays, from triangulating cone(rays); [] if nothing.
+
+    Every simplex must be as many independent rays as the rank k of the
+    span.  Each facet of a simplex, its rays but one, must lie in one
+    simplex if a facet normal of the cone vanishes on it, else in two:
+    then the union of the simplices has no boundary inside the cone, so it
+    is the cone.  Every nonzero lattice point of the box [-bound, bound]^n
+    in the cone, by cone_by_facets, must lie in some simplex and in the
+    relative interior (every coefficient > 0) of at most one.  The
+    coefficients of a point on a simplex are those of its projection, read
+    as |det| times them in integers.
+    """
+    k = rank_fraction(rays)
+    faults = [("not full rank", s) for s in simplices if len(s) != k or rank_fraction([rays[i] for i in s]) != k]
+    if faults:
+        return faults
+    cols, forms, normals = cone_by_facets(rays)
+    shared = collections.Counter(s[:i] + s[i + 1 :] for s in simplices for i in range(k))
+    for ridge, count in shared.items():
+        outer = any(all(dot(u, [rays[i][j] for j in cols]) == 0 for i in ridge) for u in normals)
+        if count != 2 - outer:
+            faults.append((f"facet in {count} simplices", ridge))
+    adjugates = []
+    for s in simplices:
+        rows = [[rays[i][j] for i in s] for j in cols]
+        volume = abs(minors(rows, k)[0])
+        columns = [solve_square(rows, [int(i == j) for i in range(k)]) for j in range(k)]
+        adjugates.append([[int(volume * column[i]) for column in columns] for i in range(k)])
+    for v in box_points(-bound, bound, len(rays[0])):
+        point = [v[j] for j in cols]
+        if not any(v) or any(dot(w, point) != scale * v[j] for j, (scale, w) in forms.items()):
+            continue
+        if any(dot(u, point) < 0 for u in normals):
+            continue
+        holding = [lam for lam in ([dot(row, point) for row in adjugate] for adjugate in adjugates) if min(lam) >= 0]
+        if not holding:
+            faults.append(("in no simplex", v))
+        if sum(min(lam) > 0 for lam in holding) > 1:
+            faults.append(("in two interiors", v))
+    return faults
 
 
 def sing_by_zonotope_scan(cone):

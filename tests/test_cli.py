@@ -5,6 +5,7 @@ import time
 import jsonschema
 import pytest
 
+from conftest import counting
 from golden_cases import GOLDEN_CASES
 
 from toricarcs.cli import COMMANDS, InputError, emit_document, main, parse_input
@@ -243,6 +244,21 @@ def test_orbits_beyond_the_work_budget_exits_1_at_once(capsys):
     assert "40000800004" in err and "512" in err
 
 
+def test_orbits_on_a_large_orthant_exits_1_before_the_face_walk(capsys, monkeypatch, tmp_path):
+    import toricarcs.cones as cones
+
+    # a simplicial cone with 16 rays has exactly 2^16 faces, each a stratum with its origin in the box
+    walks = counting(monkeypatch, cones, "_face_keys")
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"dim": 16, "cones": [[[int(i == j) for j in range(16)] for i in range(16)]]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["orbits", "--bound", "0", "--input", str(doc)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert "at least 65536 box points" in err and "512" in err
+    assert walks == []
+
+
 def test_sing_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):
     doc = tmp_path / "doc.json"
     rays = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 2, 3, 4, 10**9]]
@@ -251,8 +267,31 @@ def test_sing_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):
     code, out, err = run_cli(["sing", "--input", str(doc)], capsys)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
-    # the full face has 10^9 candidates, the other three singular faces 8
-    assert "1000000008" in err and "2048" in err
+    # the chart is simplicial, its own one simplex, whose [0, 1) box holds |det| = 10^9 points
+    assert "1000000000" in err and "2048" in err
+
+
+def test_sing_on_a_16_dim_chart_with_one_singular_2_face_within_a_second(capsys, tmp_path):
+    # e1, (1, 2, 0, ...), e3..e16 is simplicial: one box of |det| = 2 points, no face walk
+    rays = [[int(i == j) for j in range(16)] for i in range(16)]
+    rays[1] = [1, 2] + [0] * 14
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"dim": 16, "cones": [rays]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["sing", "--input", str(doc)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert [c["v"] for c in json.loads(out)["components"]] == [[1, 1] + [0] * 14]
+
+
+def test_hilbert_of_the_5_dim_cross_polytope_cone_exits_0(capsys, tmp_path):
+    # its dual, the cone over [-1, 1]^5, is triangulated into simplices of sum |det| = 5! 2^5 = 3840
+    doc = tmp_path / "doc.json"
+    rays = [[s * (i == j) for j in range(5)] + [1] for i in range(5) for s in (1, -1)]
+    doc.write_text(json.dumps({"dim": 6, "cones": [rays]}))
+    code, out, err = run_cli(["hilbert", "--input", str(doc)], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["basis"]) == 3**5
 
 
 def test_hilbert_beyond_the_work_budget_exits_1_at_once(capsys, tmp_path):

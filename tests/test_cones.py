@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import random_full_cone
+from conftest import cross_polytope_cone, cube_cone, random_full_cone, simplex_product_cone
 from oracles import (
     box_points_where,
     brute_dual_generators,
@@ -18,12 +18,14 @@ from oracles import (
     minors,
     parallelepiped_by_box_scan,
     solve_square,
+    triangulation_faults,
 )
 
 from toricarcs.cones import (
     Cone,
     _minimal,
     _parallelepiped,
+    _triangulation,
     Fan,
     dual_cone,
     faces,
@@ -312,12 +314,13 @@ def test_hilbert_basis_dual_rank_5():
 def test_hilbert_budget_counts_the_cover(monkeypatch):
     import toricarcs.cones as cones
 
-    # the hexagon's 20 independent ray triples have determinants summing to 36
+    # the hexagon is pulled from (-1, -1, 1) into 4 triangles of determinants 1, 1, 2 and 2;
+    # their boxes hold 6 points, its normalized volume
     hexagon = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]
-    monkeypatch.setattr(cones, "MAX_HILBERT_COVER_POINTS", 36)
+    monkeypatch.setattr(cones, "MAX_HILBERT_COVER_POINTS", 6)
     assert len(hilbert_basis_points(Cone(hexagon))) == 7
-    monkeypatch.setattr(cones, "MAX_HILBERT_COVER_POINTS", 35)
-    with pytest.raises(ValueError, match="36 cover points, more than the budget of 35"):
+    monkeypatch.setattr(cones, "MAX_HILBERT_COVER_POINTS", 5)
+    with pytest.raises(ValueError, match="6 cover points, more than the budget of 5"):
         hilbert_basis_points(Cone(hexagon))
 
 
@@ -329,6 +332,19 @@ def test_hilbert_default_budget_refuses_a_large_determinant_at_once():
     with pytest.raises(ValueError, match="1000000000 cover points, more than the budget of 50000"):
         hilbert_basis_points(c)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dual_hilbert_basis_of_a_cross_polytope_cone_is_the_cube_at_height_one(n):
+    # (u, t) pairs >= 0 with every (+-e_i, 1) iff |u_i| <= t, so the dual is the cone over the cube
+    # [-1, 1]^n at height 1.  Its lattice points at height t are the u with |u|_oo <= t, and each is
+    # a sum of t points of {-1, 0, 1}^n, coordinate by coordinate; the height-1 points, lying at
+    # the least nonzero height, are irreducible.  So the basis is the 3^n points of height 1.
+    cone = cross_polytope_cone(n)
+    basis = [u.coords for u in hilbert_basis_dual(cone)]
+    assert basis == sorted(u + (1,) for u in itertools.product((-1, 0, 1), repeat=n))
+    if n <= 3:
+        assert basis == hilbert_by_zonotope_scan([u.coords for u in cone.dual_rays], [(r, 0) for r in cone.key])
 
 
 # -- parallelepipeds ---------------------------------------------------------------
@@ -355,13 +371,12 @@ def _parallelepiped_cases():
     return cases
 
 
-@pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
-def test_parallelepiped_matches_box_scan_oracle(upper):
+def test_parallelepiped_matches_box_scan_oracle():
     proper = 0
     for gens in _parallelepiped_cases():
-        count, points = _parallelepiped(gens, upper)
+        count, points = _parallelepiped(gens)
         points = list(points)
-        assert sorted(points) == parallelepiped_by_box_scan(gens, upper), gens
+        assert sorted(points) == parallelepiped_by_box_scan(gens), gens
         # one point per coset of the generated lattice in the span's lattice,
         # whose index is the gcd of the maximal minors
         index = math.gcd(*minors([list(g) for g in gens], len(gens)))
@@ -376,8 +391,64 @@ def test_parallelepiped_matches_box_scan_oracle(upper):
 
 
 def test_parallelepiped_refuses_dependent_generators():
-    assert _parallelepiped([(1, 2, 3), (2, 4, 6)], True) is None
-    assert _parallelepiped([(1, 0), (0, 1), (1, 1)], False) is None
+    assert _parallelepiped([(1, 2, 3), (2, 4, 6)]) is None
+    assert _parallelepiped([(1, 0), (0, 1), (1, 1)]) is None
+
+
+# -- the pulling triangulation --------------------------------------------------------
+
+
+def _pulled(gens, normals):
+    """cones._triangulation of the pointed cone(gens) cut out by the normals, walls read off them."""
+    return _triangulation(gens, ([i for i, g in enumerate(gens) if dot(a, g) == 0] for a in normals))
+
+
+def test_triangulation_matches_the_exact_oracle():
+    # a pointed cone of rank 2 has two rays, so the non-simplicial charts drawn are of rank 3 and 4;
+    # a quarter of them lie in a rank-4 or rank-5 lattice, in which a ray (x, c . x) keeps rank 3 or 4
+    rng = random.Random(2010)
+    charts = []
+    while len(charts) < 100:
+        dim = rng.choice([3, 3, 4])
+        chart = random_full_cone(rng, dim)
+        if len(chart.rays) == dim:
+            continue
+        if len(charts) % 4 == 3:
+            c = [rng.randint(-2, 2) for _ in range(dim)]
+            chart = Cone([r + (dot(c, r),) for r in chart.key])
+        charts.append(chart)
+    for chart in charts:
+        simplices = _pulled(chart.key, [u.coords for u in chart.dual_generator_list()])
+        assert len(simplices) > 1
+        assert triangulation_faults(chart.key, simplices, 2) == [], chart
+    named = [
+        (Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]), 3),
+        (Cone([(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]), 3),
+        (cube_cone(3), 2),
+        (cube_cone(4), 1),
+        (simplex_product_cone(2, 3), 1),
+        # a 6D chart where some K cap W, W missing K's least ray, has rank below K's less one
+        (Cone([(0, 0, 0, 1, 1, 1), (0, 0, 2, 1, 0, 1), (0, 1, 2, 1, 1, 1), (0, 1, 2, 2, 0, 1), (1, 2, 0, 2, 1, 1),
+               (2, 0, 1, 1, 1, 1), (2, 0, 1, 2, 2, 1), (2, 1, 0, 2, 2, 1), (2, 2, 0, 1, 0, 1)]), 1),
+    ]
+    for chart, bound in named:
+        simplices = _pulled(chart.key, [u.coords for u in chart.dual_rays])
+        assert triangulation_faults(chart.key, simplices, bound) == [], chart
+    for n, bound in ((2, 3), (3, 2), (4, 1)):
+        dual = [u.coords for u in cross_polytope_cone(n).dual_rays]
+        simplices = _pulled(dual, cross_polytope_cone(n).key)
+        assert triangulation_faults(dual, simplices, bound) == [], n
+
+
+def test_triangulation_oracle_sees_a_gap_and_an_overlap():
+    square = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    # one triangle leaves a gap: its diagonal bounds one simplex, and (1, 1, 1) lies in none
+    gap = triangulation_faults(square, [(0, 1, 2)], 2)
+    assert ("facet in 1 simplices", (1, 2)) in gap and ("in no simplex", (1, 1, 1)) in gap
+    # a third triangle overlaps: (1, 2, 4) is inside two, and the outer edge (0, 1) bounds two
+    both = triangulation_faults(square, [(0, 1, 2), (1, 2, 3), (0, 1, 3)], 4)
+    assert ("in two interiors", (1, 2, 4)) in both and ("facet in 2 simplices", (0, 1)) in both
+    assert triangulation_faults(square, [(0, 1, 2), (1, 2, 3)], 4) == []
 
 
 # -- membership and the cone order ----------------------------------------------

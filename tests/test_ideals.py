@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import counting, random_full_cone
+from conftest import counting, cube_cone, random_full_cone, simplex_product_cone
 from oracles import (
     brute_contact_minimal,
     brute_sing_minimal,
@@ -272,13 +273,17 @@ def test_contact_takes_no_step_set(quadrant, monkeypatch):
 
 
 def test_sing_takes_no_step_set(a2, monkeypatch):
-    import toricarcs.cones as cones
     import toricarcs.ideals as ideals
 
-    # the candidates are (0, 1] parallelepipeds; a [0, 1) one would be part of a step cover
-    boxes = [counting(monkeypatch, m, "_parallelepiped") for m in (cones, ideals)]
+    # one [0, 1) box per simplex of the triangulation, and no Hilbert basis: A_2 is its own one
+    # simplex, and the hexagon is pulled into 4 triangles
+    hilbert = counting(monkeypatch, Cone, "hilbert_basis")
+    boxes = counting(monkeypatch, ideals, "_parallelepiped")
     assert [c.point for c in sing_components(a2)] == [(1, 1), (1, 2)]
-    assert boxes[0] == [] and [upper for _, upper in boxes[1]] == [True]
+    assert boxes == [([(1, 0), (1, 3)],)]
+    hexagon = Cone([(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)])
+    assert [c.point for c in sing_components(hexagon)] == [(0, 0, 1)]
+    assert len(boxes) == 1 + 4 and hilbert == []
 
 
 def test_is_minimal_rejects_wrong_level(q23):
@@ -558,6 +563,46 @@ def test_sing_components_rank_5_within_a_second():
     ]
 
 
+# -- closed-form families --------------------------------------------------------------
+#
+# Each cone below is the cone over a lattice polytope P at height 1, so a point (y, h) of the
+# cone has h >= 0, and h = 0 only at 0.  Two points at one height are never comparable in the
+# cone order, as their difference would be a nonzero point at height 0.
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (1, 3), (2, 2), (1, 4), (2, 3)])
+def test_sing_of_a_simplex_product_has_one_component_per_square_face(a, b):
+    # The faces of P = Delta_a x Delta_b are the products F x G of faces.  If F or G is a point,
+    # F x G is a unimodular simplex, so the singular faces are those with dim F, dim G >= 1.  A
+    # point of relint cone(F x G) at height h is (p, q, h), p a sum of h vertices of F using each
+    # at least once, likewise q.  At height 2 that forces F and G to be edges, and the point is the
+    # square's center (f1 + f2, g1 + g2, 2).  Any higher point lies above such a center: take
+    # f1 != f2 among the vertices p uses and g1 != g2 among those of q, and the rest is h - 2
+    # vertices of F and of G, a point of the cone.  So the components are the C(a+1, 2) C(b+1, 2)
+    # square centers, all at height 2.
+    cone = simplex_product_cone(a, b)
+    got = [c.point for c in sing_components(cone)]
+    assert len(got) == math.comb(a + 1, 2) * math.comb(b + 1, 2)
+    assert {p[-1] for p in got} == {2}
+    if a + b <= 3:
+        assert got == sing_by_zonotope_scan(cone)
+
+
+@pytest.mark.parametrize("n, count", [(2, 1), (3, 7), (4, 33)])
+def test_sing_of_a_cube_cone_has_one_component_per_face_of_dimension_two_or_more(n, count):
+    # A face of [0, 1]^n of dimension <= 1 is a point or a unit edge, a unimodular simplex, and one
+    # of dimension k >= 2 is a k-cube, not a simplex, so singular.  The face x + [0, 1]^D has one
+    # point of relint at height 2, its center (2x + sum_D e_i, 2).  A point (y, h) of its relint
+    # has y_j = h x_j off D and 1 <= y_i <= h - 1 on D, so (y, h) minus the center lies in
+    # (h - 2) [0, 1]^n at height h - 2, in the cone.  So the components are the centers of the
+    # faces of dimension >= 2: 1 at n = 2, 6 + 1 at n = 3 and 24 + 8 + 1 at n = 4.
+    cone = cube_cone(n)
+    got = [c.point for c in sing_components(cone)]
+    assert len(got) == count and {p[-1] for p in got} == {2}
+    if n <= 3:
+        assert got == sing_by_zonotope_scan(cone)
+
+
 def test_sing_budget_counts_candidates_only(a2, monkeypatch):
     import toricarcs.ideals as ideals
 
@@ -569,17 +614,31 @@ def test_sing_budget_counts_candidates_only(a2, monkeypatch):
         sing_components(a2)
 
 
-def test_sing_takes_one_parallelepiped_per_simplicial_singular_face(monkeypatch):
+def test_sing_budget_counts_simplex_faces_off_a_simplicial_chart(monkeypatch):
     import toricarcs.ideals as ideals
 
-    # e1, (1, 2, 0, ...), e3..e12: the 2^10 faces holding the A_1 2-face are the singular ones,
-    # each simplicial with 2 candidates
+    # the 4-cube cone is pulled into 24 unimodular simplices of 5 rays: 24 box points, and
+    # 2^5 - 5 - 1 = 26 faces of two or more rays in each, 24 + 24 * 26 = 648 in all
+    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 648)
+    assert len(sing_components(cube_cone(4))) == 33
+    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 647)
+    with pytest.raises(ValueError, match="648 parallelepiped points, more than the budget of 647"):
+        sing_components(cube_cone(4))
+
+
+def test_sing_takes_one_parallelepiped_on_a_simplicial_chart(monkeypatch):
+    import toricarcs.cones as cones
+    import toricarcs.ideals as ideals
+
+    # e1, (1, 2, 0, ...), e3..e12 is simplicial, so it is its own one simplex: one box of |det| = 2
+    # points, no face-lattice walk, and no ray-sum scan
     n = 12
     rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rays[1] = (1, 2) + (0,) * (n - 2)
     boxes = counting(monkeypatch, ideals, "_parallelepiped")
+    walks = counting(monkeypatch, cones, "_face_keys")
     assert [c.point for c in sing_components(Cone(rays))] == [(1, 1) + (0,) * (n - 2)]
-    assert len(boxes) == 2**10
+    assert len(boxes) == 1 and walks == []
 
 
 def test_sing_default_budget_refuses_a_large_determinant_at_once():
