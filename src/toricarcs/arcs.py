@@ -282,6 +282,11 @@ def cylinder_level(o: OrbitLabel) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _below(lower, upper) -> bool:
+    """0 <= lower <= upper pointwise, INF above every integer: one hom below another on a chart."""
+    return all(0 <= a <= b for a, b in zip(lower, upper))
+
+
 def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
     """The charts that show o1 dominating o2; see dominates."""
     if o1.ambient != o2.ambient:
@@ -289,7 +294,8 @@ def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
     if not is_face_of(o1.face, o2.face):
         return
     for chart in _charts_over(o1.ambient, o2.face):
-        if all(0 <= o1.order_at(u) <= o2.order_at(u) for u in chart.dual_generator_list()):
+        gens = chart.dual_generator_list()
+        if _below(map(o1.order_at, gens), map(o2.order_at, gens)):
             yield chart
 
 
@@ -331,23 +337,42 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
 
     Nodes are deterministic: strata in face order, points lexicographic.
     Cover edges are the transitive reduction of dominance restricted to the
-    node set.
+    node set.  `bound` must be an int; anything else raises TypeError
+    before any face is walked.
 
     A chart's image in N_tau is cut out by the chart's dual generators
     that vanish on tau, pushed down to N_tau: they span the dual face
     sigma^vee cap tau^perp (see dominates), so no image cone is built.
 
+    The order is read from the homs, with no dominates call.  Among the
+    strata of one cone or of one fan, tau's rays among gamma's is already
+    the face test of dominates: both are cones of the fan, so tau = tau
+    cap gamma is a face of gamma.  So a tau-node a is below a gamma-node b
+    exactly when tau's rays lie among gamma's and, on some chart over
+    gamma, 0 <= a <= b pointwise on the chart's dual generators.
+
     Work budget: every node is a point of a box that is scanned, one box
     [-bound, bound]^d per stratum and chart over it, d the rank of the
-    stratum's quotient lattice.  So the node count is at most the sum of
+    stratum's quotient lattice.  So the node count n is at most the sum of
     (2 bound + 1)^d over strata and charts.  That sum is computed before
     any box is scanned, and a ValueError naming it is raised when it
-    exceeds MAX_POSET_BOX_POINTS = 512.  The dominance test therefore runs
-    on at most 512 * 511 = 261,632 ordered pairs of nodes.  Each stratum
-    has a chart over it and each box holds its origin, so the number of
-    strata is weighed first; before the faces are walked, a simplicial
-    maximal cone with k rays is weighed by its 2^k faces.
+    exceeds MAX_POSET_BOX_POINTS = 512.  Each stratum has a chart over it
+    and each box holds its origin, so the number of strata is weighed
+    first; before the faces are walked, a simplicial maximal cone with k
+    rays is weighed by its 2^k faces.  Once the nodes are scanned:
+      - each node's hom is read once per chart over its stratum, one
+        order_at per dual generator of the chart;
+      - the strata are paired by one subset test of their ray sets,
+        at most 512^2 tests;
+      - each gamma-node b and chart over gamma is compared with the nodes
+        of the strata inside gamma; the pairs (b, chart) number at most
+        the box sum, so there are at most 512 * n <= 512^2 comparisons of
+        two value tuples;
+      - (i, j) is a cover iff no node lies above i and below j: one AND
+        of the n-bit sets above i and below j per related pair.
     """
+    if not isinstance(bound, int):
+        raise TypeError(f"bound must be an int, got {bound!r}")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     doing = f"orbit poset at bound {bound} would scan"
@@ -362,6 +387,7 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     box = sum(len(charts) * (2 * bound + 1) ** q.quotient_dim for _, q, charts in plan)
     _within_budget(box, MAX_POSET_BOX_POINTS, doing, "box points")
     nodes: list[OrbitLabel] = []
+    groups = []  # per stratum: its rays, its node indices, and their homs on each chart over it
     for face, q, charts in plan:
         box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim
         points = set()
@@ -372,18 +398,27 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
                 if not any(pairing(r, u) for r in face.rays)
             ]
             points.update(lattice_points_where(walls, box_lo, box_hi))
-        for p in sorted(points):
-            nodes.append(OrbitLabel._from_image(ambient, face, p))
+        labels = [OrbitLabel._from_image(ambient, face, p) for p in sorted(points)]
+        homs = {}
+        for chart in charts:
+            gens = chart.dual_generator_list()
+            homs[chart] = [tuple(map(o.order_at, gens)) for o in labels]
+        groups.append((frozenset(face.key), range(len(nodes), len(nodes) + len(labels)), homs))
+        nodes += labels
     relation = set()
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if i != j and dominates(a, b):
-                relation.add((i, j))
-    covers = []
-    for i, j in sorted(relation):
-        if not any((i, k) in relation and (k, j) in relation for k in range(len(nodes))):
-            covers.append((i, j))
-    return OrbitPoset(tuple(nodes), frozenset(relation), tuple(covers))
+    for tau, lows, low_homs in groups:
+        for gamma, highs, high_homs in groups:
+            if not tau <= gamma:
+                continue
+            for chart, values in high_homs.items():
+                for j, b in zip(highs, values):
+                    relation.update((i, j) for i, a in zip(lows, low_homs[chart]) if i != j and _below(a, b))
+    up, down = [0] * len(nodes), [0] * len(nodes)
+    for i, j in relation:
+        up[i] |= 1 << j
+        down[j] |= 1 << i
+    covers = tuple((i, j) for i, j in sorted(relation) if not up[i] & down[j])
+    return OrbitPoset(tuple(nodes), frozenset(relation), covers)
 
 
 # ---------------------------------------------------------------------------

@@ -594,3 +594,42 @@ def minimal_by_pairs(points, normals):
         for i, p in enumerate(pts)
         if not any(below(q, p) and not (below(p, q) and j > i) for j, q in enumerate(pts) if j != i)
     ]
+
+
+def orbit_poset_by_pairs(ambient, bound):
+    """(nodes, relation, covers) of the orbit poset by the pairwise route.
+
+    The route arcs.orbit_poset took before it grouped its comparisons by
+    stratum pair: the same box scan for the nodes, then dominates on all
+    n^2 ordered node pairs, then covers as the related pairs (i, j) with no
+    k related to both, a loop over k per pair.  No work budget is applied.
+    """
+    from toricarcs.arcs import OrbitLabel, _charts_over, dominates
+    from toricarcs.cones import Fan, _stratum_quotient, lattice_points_where
+    from toricarcs.lattice import pairing
+
+    strata = ambient.strata() if isinstance(ambient, Fan) else ambient.faces()
+    nodes = []
+    for face in strata:
+        q = _stratum_quotient(face.parent.dim_ambient, face.key)
+        box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim
+        points = set()
+        for chart in _charts_over(ambient, face):
+            walls = [
+                (q.push_dual(u).coords, 0)
+                for u in chart.dual_generator_list()
+                if not any(pairing(r, u) for r in face.rays)
+            ]
+            points.update(lattice_points_where(walls, box_lo, box_hi))
+        for p in sorted(points):
+            nodes.append(OrbitLabel._from_image(ambient, face, p))
+    relation = set()
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            if i != j and dominates(a, b):
+                relation.add((i, j))
+    covers = []
+    for i, j in sorted(relation):
+        if not any((i, k) in relation and (k, j) in relation for k in range(len(nodes))):
+            covers.append((i, j))
+    return tuple(nodes), frozenset(relation), tuple(covers)

@@ -8,6 +8,7 @@ from oracles import (
     dominates_by_hom_order,
     dominates_by_image_cones,
     is_face_by_cone,
+    orbit_poset_by_pairs,
     poset_nodes_by_image_cones,
     rank_fraction,
 )
@@ -613,6 +614,37 @@ def test_orbit_poset_default_budget_refuses_a_large_bound_at_once(a1):
         orbit_poset(a1, 11)
 
 
+@pytest.mark.parametrize("bound", [1.5, "2", None, 2.0])
+def test_orbit_poset_refuses_a_bound_that_is_not_an_int_before_the_face_walk(bound, monkeypatch):
+    import toricarcs.arcs as arcs
+
+    walked = counting(monkeypatch, cones, "_face_keys")
+    quotients = counting(monkeypatch, arcs, "_stratum_quotient")
+    chart = Cone([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
+    with pytest.raises(TypeError, match=f"bound must be an int, got {bound!r}"):
+        orbit_poset(chart, bound)
+    assert walked == [] and quotients == []
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_orbit_poset_of_an_orthant_at_bound_0_is_its_face_lattice(n):
+    # At bound 0 each stratum's box is its origin, which lies in the chart's
+    # image, so there is one node per face: 2^n subsets of the n rays.  The
+    # node of a face tau has order INF on e_i* for e_i in tau and 0 on the
+    # other e_i*, so 0 <= a <= b pointwise iff tau is inside gamma: the
+    # relation is strict face inclusion, 3^n ordered pairs tau <= gamma (each
+    # ray in neither, in gamma only, or in both) less the 2^n equal ones.  A
+    # cover adds one ray to tau, n - |tau| ways, n 2^(n-1) in all.
+    orthant = Cone([tuple(int(i == j) for j in range(n)) for i in range(n)])
+    poset = orbit_poset(orthant, 0)
+    assert len(poset.nodes) == 2**n
+    assert len(poset.relation) == 3**n - 2**n
+    assert len(poset.covers) == n * 2 ** (n - 1)
+    faces = [set(node.face.indices) for node in poset.nodes]
+    assert poset.relation == {(i, j) for i, a in enumerate(faces) for j, b in enumerate(faces) if a < b}
+    assert all(len(faces[j] - faces[i]) == 1 for i, j in poset.covers)
+
+
 # -- dominance and face tests against independent oracles ----------------------
 
 CONIFOLD = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
@@ -727,6 +759,36 @@ def test_orbits_match_the_image_cone_oracle(ambient, bound):
             else:
                 accepted.append((face.key, point))
     assert accepted == poset_nodes_by_image_cones(ambient, 2)
+
+
+# IMAGE_CONE_AMBIENTS holds every ambient of HOM_ORDER_AMBIENTS
+@pytest.mark.parametrize("ambient,bound", IMAGE_CONE_AMBIENTS)
+def test_orbit_poset_matches_the_pairwise_oracle(ambient, bound):
+    poset = orbit_poset(ambient, bound)
+    nodes, relation, covers = orbit_poset_by_pairs(ambient, bound)
+    assert poset.nodes == nodes
+    assert poset.relation == relation
+    assert poset.covers == covers
+
+
+@pytest.mark.parametrize("ambient", [p.values[0] for p in ORACLE_CONES + ORACLE_FANS + LOWER_DIMENSIONAL])
+def test_orbit_poset_reads_each_hom_once_per_chart_and_calls_no_pairwise_test(ambient, monkeypatch):
+    import toricarcs.arcs as arcs
+
+    dominance_tests = counting(monkeypatch, arcs, "dominates")
+    face_tests = counting(monkeypatch, arcs, "is_face_of")
+    reads = counting(monkeypatch, OrbitLabel, "order_at")
+    poset = orbit_poset(ambient, 1)
+    assert dominance_tests == [] and face_tests == [] and poset.relation
+    charts = ambient.maximal_cones if isinstance(ambient, Fan) else (ambient,)
+    strata = {}
+    for node in poset.nodes:
+        strata.setdefault(node.face, []).append(node)
+    budget = sum(
+        len(labels) * sum(len(c.dual_generator_list()) for c in charts if all(map(c.contains, face.rays)))
+        for face, labels in strata.items()
+    )
+    assert 0 < len(reads) <= budget
 
 
 def test_orbit_layer_builds_no_cone(monkeypatch):
