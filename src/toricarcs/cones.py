@@ -3,9 +3,9 @@
 Cones are given by primitive integer ray generators.  Dual descriptions are
 computed by an incremental double-description pass over exact integers:
 halfspaces are inserted one at a time, first consuming the lineality space,
-then combining adjacent rays across the new wall.  Adjacency and extremality
-use the exact rank criterion on tight constraint sets, so the generator list
-stays minimal after every insertion.
+then combining adjacent rays across the new wall.  A face is its tight set,
+so adjacency, extremality and the facets of the triangulation are all read
+by set inclusion on tight sets, with no rank test per pair, ray or facet.
 
 On top of that sit face lattices, the smoothness test, the pulling
 triangulation, lattice points of parallelepipeds, Hilbert bases of pointed
@@ -83,92 +83,75 @@ def dual_generators(
     Returns (rays, lineality_basis) as primitive integer tuples, each sorted.
     Rays hold one representative per extreme ray modulo the lineality space,
     reduced canonically modulo that space.
+
+    The constraints are inserted one at a time, and after each the list
+    holds exactly the extreme rays of the cone so far modulo its lineality
+    L, each with its zero set: the processed constraints that vanish on it.
+    A constraint a not vanishing on L cuts L down to its kernel in L,
+    turns a line l0 of L with a . l0 > 0 into a ray, and moves each ray
+    along l0 onto a's wall, which keeps it extreme and keeps its zero set,
+    since every processed constraint vanishes on L.  Otherwise the rays on
+    the new wall's side are kept, and each adjacent pair across it is
+    joined on the wall.  Faces are tight sets: the smallest face holding
+    rays p and m is cut out by their common zero set Z, and its rays are
+    the rays whose zero sets contain Z, so p and m are adjacent iff no
+    third ray's zero set contains Z (Fukuda & Prodon, Double description
+    method revisited, 1996, Prop. 7).  Rays are reduced modulo L once, at
+    the end.
     """
-    if dim == 0:
-        return (), ()
-    lin: list[tuple[int, ...]] = [
-        tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-    ]
-    rays: list[tuple[int, ...]] = []
-    processed: list[tuple[int, ...]] = []
-
-    def canonicalized(ray_list):
-        if not lin:
-            out = [primitive_tuple(r)[1] for r in ray_list]
-        else:
-            q = quotient_lattice(dim, [LatticeVector(l, N_SIDE) for l in lin])
-            out = []
-            for r in ray_list:
-                image = q.project(LatticeVector(r, N_SIDE))
-                _, prim = primitive_tuple(image.coords)
-                out.append(q.lift(prim).coords)
-        deduped = []
-        for r in out:
-            if r not in deduped:
-                deduped.append(r)
-        return deduped
-
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[tuple[int, ...], int]] = []  # (ray, bitmask of the processed rows zero on it)
+    bit = 1
     for raw in constraints:
         a = tuple(int(x) for x in raw)
-        if all(x == 0 for x in a):
+        if len(a) != dim:
+            raise ValueError(f"constraint {list(a)} has length {len(a)}, not {dim}")
+        if not any(a):
             continue
         hit = next((i for i, l in enumerate(lin) if _dot(a, l) != 0), None)
         if hit is not None:
-            l0 = lin[hit]
-            if _dot(a, l0) < 0:
-                l0 = _neg(l0)
+            l0 = lin.pop(hit)
             d0 = _dot(a, l0)
-            new_lin = []
-            for i, l in enumerate(lin):
-                if i == hit:
+            if d0 < 0:
+                l0, d0 = _neg(l0), -d0
+            lin = [_canonical_sign([d0 * x - _dot(a, l) * y for x, y in zip(l, l0)]) for l in lin]
+            rays = [
+                (primitive_tuple([d0 * x - _dot(a, r) * y for x, y in zip(r, l0)])[1], z | bit)
+                for r, z in rays
+            ]
+            rays.append((l0, bit - 1))
+        else:
+            values = [_dot(a, r) for r, _ in rays]
+            plus = [(r, z, v) for (r, z), v in zip(rays, values) if v > 0]
+            minus = [(r, z, v) for (r, z), v in zip(rays, values) if v < 0]
+            new_rays = [(r, z | bit if v == 0 else z) for (r, z), v in zip(rays, values) if v >= 0]
+            for (rp, zp, vp), (rm, zm, vm) in itertools.product(plus, minus):
+                common = zp & zm
+                if any(z & common == common and r != rp and r != rm for r, z in rays):
                     continue
-                dl = _dot(a, l)
-                combo = tuple(d0 * x - dl * y for x, y in zip(l, l0))
-                new_lin.append(_canonical_sign(combo))
-            adjusted = []
-            for r in rays:
-                dr = _dot(a, r)
-                combo = tuple(d0 * x - dr * y for x, y in zip(r, l0))
-                adjusted.append(primitive_tuple(combo)[1])
-            lin = new_lin
-            processed.append(a)
-            rays = canonicalized(adjusted + [primitive_tuple(l0)[1]])
-            continue
-        values = [_dot(a, r) for r in rays]
-        plus = [r for r, v in zip(rays, values) if v > 0]
-        zero = [r for r, v in zip(rays, values) if v == 0]
-        minus = [r for r, v in zip(rays, values) if v < 0]
-        if not minus:
-            processed.append(a)
-            continue
-        target = dim - len(lin) - 2
-        new_rays = plus + zero
-        if target >= 0:
-            for rp, rm in itertools.product(plus, minus):
-                common = [
-                    c for c in processed if _dot(c, rp) == 0 and _dot(c, rm) == 0
-                ]
-                if rank_of(common) != target:
-                    continue
-                vp, vm = _dot(a, rp), _dot(a, rm)
                 combo = tuple(vp * x - vm * y for x, y in zip(rm, rp))
-                new_rays.append(primitive_tuple(combo)[1])
-        processed.append(a)
-        rays = canonicalized(new_rays)
-    return tuple(sorted(canonicalized(rays))), tuple(sorted(lin))
+                new_rays.append((primitive_tuple(combo)[1], common | bit))
+            rays = new_rays
+        bit <<= 1
+    out = [r for r, _ in rays]
+    if lin:
+        q = quotient_lattice(dim, [LatticeVector(l, N_SIDE) for l in lin])
+        out = [q.lift(primitive_tuple(q.project(LatticeVector(r, N_SIDE)).coords)[1]).coords for r in out]
+    return tuple(sorted(out)), tuple(sorted(lin))
 
 
 class Cone(_Record):
     """A strongly convex rational polyhedral cone, canonicalized.
 
     Input generators are scaled to primitive vectors, deduplicated, and
-    reduced to the extreme rays; the stored ray list is sorted.  The dual
+    reduced to the extreme rays; the stored ray list is sorted, and key
+    holds the same rays as tuples, built once for identity.  The dual
     description (extreme rays of the dual plus, for lower-dimensional cones,
     a basis of the annihilator of the span) is computed at construction and
     cached, so all later membership tests are pure integer arithmetic.
     """
 
-    __slots__ = ("dim_ambient", "rays", "dual_rays", "span_normals", "_faces", "_hilbert")
+    __slots__ = ("dim_ambient", "key", "rays", "dual_rays", "span_normals", "_faces", "_hilbert")
 
     def __init__(self, rays: Iterable, dim_ambient: int | None = None):
         ray_tuples: list[tuple[int, ...]] = []
@@ -190,25 +173,24 @@ class Cone(_Record):
         if dim_ambient > 0 and rank_of(normals) != dim_ambient:
             raise ValueError("cone is not strongly convex (contains a line)")
 
-        # keep only generators on extreme rays: tight normals must span a hyperplane
-        extreme = []
-        for r in ray_tuples:
-            tight = list(dual_lin) + [u for u in dual_rays if _dot(r, u) == 0]
-            if rank_of(tight) == dim_ambient - 1:
-                extreme.append(r)
+        # a generator is extreme iff the smallest face holding it, cut out by
+        # the dual rays tight on it, holds no other generator
+        tight = [sum(1 << i for i, u in enumerate(dual_rays) if not _dot(r, u)) for r in ray_tuples]
+        extreme = tuple(
+            r
+            for r, t in zip(ray_tuples, tight)
+            if not any(s & t == t and g != r for g, s in zip(ray_tuples, tight))
+        )
 
         _set(self, "dim_ambient", dim_ambient)
-        _set(self, "rays", tuple(LatticeVector(r, N_SIDE) for r in sorted(extreme)))
+        _set(self, "key", extreme)
+        _set(self, "rays", tuple(LatticeVector(r, N_SIDE) for r in extreme))
         _set(self, "dual_rays", tuple(LatticeVector(u, M_SIDE) for u in dual_rays))
         _set(self, "span_normals", tuple(LatticeVector(l, M_SIDE) for l in dual_lin))
         _set(self, "_faces", None)
         _set(self, "_hilbert", None)
 
     # -- identity ---------------------------------------------------------
-
-    @property
-    def key(self) -> tuple:
-        return tuple(r.coords for r in self.rays)
 
     def __eq__(self, other) -> bool:
         return (
@@ -455,11 +437,15 @@ def _triangulation(gens: Sequence[Sequence[int]], walls: Iterable[Iterable[int]]
     """Maximal simplices, sorted index tuples into gens, of the pulling triangulation of cone(gens).
 
     walls are the index sets of the gens on which valid inequalities of the
-    pointed cone vanish, every facet among them.  A face K with independent
-    gens is its own simplex; any other is coned from its least index a over
-    its facets that miss a.  These are the K cap W, W a wall missing a, of
-    rank one less than K's: a facet G is the meet of the walls holding it,
-    one of which, W, misses a gen of K, so K cap W is G.  They cover K, as
+    pointed cone vanish, every facet among them; a face is the set of gens
+    it holds.  A face K with independent gens is its own simplex; any other
+    is coned from its least index a over its facets that miss a.  These
+    are the inclusion-maximal K cap W, W a wall missing a.  Each K cap W is
+    a proper face of K missing a.  Every proper face H of K missing a lies
+    in a facet of K missing a, as the facets of K holding H meet in H.  A
+    facet G of K missing a is the meet of the walls holding it, one of
+    which, W, misses a, so K cap W is G.  Facets have rank one less than
+    K's, so the rank is read once, at the root.  The facets cover K, as
     x - t g_a leaves the pointed K through a facet positive at g_a.  Each
     face is triangulated by one rule, whichever face reaches it (a face
     holding a is pulled from a too), so the simplices meet in common faces
@@ -475,9 +461,9 @@ def _triangulation(gens: Sequence[Sequence[int]], walls: Iterable[Iterable[int]]
             done[face] = [tuple(sorted(face))]
         else:
             a = min(face)
-            facets = {face & w for w in walls if a not in w}
-            rank_less = (f for f in facets if rank_of([gens[i] for i in f]) == rank - 1)
-            done[face] = [(a,) + s for f in rank_less for s in pull(f, rank - 1)]
+            meets = {face & w for w in walls if a not in w}
+            facets = [f for f in meets if not any(f < g for g in meets)]
+            done[face] = [(a,) + s for f in facets for s in pull(f, rank - 1)]
         return done[face]
 
     return sorted(pull(frozenset(range(len(gens))), rank_of(gens))) if gens else []

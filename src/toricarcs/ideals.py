@@ -419,7 +419,9 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     relative interiors of the singular faces, a monoid ideal since every
     face containing a singular face is singular.  A point sum_F l_i r_i,
     every l_i > 0, lies in relint tau(F), tau(F) the smallest face holding
-    the rays F.  On the simplices of cones._triangulation the candidates
+    the rays F.  A face is its tight set, so tau(F) is the meet of the
+    walls, the rays tight on a dual ray, that hold F (the chart if none
+    does).  On the simplices of cones._triangulation the candidates
     are (a) the nonzero points of each [0, 1) parallelepiped and (b) the
     ray sum over each face F of a simplex whose tau(F) has more rays than F.
 
@@ -448,7 +450,8 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     raises ValueError, so _minimal makes at most 2048 * 2047 / 2 comparisons.
     """
     rays = c.key
-    simplices = _triangulation(rays, (c.tight_ray_indices(u) for u in c.dual_rays))
+    walls = [frozenset(c.tight_ray_indices(u)) for u in c.dual_rays]
+    simplices = _triangulation(rays, walls)
     cells = [_parallelepiped([rays[i] for i in s]) for s in simplices]
     scanned = simplices if len(simplices) > 1 else []
     work = sum(volume for volume, _ in cells) + sum(2 ** len(s) - len(s) - 1 for s in scanned)
@@ -458,7 +461,7 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
         for s in scanned
         for k in range(2, len(s) + 1)
         for f in itertools.combinations(s, k)
-        if len(c.smallest_face_containing([c.rays[i] for i in f]).indices) > k
+        if len(frozenset(range(len(rays))).intersection(*(w for w in walls if w.issuperset(f)))) > k
     )
     boxes = (p for _, cell in cells for p in cell if any(p))
     minimal = _minimal(itertools.chain(boxes, sums), [u.coords for u in c.dual_rays])

@@ -190,6 +190,79 @@ def brute_dual_generators(rays, dim, box=3):
     return extreme
 
 
+def dual_generators_by_rank(constraints, dim):
+    """cones.dual_generators by the rank criterion, the route the library took before.
+
+    The same incremental double description, but a (plus, minus) pair is
+    adjacent iff the processed constraints tight on both have rank dim -
+    dim(lineality) - 2, and the rays are reduced modulo the lineality after
+    every insertion.  Ranks and the reduction use the library's lattice
+    layer, as the old route did, so the canonical representatives agree.
+    """
+    from toricarcs.lattice import LatticeVector, primitive_tuple, quotient_lattice, rank_of
+
+    def canonical_sign(vec):
+        prim = primitive_tuple(vec)[1]
+        first = next(c for c in prim if c)
+        return prim if first > 0 else tuple(-x for x in prim)
+
+    def canonicalized(ray_list):
+        if not lin:
+            out = [primitive_tuple(r)[1] for r in ray_list]
+        else:
+            q = quotient_lattice(dim, [LatticeVector(l, "N") for l in lin])
+            out = [q.lift(primitive_tuple(q.project(LatticeVector(r, "N")).coords)[1]).coords for r in ray_list]
+        return list(dict.fromkeys(out))
+
+    if dim == 0:
+        return (), ()
+    lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays, processed = [], []
+    for a in constraints:
+        a = tuple(a)
+        if not any(a):
+            continue
+        hit = next((i for i, l in enumerate(lin) if dot(a, l) != 0), None)
+        if hit is not None:
+            l0 = lin[hit] if dot(a, lin[hit]) > 0 else tuple(-x for x in lin[hit])
+            d0 = dot(a, l0)
+            new_lin = [
+                canonical_sign([d0 * x - dot(a, l) * y for x, y in zip(l, l0)])
+                for i, l in enumerate(lin)
+                if i != hit
+            ]
+            adjusted = [primitive_tuple([d0 * x - dot(a, r) * y for x, y in zip(r, l0)])[1] for r in rays]
+            lin = new_lin
+            processed.append(a)
+            rays = canonicalized(adjusted + [l0])
+            continue
+        plus = [r for r in rays if dot(a, r) > 0]
+        minus = [r for r in rays if dot(a, r) < 0]
+        new_rays = [r for r in rays if dot(a, r) >= 0]
+        target = dim - len(lin) - 2
+        for rp, rm in itertools.product(plus, minus):
+            common = [c for c in processed if dot(c, rp) == 0 and dot(c, rm) == 0]
+            if target >= 0 and rank_of(common) == target:
+                vp, vm = dot(a, rp), dot(a, rm)
+                new_rays.append(primitive_tuple([vp * x - vm * y for x, y in zip(rm, rp)])[1])
+        processed.append(a)
+        rays = canonicalized(new_rays)
+    return tuple(sorted(rays)), tuple(sorted(lin))
+
+
+def cone_rays_by_rank(gens, dim):
+    """The extreme rays of cone(gens), a generator kept iff the dual rays tight on it have rank dim - 1.
+
+    The span's annihilator counts as tight; gens are made primitive and
+    deduplicated first, as Cone does.
+    """
+    from toricarcs.lattice import primitive_tuple, rank_of
+
+    prims = sorted({primitive_tuple(g)[1] for g in gens if any(g)})
+    dual_rays, dual_lin = dual_generators_by_rank(prims, dim)
+    return tuple(r for r in prims if rank_of(list(dual_lin) + [u for u in dual_rays if dot(r, u) == 0]) == dim - 1)
+
+
 def g_value(ideal_gens, v):
     return min(dot(v, u) for u in ideal_gens)
 

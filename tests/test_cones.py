@@ -1,16 +1,21 @@
+import copy
 import itertools
 import math
+import pickle
 import random
+import re
 import time
 
 import pytest
 
-from conftest import cross_polytope_cone, cube_cone, random_full_cone, simplex_product_cone
+from conftest import counting, cross_polytope_cone, cube_cone, random_full_cone, simplex_product_cone
 from oracles import (
     box_points_where,
     brute_dual_generators,
+    cone_rays_by_rank,
     decomposes_over,
     dot,
+    dual_generators_by_rank,
     face_cone,
     hilbert_by_zonotope_scan,
     in_cone_rational,
@@ -28,6 +33,7 @@ from toricarcs.cones import (
     _triangulation,
     Fan,
     dual_cone,
+    dual_generators,
     faces,
     hilbert_basis_dual,
     hilbert_basis_points,
@@ -37,7 +43,7 @@ from toricarcs.cones import (
     leq_sigma,
     quotient_by_face,
 )
-from toricarcs.ideals import singular_faces
+from toricarcs.ideals import sing_components, singular_faces
 from toricarcs.lattice import nvec, rank_of
 
 
@@ -86,6 +92,92 @@ def test_strong_convexity_rejected():
 def test_non_extreme_generators_dropped():
     c = Cone([(1, 0), (1, 1), (0, 1)])
     assert c.key == ((0, 1), (1, 0))
+    square = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    # (1, 0, 2) is in the relative interior of a facet, (1, 1, 2) in the interior
+    assert Cone(square + [(1, 0, 2), (1, 1, 2)]).key == tuple(square)
+    # (1, 2, 0) is redundant in a 2-dim cone of 3-space, whose dual has lineality
+    assert Cone([(1, 0, 0), (0, 1, 0), (1, 2, 0)]).key == ((0, 1, 0), (1, 0, 0))
+
+
+def test_dual_generators_refuses_a_constraint_of_the_wrong_length():
+    for constraint in ((1, 0, 0), (1,)):
+        with pytest.raises(ValueError, match=re.escape(str(list(constraint)))):
+            dual_generators([(0, 1), constraint], 2)
+    with pytest.raises(ValueError):
+        dual_generators([(1,)], 0)
+
+
+def _constraint_lists(rng, count):
+    """Seeded constraint lists in dimensions 1-6, with zero, repeated, negated and redundant rows."""
+    lists = []
+    while len(lists) < count:
+        dim = rng.randint(1, 6)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, dim + 3))]
+        if rows and rng.random() < 0.3:
+            rows.append(rng.choice(rows))
+        if rows and rng.random() < 0.3:
+            rows.append(tuple(-x for x in rng.choice(rows)))
+        if len(rows) > 1 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            rows.append(tuple(rng.randint(1, 2) * x + y for x, y in zip(a, b)))
+        if rng.random() < 0.2:
+            rows.append((0,) * dim)
+        rng.shuffle(rows)
+        lists.append((rows, dim))
+    return lists
+
+
+def test_dual_generators_and_cone_rays_match_the_rank_oracle():
+    # the tight-set route against the rank criterion it replaced, on the
+    # constraints and, where they span a strongly convex cone, on the same
+    # rows read as generators
+    cones = 0
+    for rows, dim in _constraint_lists(random.Random(1996), 2000):
+        assert dual_generators(rows, dim) == dual_generators_by_rank(rows, dim), (rows, dim)
+        try:
+            c = Cone(rows, dim)
+        except ValueError:
+            dual_rays, dual_lin = dual_generators_by_rank(rows, dim)
+            assert rank_of(dual_rays + dual_lin) < dim, (rows, dim)
+            continue
+        assert c.key == cone_rays_by_rank(rows, dim), (rows, dim)
+        cones += 1
+    assert cones > 500
+
+
+def test_key_is_built_once_and_survives_copy_and_pickle():
+    c = Cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2)])
+    assert c.key is c.key and c.key == tuple(r.coords for r in c.rays)
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert twin == c and hash(twin) == hash(c) and twin.key == c.key
+    with pytest.raises(AttributeError):
+        c.key = ()
+
+
+# a lower-dimensional chart, a non-simplicial one and the 4-cube cone
+_COUNTED_CHARTS = [
+    [(1, 0, 0), (1, 2, 0)],
+    [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
+    [x + (1,) for x in itertools.product((0, 1), repeat=4)],
+]
+
+
+@pytest.mark.parametrize("gens", _COUNTED_CHARTS, ids=["lower", "square", "4-cube"])
+def test_faces_are_read_off_tight_sets_with_one_rank_at_the_root(monkeypatch, gens):
+    import toricarcs.cones as cones
+
+    ranks = counting(monkeypatch, cones, "rank_of")
+    quotients = counting(monkeypatch, cones, "quotient_lattice")
+    c = Cone(gens)
+    assert len(ranks) == 1
+    del ranks[:], quotients[:]
+    cones.dual_generators(gens, len(gens[0]))
+    assert ranks == [] and len(quotients) <= 1
+    _triangulation(c.key, (c.tight_ray_indices(u) for u in c.dual_rays))
+    assert len(ranks) == 1
+    smallest = counting(monkeypatch, Cone, "smallest_face_containing")
+    sing_components(c)
+    assert smallest == []
 
 
 def test_cone_dim_is_rank_of_rays():
