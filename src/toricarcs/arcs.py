@@ -12,6 +12,7 @@ deformation families verified by truncated power-series arithmetic.
 
 from __future__ import annotations
 
+from operator import index, le
 from typing import Mapping, Sequence
 
 from .cones import (
@@ -30,11 +31,12 @@ from .lattice import (
     Infinite,
     LatticeVector,
     QuotientLattice,
+    _checked,
+    _dot,
     _Record,
     _set,
     _within_budget,
     is_finite,
-    pairing,
     row_hermite,
     solve_linear,
 )
@@ -90,7 +92,13 @@ def _maximal_cones(ambient) -> tuple[Cone, ...]:
 
 def _charts_over(ambient, face: FaceRef) -> tuple[Cone, ...]:
     """The maximal cones of the ambient that contain every ray of the face."""
-    return tuple(c for c in _maximal_cones(ambient) if all(c.contains(r) for r in face.rays))
+    cones = _maximal_cones(ambient)
+    return tuple(c for c in cones if all(_dot(r, u) >= 0 for r in face.key for u in c._dual_keys))
+
+
+def _finite(face: FaceRef, keys) -> list[int]:
+    """The positions of the characters in keys that vanish on the face: where its orbits are finite."""
+    return [k for k, u in enumerate(keys) if not any(_dot(r, u) for r in face.key)]
 
 
 class OrbitLabel(_Record):
@@ -112,7 +120,9 @@ class OrbitLabel(_Record):
     def __init__(self, ambient, face: FaceRef, point: Sequence[int]):
         _set(self, "ambient", ambient)
         _set(self, "face", face)
-        _set(self, "point", tuple(map(int, point)))
+        _set(self, "point", tuple(map(index, point)))
+        if face.parent.dim_ambient != _maximal_cones(ambient)[0].dim_ambient:
+            raise ValueError("the stratum and the ambient lie in lattices of different ranks")
         q = self.quotient
         if len(self.point) != q.quotient_dim:
             raise ValueError(f"point has {len(self.point)} coordinates, expected {q.quotient_dim}")
@@ -120,8 +130,11 @@ class OrbitLabel(_Record):
         charts = _charts_over(ambient, face)
         if not all(is_face_of(face, chart.full_face()) for chart in charts):
             raise ValueError("the stratum is not a face of a chart containing its rays")
-        if not any(all(self.order_at(u) >= 0 for u in c.dual_generator_list()) for c in charts):
-            raise ValueError("point lies in no chart's image cone for this stratum")
+        for c in charts:
+            values = self._hom(c._dual_keys)
+            if all(values[k] >= 0 for k in _finite(face, c._dual_keys)):
+                return
+        raise ValueError("point lies in no chart's image cone for this stratum")
 
     @classmethod
     def _from_image(cls, ambient, face: FaceRef, point: tuple[int, ...]) -> "OrbitLabel":
@@ -149,9 +162,13 @@ class OrbitLabel(_Record):
 
     def order_at(self, u: LatticeVector):
         """The orbit's hom at u: INF unless u vanishes on the face, else u at the point lifted to N."""
-        if any(pairing(r, u) for r in self.face.rays):
-            return INF
-        return pairing(self._lift, u)
+        y = _checked(u, M_SIDE, self._lift.dim)
+        return INF if any(_dot(r, y) for r in self.face.key) else _dot(self._lift.coords, y)
+
+    def _hom(self, keys) -> list[int]:
+        """u at the point lifted to N for each u of keys: order_at wherever u vanishes on the face."""
+        lift = self._lift.coords
+        return [_dot(lift, u) for u in keys]
 
     def __repr__(self) -> str:
         return f"OrbitLabel(stratum={[list(r) for r in self.face.key]}, v={list(self.point)})"
@@ -205,7 +222,7 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
     for g, v in zip(gens, values):
         if is_finite(v):
             continue
-        if all(pairing(r, g) == 0 for r in tau.rays):
+        if not any(_dot(r, g.coords) for r in tau.key):
             raise ValueError(
                 f"inconsistent values: generator {g.coords} lies in the "
                 "finiteness face but is assigned INF"
@@ -282,11 +299,6 @@ def cylinder_level(o: OrbitLabel) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _below(lower, upper) -> bool:
-    """0 <= lower <= upper pointwise, INF above every integer: one hom below another on a chart."""
-    return all(0 <= a <= b for a, b in zip(lower, upper))
-
-
 def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
     """The charts that show o1 dominating o2; see dominates."""
     if o1.ambient != o2.ambient:
@@ -294,9 +306,11 @@ def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
     if not is_face_of(o1.face, o2.face):
         return
     for chart in _charts_over(o1.ambient, o2.face):
-        gens = chart.dual_generator_list()
-        if _below(map(o1.order_at, gens), map(o2.order_at, gens)):
-            yield chart
+        keys = chart._dual_keys
+        a, b = o1._hom(keys), o2._hom(keys)
+        if all(a[k] >= 0 for k in _finite(o1.face, keys)):
+            if all(a[k] <= b[k] for k in _finite(o2.face, keys)):
+                yield chart
 
 
 def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
@@ -314,6 +328,8 @@ def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
     and o1 <= o2 is a wall inequality of the difference; on the others o2
     is INF.  Likewise 0 <= o1 reads the walls of the image in N_tau.
     Labels over charts sharing no maximal cone are never comparable.
+    It runs on ints: o2 is finite only where u vanishes on gamma, hence on
+    tau, so it reads o1 >= 0 where o1 is finite and o1 <= o2 where o2 is.
     """
     return next(_dominance_charts(o1, o2), None) is not None
 
@@ -361,13 +377,13 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     first; before the faces are walked, a simplicial maximal cone with k
     rays is weighed by its 2^k faces.  Once the nodes are scanned:
       - each node's hom is read once per chart over its stratum, one
-        order_at per dual generator of the chart;
+        product per dual generator of the chart, and checked >= 0 once;
       - the strata are paired by one subset test of their ray sets,
         at most 512^2 tests;
-      - each gamma-node b and chart over gamma is compared with the nodes
-        of the strata inside gamma; the pairs (b, chart) number at most
-        the box sum, so there are at most 512 * n <= 512^2 comparisons of
-        two value tuples;
+      - each gamma-node b and chart over gamma is compared with the
+        nonnegative nodes of the strata inside gamma: the pairs (b, chart)
+        number at most the box sum, so at most 512 * n <= 512^2 int
+        comparisons, read where b is finite (see dominates);
       - (i, j) is a cover iff no node lies above i and below j: one AND
         of the n-bit sets above i and below j per related pair.
     """
@@ -387,32 +403,32 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     box = sum(len(charts) * (2 * bound + 1) ** q.quotient_dim for _, q, charts in plan)
     _within_budget(box, MAX_POSET_BOX_POINTS, doing, "box points")
     nodes: list[OrbitLabel] = []
-    groups = []  # per stratum: its rays, its node indices, and their homs on each chart over it
+    groups = []  # per stratum: its rays; per chart, finite positions, all (node, hom) and those >= 0
     for face, q, charts in plan:
         box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim
+        finite = {chart: _finite(face, chart._dual_keys) for chart in charts}
         points = set()
-        for chart in charts:
-            walls = [
-                (q.push_dual(u).coords, 0)
-                for u in chart.dual_generator_list()
-                if not any(pairing(r, u) for r in face.rays)
-            ]
+        for chart, positions in finite.items():
+            duals = chart.dual_generator_list()
+            walls = [(q.push_dual(duals[k]).coords, 0) for k in positions]
             points.update(lattice_points_where(walls, box_lo, box_hi))
         labels = [OrbitLabel._from_image(ambient, face, p) for p in sorted(points)]
         homs = {}
-        for chart in charts:
-            gens = chart.dual_generator_list()
-            homs[chart] = [tuple(map(o.order_at, gens)) for o in labels]
-        groups.append((frozenset(face.key), range(len(nodes), len(nodes) + len(labels)), homs))
+        for chart, positions in finite.items():
+            rows = [(i, o._hom(chart._dual_keys)) for i, o in enumerate(labels, len(nodes))]
+            homs[chart] = positions, rows, [(i, v) for i, v in rows if all(v[k] >= 0 for k in positions)]
+        groups.append((frozenset(face.key), homs))
         nodes += labels
     relation = set()
-    for tau, lows, low_homs in groups:
-        for gamma, highs, high_homs in groups:
+    for tau, low_homs in groups:
+        for gamma, high_homs in groups:
             if not tau <= gamma:
                 continue
-            for chart, values in high_homs.items():
-                for j, b in zip(highs, values):
-                    relation.update((i, j) for i, a in zip(lows, low_homs[chart]) if i != j and _below(a, b))
+            for chart, (positions, highs, _) in high_homs.items():
+                lows = [(i, [v[k] for k in positions]) for i, v in low_homs[chart][2]]
+                for j, v in highs:
+                    b = [v[k] for k in positions]
+                    relation.update((i, j) for i, a in lows if i != j and all(map(le, a, b)))
     up, down = [0] * len(nodes), [0] * len(nodes)
     for i, j in relation:
         up[i] |= 1 << j

@@ -7,6 +7,11 @@ then combining adjacent rays across the new wall.  A face is its tight set,
 so adjacency, extremality and the facets of the triangulation are all read
 by set inclusion on tight sets, with no rank test per pair, ray or facet.
 
+Inputs are checked once, at the public boundary: generators through
+operator.index, and the argument of contains, tight_ray_indices and
+smallest_face_containing with _checked.  Then _dot works on int tuples
+built once per object: Cone.key, Cone._dual_keys and FaceRef.key.
+
 On top of that sit face lattices, the smoothness test, the pulling
 triangulation, lattice points of parallelepipeds, Hilbert bases of pointed
 lattice semigroups, cone-order comparisons, quotients by faces, and the
@@ -20,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import le
+from operator import index, le
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import (
@@ -28,10 +33,11 @@ from .lattice import (
     N_SIDE,
     LatticeVector,
     QuotientLattice,
+    _checked,
+    _dot,
     _Record,
     _set,
     _within_budget,
-    pairing,
     primitive_tuple,
     quotient_lattice,
     rank_of,
@@ -56,10 +62,6 @@ __all__ = [
     "lattice_points_where",
     "dual_generators",
 ]
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _neg(a: Sequence[int]) -> tuple[int, ...]:
@@ -103,7 +105,7 @@ def dual_generators(
     rays: list[tuple[tuple[int, ...], int]] = []  # (ray, bitmask of the processed rows zero on it)
     bit = 1
     for raw in constraints:
-        a = tuple(int(x) for x in raw)
+        a = tuple(map(index, raw))
         if len(a) != dim:
             raise ValueError(f"constraint {list(a)} has length {len(a)}, not {dim}")
         if not any(a):
@@ -151,12 +153,13 @@ class Cone(_Record):
     cached, so all later membership tests are pure integer arithmetic.
     """
 
-    __slots__ = ("dim_ambient", "key", "rays", "dual_rays", "span_normals", "_faces", "_hilbert")
+    __slots__ = ("dim_ambient", "key", "rays", "dual_rays", "span_normals",
+                 "_dual_keys", "_duals", "_faces", "_hilbert")  # _dual_keys: dual_generator_list() coords
 
     def __init__(self, rays: Iterable, dim_ambient: int | None = None):
         ray_tuples: list[tuple[int, ...]] = []
         for r in rays:
-            coords = tuple(r.coords) if isinstance(r, LatticeVector) else tuple(int(x) for x in r)
+            coords = r.coords if isinstance(r, LatticeVector) else tuple(map(index, r))
             if dim_ambient is None:
                 dim_ambient = len(coords)
             if len(coords) != dim_ambient:
@@ -187,8 +190,9 @@ class Cone(_Record):
         _set(self, "rays", tuple(LatticeVector(r, N_SIDE) for r in extreme))
         _set(self, "dual_rays", tuple(LatticeVector(u, M_SIDE) for u in dual_rays))
         _set(self, "span_normals", tuple(LatticeVector(l, M_SIDE) for l in dual_lin))
-        _set(self, "_faces", None)
-        _set(self, "_hilbert", None)
+        _set(self, "_dual_keys", tuple(sorted(dual_rays + dual_lin + tuple(map(_neg, dual_lin)))))
+        for name in ("_duals", "_faces", "_hilbert"):
+            _set(self, name, None)
 
     # -- identity ---------------------------------------------------------
 
@@ -219,29 +223,23 @@ class Cone(_Record):
         return self.dim == self.dim_ambient
 
     def dual_generator_list(self) -> tuple[LatticeVector, ...]:
-        """Generators of the dual cone; lineality contributes +/- pairs."""
-        gens = list(self.dual_rays) + [
-            LatticeVector(s, M_SIDE)
-            for l in self.span_normals
-            for s in (l.coords, _neg(l.coords))
-        ]
-        return tuple(sorted(gens, key=lambda u: u.coords))
+        """Generators of the dual cone, sorted and built once; lineality contributes +/- pairs."""
+        if self._duals is None:
+            have = {u.coords: u for u in self.dual_rays + self.span_normals}
+            _set(self, "_duals", tuple(have.get(u) or LatticeVector(u, M_SIDE) for u in self._dual_keys))
+        return self._duals
 
     def halfspace_data(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """(normal, 0) pairs cutting out the cone, for point enumeration."""
-        return tuple((u.coords, 0) for u in self.dual_generator_list())
+        return tuple((u, 0) for u in self._dual_keys)
 
     def contains(self, v: LatticeVector) -> bool:
-        if v.side != N_SIDE:
-            raise ValueError("cone membership is for N-side vectors")
-        if v.dim != self.dim_ambient:
-            raise ValueError("dimension mismatch")
-        return all(pairing(v, u) >= 0 for u in self.dual_rays) and all(
-            pairing(v, l) == 0 for l in self.span_normals
-        )
+        x = _checked(v, N_SIDE, self.dim_ambient)
+        return all(_dot(x, u) >= 0 for u in self._dual_keys)
 
     def tight_ray_indices(self, u: LatticeVector) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.rays) if pairing(r, u) == 0)
+        y = _checked(u, M_SIDE, self.dim_ambient)
+        return tuple(i for i, r in enumerate(self.key) if not _dot(r, y))
 
     # -- faces --------------------------------------------------------------
 
@@ -274,18 +272,20 @@ class Cone(_Record):
 
     def smallest_face_containing(self, vectors: Sequence[LatticeVector]) -> "FaceRef":
         """The rays on every dual ray tight at all the vectors, without the face lattice."""
-        for v in vectors:
-            if not self.contains(v):
-                raise ValueError("vector outside the cone has no containing face")
-        tight = [u.coords for u in self.dual_rays if not any(_dot(v.coords, u.coords) for v in vectors)]
-        indices = (i for i, r in enumerate(self.key) if not any(_dot(r, u) for u in tight))
-        return FaceRef(self, indices)
+        if not all(map(self.contains, vectors)):
+            raise ValueError("vector outside the cone has no containing face")
+        return self._face_at([v.coords for v in vectors])
+
+    def _face_at(self, points: Sequence[tuple[int, ...]]) -> "FaceRef":
+        """smallest_face_containing for the coordinates of points of the cone, unchecked."""
+        tight = [u for u in self._dual_keys if not any(_dot(x, u) for x in points)]
+        return FaceRef(self, (i for i, r in enumerate(self.key) if not any(_dot(r, u) for u in tight)))
 
     # -- Hilbert basis of the cone's own semigroup ----------------------------
 
     def hilbert_basis(self) -> tuple[LatticeVector, ...]:
         if self._hilbert is None:
-            basis = _hilbert_of_pointed(self.key, [a for a, _ in self.halfspace_data()])
+            basis = _hilbert_of_pointed(self.key, self._dual_keys)
             _set(self, "_hilbert", tuple(LatticeVector(b, N_SIDE) for b in basis))
         return self._hilbert
 
@@ -312,13 +312,14 @@ def _face_keys(tight_sets: Iterable[Iterable[int]], nrays: int) -> set[frozenset
 
 
 class FaceRef(_Record):
-    """A face of a parent cone, addressed by the spanning ray indices."""
+    """A face of a parent cone, addressed by the spanning ray indices; key is built once."""
 
-    __slots__ = {"parent": "Cone", "indices": "tuple[int, ...]"}
+    __slots__ = {"parent": "Cone", "indices": "tuple[int, ...]", "_key": "the rays' coordinates"}
 
     def __init__(self, parent: Cone, indices: Iterable[int]):
         _set(self, "parent", parent)
-        _set(self, "indices", tuple(sorted(map(int, indices))))
+        _set(self, "indices", tuple(sorted(map(index, indices))))
+        _set(self, "_key", tuple(parent.key[i] for i in self.indices))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -335,7 +336,7 @@ class FaceRef(_Record):
 
     @property
     def key(self) -> tuple:
-        return tuple(r.coords for r in self.rays)
+        return self._key
 
     @property
     def is_zero(self) -> bool:
@@ -608,10 +609,7 @@ def quotient_by_face(c: Cone, f: FaceRef) -> FaceQuotient:
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:
     if c1.dim_ambient != c2.dim_ambient:
         raise ValueError("ambient dimension mismatch")
-    constraints = [u.coords for u in c1.dual_generator_list()] + [
-        u.coords for u in c2.dual_generator_list()
-    ]
-    rays, lin = dual_generators(constraints, c1.dim_ambient)
+    rays, lin = dual_generators(c1._dual_keys + c2._dual_keys, c1.dim_ambient)
     if lin:
         raise ValueError("intersection of strongly convex cones acquired a line")
     return Cone(rays, c1.dim_ambient)
@@ -689,4 +687,4 @@ def is_face_of(sub: FaceRef, sup: FaceRef) -> bool:
     """
     if not set(sub.key) <= set(sup.key):
         return False
-    return sub.is_zero or sup.parent.smallest_face_containing(sub.rays).key == sub.key
+    return sub.is_zero or sup.parent._face_at(sub.key).key == sub.key

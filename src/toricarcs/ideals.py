@@ -94,7 +94,7 @@ def monomial_ideal(chart: Cone, exponents: Iterable) -> MonomialIdeal:
     """
     gens: list[LatticeVector] = []
     for e in exponents:
-        u = e if isinstance(e, LatticeVector) else LatticeVector(tuple(int(x) for x in e), M_SIDE)
+        u = e if isinstance(e, LatticeVector) else LatticeVector(tuple(e), M_SIDE)
         if u.side != M_SIDE:
             raise ValueError("ideal exponents are M-side vectors")
         if u.dim != chart.dim_ambient:
@@ -121,7 +121,7 @@ def order_function(a: MonomialIdeal, v) -> int:
     if isinstance(v, OrbitLabel):
         return min(v.order_at(u) for u in a.generators)
     if not isinstance(v, LatticeVector):
-        v = LatticeVector(tuple(int(x) for x in v), N_SIDE)
+        v = LatticeVector(tuple(v), N_SIDE)
     if not a.chart.contains(v):
         raise ValueError(f"{tuple(v.coords)} is not in the chart cone")
     return min(pairing(v, u) for u in a.generators)
@@ -340,7 +340,7 @@ def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
     taken one Hilbert step at a time without leaving the level set.
     """
     _check_level(p)
-    vec = v if isinstance(v, LatticeVector) else LatticeVector(tuple(int(x) for x in v), N_SIDE)
+    vec = v if isinstance(v, LatticeVector) else LatticeVector(tuple(v), N_SIDE)
     if not a.chart.contains(vec):
         raise ValueError(f"{tuple(vec.coords)} is not in the chart cone")
     if order_function(a, vec) != p:
@@ -527,7 +527,7 @@ class ToricValuation(_Record):
 
 
 def toric_valuation(chart: Cone, v) -> ToricValuation:
-    vec = v if isinstance(v, LatticeVector) else LatticeVector(tuple(int(x) for x in v), N_SIDE)
+    vec = v if isinstance(v, LatticeVector) else LatticeVector(tuple(v), N_SIDE)
     if vec.is_zero():
         raise ValueError("the zero vector defines no valuation")
     if not chart.contains(vec):
@@ -545,11 +545,7 @@ def toric_valuation_eval(val: ToricValuation, f: Sequence[tuple]) -> int:
     for coeff, exponent in f:
         if coeff == 0:
             raise ValueError("support coefficients must be nonzero")
-        u = (
-            exponent
-            if isinstance(exponent, LatticeVector)
-            else LatticeVector(tuple(int(x) for x in exponent), M_SIDE)
-        )
+        u = exponent if isinstance(exponent, LatticeVector) else LatticeVector(tuple(exponent), M_SIDE)
         if not _in_dual(val.chart, u):
             raise ValueError(f"exponent {u.coords} is outside the dual semigroup")
         orders.append(pairing(v, u))

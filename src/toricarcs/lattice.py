@@ -12,12 +12,18 @@ and exact linear solving eliminates the augmented matrix and
 back-substitutes in fractions.Fraction, the only rational step.
 Quotient lattices by a saturated subspace are built from the Hermite
 transform so that projections are reproducible across runs.
+
+The checks live at the public boundary: LatticeVector and lift take
+coordinates through operator.index, so a non-integer raises TypeError, and
+pairing, project and push_dual check side and dimension with _checked.
+Internal loops take _dot on the plain int tuples, with no pairing call.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index, mul
 from typing import Iterator, Sequence
 
 N_SIDE = "N"
@@ -104,6 +110,21 @@ INF = Infinite()
 
 def is_finite(value) -> bool:
     return not isinstance(value, Infinite)
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _checked(v, side: str, dim: int) -> tuple[int, ...]:
+    """The coordinates of v, refused unless v is a LatticeVector of the given side and dimension."""
+    if not isinstance(v, LatticeVector):
+        raise TypeError(f"expected a LatticeVector, got {v!r}")
+    if v.side != side:
+        raise ValueError(f"expected an {side}-side vector, got an {v.side}-side one")
+    if v.dim != dim:
+        raise ValueError(f"dimension mismatch: {v.dim} vs {dim}")
+    return v.coords
 
 
 def _within_budget(work: int, budget: int, doing: str, unit: str) -> None:
@@ -195,7 +216,7 @@ class LatticeVector(_Record):
         # a method of its own: perfbench/tracer.py wraps it to count constructions
         if self.side not in (N_SIDE, M_SIDE):
             raise ValueError(f"side must be {N_SIDE!r} or {M_SIDE!r}, got {self.side!r}")
-        _set(self, "coords", tuple(map(int, self.coords)))
+        _set(self, "coords", tuple(map(index, self.coords)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -256,13 +277,9 @@ def mvec(*coords: int) -> LatticeVector:
 
 def pairing(v: LatticeVector, u: LatticeVector) -> int:
     """Canonical pairing of an N-side with an M-side vector, exactly."""
-    if not isinstance(v, LatticeVector) or not isinstance(u, LatticeVector):
-        raise TypeError("pairing expects two LatticeVectors")
-    if v.side == u.side:
-        raise ValueError("pairing requires one N-side and one M-side vector")
-    if v.dim != u.dim:
-        raise ValueError(f"dimension mismatch: {v.dim} vs {u.dim}")
-    return sum(a * b for a, b in zip(v.coords, u.coords))
+    if not isinstance(v, LatticeVector):
+        raise TypeError(f"pairing expects two LatticeVectors, got {v!r}")
+    return _dot(v.coords, _checked(u, M_SIDE if v.side == N_SIDE else N_SIDE, v.dim))
 
 
 def primitive_tuple(coords: Sequence[int]) -> tuple[int, int, ...]:
@@ -408,37 +425,21 @@ class QuotientLattice(_Record):
         return len(self.projection_matrix)
 
     def project(self, v: LatticeVector) -> LatticeVector:
-        if v.side != N_SIDE:
-            raise ValueError("only N-side vectors live in the quotient lattice")
-        if v.dim != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        coords = tuple(sum(r * c for r, c in zip(row, v.coords)) for row in self.projection_matrix)
-        return LatticeVector(coords, N_SIDE)
+        coords = _checked(v, N_SIDE, self.ambient_dim)
+        return LatticeVector(tuple(_dot(row, coords) for row in self.projection_matrix), N_SIDE)
 
     def lift(self, w) -> LatticeVector:
-        coords = tuple(w.coords) if isinstance(w, LatticeVector) else tuple(int(c) for c in w)
+        coords = w.coords if isinstance(w, LatticeVector) else tuple(map(index, w))
         if len(coords) != self.quotient_dim:
             raise ValueError("dimension mismatch")
-        out = tuple(
-            sum(self.section_matrix[i][j] * coords[j] for j in range(self.quotient_dim))
-            for i in range(self.ambient_dim)
-        )
-        return LatticeVector(out, N_SIDE)
+        return LatticeVector(tuple(_dot(row, coords) for row in self.section_matrix), N_SIDE)
 
     def push_dual(self, u: LatticeVector) -> LatticeVector:
         """Coordinates of a character orthogonal to the subspace, downstairs."""
-        if u.side != M_SIDE:
-            raise ValueError("push_dual expects an M-side vector")
-        if u.dim != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        for b in self.subspace_basis:
-            if pairing(b, u) != 0:
-                raise ValueError("character does not vanish on the subspace")
-        coords = tuple(
-            sum(self.section_matrix[i][j] * u.coords[i] for i in range(self.ambient_dim))
-            for j in range(self.quotient_dim)
-        )
-        return LatticeVector(coords, M_SIDE)
+        coords = _checked(u, M_SIDE, self.ambient_dim)
+        if any(_dot(b.coords, coords) for b in self.subspace_basis):
+            raise ValueError("character does not vanish on the subspace")
+        return LatticeVector(tuple(_dot(col, coords) for col in zip(*self.section_matrix)), M_SIDE)
 
 
 def quotient_lattice(ambient_dim: int, generators: Sequence[LatticeVector]) -> QuotientLattice:

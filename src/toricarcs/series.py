@@ -10,6 +10,7 @@ for generic lambda (lambda kept symbolic) and the t-order at lambda = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Mapping
 
 from .lattice import _Record, _set
@@ -32,7 +33,7 @@ class TruncatedSeries(_Record):
             raise ValueError("t_precision must be positive")
         clean: dict[tuple[int, int], Fraction] = {}
         for (td, ld), coeff in terms.items():
-            td, ld = int(td), int(ld)
+            td, ld = index(td), index(ld)
             if td < 0 or ld < 0:
                 raise ValueError("negative exponent: not a power series")
             c = Fraction(coeff)

@@ -34,9 +34,22 @@ def quadrant():
     return Cone([(1, 0), (0, 1)])
 
 
+# Most draws a rejection sampler of the suite makes before it raises.  The
+# samplers run while test modules are collected, so a fault that makes every
+# draw fail (say, Cone dropping rays) must end them, not hang the suite; the
+# seeded draws of the suite need at most a few dozen each.
+MAX_DRAWS = 1000
+
+
+def draws(sampler: str):
+    """The draws of a rejection sampler: MAX_DRAWS of them, then a RuntimeError naming it."""
+    yield from range(MAX_DRAWS)
+    raise RuntimeError(f"{sampler}: no accepted draw finished it in {MAX_DRAWS} draws")
+
+
 def random_full_cone(rng: random.Random, dim: int, spread: int = 3) -> Cone:
-    """A random strongly convex full-dimensional cone, rejection-sampled."""
-    while True:
+    """A random strongly convex full-dimensional cone, rejection-sampled; see draws."""
+    for _ in draws("random_full_cone"):
         count = rng.randint(dim, dim + 2)
         gens = [tuple(rng.randint(-spread, spread) for _ in range(dim)) for _ in range(count)]
         try:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import counting, random_smooth_cone
+from conftest import MAX_DRAWS, counting, draws, random_full_cone, random_smooth_cone
 from oracles import (
     dominates_by_hom_order,
     dominates_by_image_cones,
@@ -673,10 +673,12 @@ ORACLE_FANS = [
 
 def _random_ambients(seed=14, count=10):
     """Seeded random cones in Z^2..Z^4 with 1 to dim + 1 generators, so
-    lower-dimensional ones among them."""
+    lower-dimensional ones among them; see draws."""
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    for _ in draws("_random_ambients"):
+        if len(out) == count:
+            return out
         dim = rng.choice([2, 3, 4])
         gens = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, dim + 1))]
         try:
@@ -685,7 +687,6 @@ def _random_ambients(seed=14, count=10):
             continue
         if cone.rays:
             out.append(pytest.param(cone, 1, id=f"random_{len(out)}"))
-    return out
 
 
 LOWER_DIMENSIONAL = [
@@ -777,15 +778,16 @@ def test_orbit_poset_reads_each_hom_once_per_chart_and_calls_no_pairwise_test(am
 
     dominance_tests = counting(monkeypatch, arcs, "dominates")
     face_tests = counting(monkeypatch, arcs, "is_face_of")
-    reads = counting(monkeypatch, OrbitLabel, "order_at")
+    reads = counting(monkeypatch, OrbitLabel, "_hom")
     poset = orbit_poset(ambient, 1)
     assert dominance_tests == [] and face_tests == [] and poset.relation
     charts = ambient.maximal_cones if isinstance(ambient, Fan) else (ambient,)
     strata = {}
     for node in poset.nodes:
         strata.setdefault(node.face, []).append(node)
+    # one read of a node's whole hom per chart over its stratum
     budget = sum(
-        len(labels) * sum(len(c.dual_generator_list()) for c in charts if all(map(c.contains, face.rays)))
+        len(labels) * sum(1 for c in charts if all(map(c.contains, face.rays)))
         for face, labels in strata.items()
     )
     assert 0 < len(reads) <= budget
@@ -829,3 +831,54 @@ def test_order_at_refuses_a_bad_character_on_the_zero_face(a1):
     for bad in [nvec(2, -1), mvec(2, -1, 0)]:
         with pytest.raises(ValueError):
             label.order_at(bad)
+
+
+def _refuse(gens, dim=None):
+    raise ValueError("every draw fails")
+
+
+def _no_rays(gens, dim=None):
+    return cones.Cone([], dim)  # cones.Cone: the test patches this module's Cone
+
+
+@pytest.mark.parametrize("fake", [_refuse, _no_rays], ids=["raises", "drops_every_ray"])
+def test_random_samplers_raise_a_named_error_instead_of_hanging(fake, monkeypatch):
+    for sampler in (random_full_cone, _random_ambients):
+        monkeypatch.setitem(sampler.__globals__, "Cone", fake)
+    with pytest.raises(RuntimeError, match=f"^random_full_cone: .* {MAX_DRAWS} draws"):
+        random_full_cone(random.Random(0), 3)
+    with pytest.raises(RuntimeError, match=f"^_random_ambients: .* {MAX_DRAWS} draws"):
+        _random_ambients()
+
+
+@pytest.mark.parametrize(
+    "ambient", [ORACLE_FANS[0].values[0], LOWER_DIMENSIONAL[1].values[0]], ids=["conifold_fan", "a1_in_z3"]
+)
+def test_orbit_hot_paths_make_no_pairing_call_and_build_each_key_once(ambient, monkeypatch):
+    import toricarcs
+
+    modules = [toricarcs] + [getattr(toricarcs, m) for m in ("lattice", "cones", "arcs", "ideals")]
+    pairings = [counting(monkeypatch, m, "pairing") for m in modules if hasattr(m, "pairing")]
+    charts = ambient.maximal_cones if isinstance(ambient, Fan) else (ambient,)
+    nodes = orbit_poset(ambient, 1).nodes
+    assert [orbit_label(ambient, n.face, n.point) for n in nodes] == list(nodes)
+    assert any(dominates(a, b) for a in nodes for b in nodes if a != b)
+    assert sum(map(len, pairings)) == 0
+    for chart in charts:
+        assert chart.dual_generator_list() is chart.dual_generator_list()
+    assert all(n.face.key is n.face.key for n in nodes)
+    # the public order_at still reads the same hom, through its checks
+    zero = nodes[0]
+    assert [zero.order_at(u) for u in charts[0].dual_generator_list()] == zero._hom(charts[0]._dual_keys)
+
+
+def test_orbit_label_refuses_a_non_integer_point_and_a_stratum_of_another_rank():
+    # int() would truncate: (1.7, 2.2) used to be the point (1, 2)
+    c = Cone([(1, 0), (1, 2)])
+    with pytest.raises(TypeError):
+        orbit_label(c, c.zero_face(), (1.7, 2.2))
+    assert orbit_label(c, c.zero_face(), (1, 2)).point == (1, 2)
+    # the hom reads zip int tuples, so the ranks are compared before any is read
+    orthant = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="different ranks"):
+        orbit_label(c, orthant.zero_face(), (1, 1, 1))

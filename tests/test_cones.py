@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import counting, cross_polytope_cone, cube_cone, random_full_cone, simplex_product_cone
+from conftest import counting, cross_polytope_cone, cube_cone, draws, random_full_cone, simplex_product_cone
 from oracles import (
     box_points_where,
     brute_dual_generators,
@@ -26,8 +26,10 @@ from oracles import (
     triangulation_faults,
 )
 
+from toricarcs.arcs import OrbitLabel, orbit_label
 from toricarcs.cones import (
     Cone,
+    FaceRef,
     _minimal,
     _parallelepiped,
     _triangulation,
@@ -145,13 +147,32 @@ def test_dual_generators_and_cone_rays_match_the_rank_oracle():
     assert cones > 500
 
 
+def _twins(record):
+    return copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
+
+
 def test_key_is_built_once_and_survives_copy_and_pickle():
     c = Cone([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2)])
     assert c.key is c.key and c.key == tuple(r.coords for r in c.rays)
-    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+    for twin in _twins(c):
         assert twin == c and hash(twin) == hash(c) and twin.key == c.key
     with pytest.raises(AttributeError):
         c.key = ()
+    assert c.dual_generator_list() is c.dual_generator_list()
+    assert [u.coords for u in c.dual_generator_list()] == sorted(u.coords for u in c.dual_rays)
+    # FaceRef and OrbitLabel keep their caches in _x slots: the fields, equality and reduction are as before
+    edge = next(f for f in c.faces() if len(f.indices) == 2)
+    assert edge.key is edge.key and edge.key == tuple(r.coords for r in edge.rays)
+    assert edge.__reduce__() == (FaceRef, (c, edge.indices))
+    for twin in _twins(edge):
+        assert twin == edge and hash(twin) == hash(edge) and twin.key == edge.key
+    with pytest.raises(AttributeError):
+        edge._key = ()
+    for label in (orbit_label(c, c.zero_face(), (1, 1, 3)), orbit_label(c, edge, (0,))):
+        assert label.__reduce__() == (OrbitLabel, (c, label.face, label.point))
+        for twin in _twins(label):
+            assert twin == label and hash(twin) == hash(label) and twin._lift == label._lift
+            assert twin.face.key == label.face.key
 
 
 # a lower-dimensional chart, a non-simplicial one and the 4-cube cone
@@ -325,7 +346,9 @@ def _hilbert_scan_cones():
     cones = [Cone([(1, 0), (1, n + 1)]) for n in range(1, 17)]
     # the seeded random 3D charts of the sing zonotope-scan test
     rng = random.Random(5)
-    while len(cones) < 22:
+    for _ in draws("_hilbert_scan_cones"):
+        if len(cones) == 22:
+            break
         cone = random_full_cone(rng, 3, spread=2)
         if singular_faces(cone):
             cones.append(cone)
@@ -343,6 +366,13 @@ def _hilbert_scan_cones():
         Cone([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 3, 0)]),
     ]
     return cones
+
+
+def test_hilbert_scan_cones_raise_a_named_error_instead_of_hanging(monkeypatch):
+    # a fault that leaves every drawn chart smooth ends the draws at collection
+    monkeypatch.setitem(_hilbert_scan_cones.__globals__, "singular_faces", lambda cone: ())
+    with pytest.raises(RuntimeError, match="^_hilbert_scan_cones: "):
+        _hilbert_scan_cones()
 
 
 @pytest.mark.parametrize("c", _hilbert_scan_cones(), ids=repr)
@@ -742,3 +772,18 @@ def test_lattice_points_where_matches_the_box_filter():
     assert list(lattice_points_where([((0, 0), 1)], [0, 0], [1, 1])) == []
     assert list(lattice_points_where([((0, 0), 0)], [0, 0], [0, 1])) == [(0, 0), (0, 1)]
     assert list(lattice_points_where([((), 1)], [], [])) == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Cone([(1.9, 0), (0, 1)]),
+        lambda: dual_generators([(1, 0.5)], 2),
+        lambda: FaceRef(Cone([(1, 0), (0, 1)]), [0.0]),
+    ],
+    ids=["Cone", "dual_generators", "FaceRef"],
+)
+def test_a_non_integer_input_raises_type_error(build):
+    # int() would truncate: Cone([(1.9, 0), (0, 1)]) used to be the orthant
+    with pytest.raises(TypeError):
+        build()

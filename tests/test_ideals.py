@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import counting, cube_cone, random_full_cone, simplex_product_cone
+from conftest import counting, cube_cone, draws, random_full_cone, simplex_product_cone
 from oracles import (
     brute_contact_minimal,
     brute_sing_minimal,
@@ -522,7 +522,9 @@ def test_sing_components_match_brute_oracle_random_3d():
 def _sing_scan_charts():
     charts = [Cone([(1, 0), (1, n + 1)]) for n in range(1, 17)]
     rng = random.Random(5)
-    while len(charts) < 22:
+    for _ in draws("_sing_scan_charts"):
+        if len(charts) == 22:
+            break
         cone = random_full_cone(rng, 3, spread=2)
         if singular_faces(cone):
             charts.append(cone)
@@ -538,6 +540,13 @@ def _sing_scan_charts():
         Cone([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 3, 0)]),
     ]
     return charts
+
+
+def test_sing_scan_charts_raise_a_named_error_instead_of_hanging(monkeypatch):
+    # a fault that leaves every drawn chart smooth ends the draws at collection
+    monkeypatch.setitem(_sing_scan_charts.__globals__, "singular_faces", lambda cone: ())
+    with pytest.raises(RuntimeError, match="^_sing_scan_charts: "):
+        _sing_scan_charts()
 
 
 @pytest.mark.parametrize("cone", _sing_scan_charts(), ids=repr)
@@ -789,3 +798,24 @@ def test_valuation_agrees_with_arc_order(a1):
     cancel = arc[mvec(0, 1)] - arc[mvec(0, 1)]
     assert toric_valuation_eval(val, [(1, (0, 1)), (-1, (0, 1))]) == 1
     assert cancel.is_zero()
+
+
+_QUADRANT = Cone([(1, 0), (0, 1)])
+_IDEAL = monomial_ideal(_QUADRANT, [(2, 0), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: monomial_ideal(_QUADRANT, [(1.5, 0)]),
+        lambda: order_function(_IDEAL, (2.5, 1)),
+        lambda: is_minimal_in_contact(_IDEAL, 1, (0, 1.0)),
+        lambda: toric_valuation(_QUADRANT, (1, 1.5)),
+        lambda: toric_valuation_eval(toric_valuation(_QUADRANT, (1, 1)), [(1, (0.5, 1))]),
+    ],
+    ids=["monomial_ideal", "order_function", "is_minimal_in_contact", "toric_valuation", "toric_valuation_eval"],
+)
+def test_a_non_integer_point_or_exponent_raises_type_error(call):
+    # int() would truncate: order_function(ideal, (2.5, 1)) used to answer at (2, 1)
+    with pytest.raises(TypeError):
+        call()

@@ -276,3 +276,24 @@ def test_is_smooth_matches_the_minor_criterion():
         assert is_smooth(cone) == want, cone
         seen.add(want)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: nvec(1.5, 2),
+        lambda: mvec(1, 2.0),
+        lambda: LatticeVector(("1", 2), "N"),
+        lambda: quotient_lattice(2, [nvec(1, 0)]).lift((1.7,)),
+    ],
+    ids=["nvec", "mvec", "LatticeVector", "QuotientLattice.lift"],
+)
+def test_a_non_integer_coordinate_raises_type_error(build):
+    # int() would truncate: nvec(1.5, 2) used to be (1, 2)
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_integer_coordinates_of_any_int_type_are_kept():
+    assert nvec(True, 2).coords == (1, 2) and type(nvec(True, 2).coords[0]) is int
+    assert quotient_lattice(2, [nvec(1, 0)]).lift((3,)) == nvec(0, 3)

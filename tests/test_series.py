@@ -73,3 +73,9 @@ def test_order_of_product_adds_when_defined(a, b):
     if oa is None or ob is None or oa + ob >= PREC:
         return
     assert (a * b).t_order_generic() == oa + ob
+
+
+@pytest.mark.parametrize("exponent", [(1.5, 0), (1, 0.0), ("1", 0)])
+def test_a_non_integer_exponent_raises_type_error(exponent):
+    with pytest.raises(TypeError):
+        TruncatedSeries({exponent: 1}, 3)
