@@ -114,7 +114,7 @@ class OrbitLabel(_Record):
         "ambient": "Cone | Fan",
         "face": "FaceRef",
         "point": "tuple[int, ...]",
-        "_lift": "the point lifted to N, an N-side LatticeVector",
+        "_lift": "the point lifted to N, an int tuple",
     }
 
     def __init__(self, ambient, face: FaceRef, point: Sequence[int]):
@@ -126,7 +126,7 @@ class OrbitLabel(_Record):
         q = self.quotient
         if len(self.point) != q.quotient_dim:
             raise ValueError(f"point has {len(self.point)} coordinates, expected {q.quotient_dim}")
-        _set(self, "_lift", q.lift(self.point))
+        _set(self, "_lift", q._section(self.point))
         charts = _charts_over(ambient, face)
         if not all(is_face_of(face, chart.full_face()) for chart in charts):
             raise ValueError("the stratum is not a face of a chart containing its rays")
@@ -143,7 +143,7 @@ class OrbitLabel(_Record):
         _set(label, "ambient", ambient)
         _set(label, "face", face)
         _set(label, "point", point)
-        _set(label, "_lift", label.quotient.lift(point))
+        _set(label, "_lift", label.quotient._section(point))
         return label
 
     def __eq__(self, other):
@@ -162,12 +162,12 @@ class OrbitLabel(_Record):
 
     def order_at(self, u: LatticeVector):
         """The orbit's hom at u: INF unless u vanishes on the face, else u at the point lifted to N."""
-        y = _checked(u, M_SIDE, self._lift.dim)
-        return INF if any(_dot(r, y) for r in self.face.key) else _dot(self._lift.coords, y)
+        y = _checked(u, M_SIDE, len(self._lift))
+        return INF if any(_dot(r, y) for r in self.face.key) else _dot(self._lift, y)
 
     def _hom(self, keys) -> list[int]:
         """u at the point lifted to N for each u of keys: order_at wherever u vanishes on the face."""
-        lift = self._lift.coords
+        lift = self._lift
         return [_dot(lift, u) for u in keys]
 
     def __repr__(self) -> str:

@@ -4,8 +4,9 @@ Cones are given by primitive integer ray generators.  Dual descriptions are
 computed by an incremental double-description pass over exact integers:
 halfspaces are inserted one at a time, first consuming the lineality space,
 then combining adjacent rays across the new wall.  A face is its tight set,
-so adjacency, extremality and the facets of the triangulation are all read
-by set inclusion on tight sets, with no rank test per pair, ray or facet.
+so adjacency, extremality, strong convexity and the facets of the
+triangulation are all read on tight sets, with no rank test per pair, ray,
+cone or facet.
 
 Inputs are checked once, at the public boundary: generators through
 operator.index, and the argument of contains, tight_ray_indices and
@@ -172,13 +173,14 @@ class Cone(_Record):
         ray_tuples = sorted(set(ray_tuples))
 
         dual_rays, dual_lin = dual_generators(ray_tuples, dim_ambient)
-        normals = list(dual_rays) + list(dual_lin)
-        if dim_ambient > 0 and rank_of(normals) != dim_ambient:
-            raise ValueError("cone is not strongly convex (contains a line)")
-
-        # a generator is extreme iff the smallest face holding it, cut out by
-        # the dual rays tight on it, holds no other generator
+        # a generator tight on every dual ray vanishes on the dual, so its
+        # negative lies in the cone: a line; else the dual rays' sum is positive
+        # on every generator, so the dual is full-dimensional.  A generator is
+        # extreme iff the smallest face holding it, cut out by the dual rays
+        # tight on it, holds no other generator.
         tight = [sum(1 << i for i, u in enumerate(dual_rays) if not _dot(r, u)) for r in ray_tuples]
+        if (1 << len(dual_rays)) - 1 in tight:
+            raise ValueError("cone is not strongly convex (contains a line)")
         extreme = tuple(
             r
             for r, t in zip(ray_tuples, tight)
@@ -246,7 +248,7 @@ class Cone(_Record):
     def faces(self) -> tuple["FaceRef", ...]:
         if self._faces is None:
             keys = _face_keys(
-                (self.tight_ray_indices(u) for u in self.dual_rays), len(self.rays)
+                ([i for i, r in enumerate(self.key) if not _dot(r, u)] for u in self._dual_keys), len(self.key)
             )
             refs = tuple(
                 FaceRef(self, tuple(sorted(k)))

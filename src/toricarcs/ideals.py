@@ -8,6 +8,11 @@ lattice points with order exactly p, each carrying a divisorial valuation
 through its primitive decomposition.  The same machinery locates the
 components of the arc-space fiber over the singular locus directly from the
 relative interiors of the singular faces.
+
+One double description per ideal, kept on it, serves newton, polar,
+contact and the compact faces at every level: the rays of the homogenized
+level-1 set and the tight set of each of its constraints.  Inputs are
+checked once, at the public boundary; then _dot works on int tuples.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Sequence
 
 from .arcs import OrbitLabel
@@ -28,7 +34,6 @@ from .cones import (
     _parallelepiped,
     _triangulation,
     _unimodular,
-    dual_generators,
     is_smooth,
     lattice_points_where,
 )
@@ -36,12 +41,11 @@ from .lattice import (
     M_SIDE,
     N_SIDE,
     LatticeVector,
+    _checked,
     _Record,
     _set,
     _within_budget,
     is_finite,
-    pairing,
-    primitive_part,
     primitive_tuple,
 )
 
@@ -74,12 +78,25 @@ class MonomialIdeal(_Record):
         "chart": "Cone",
         "generators": "tuple[LatticeVector, ...]",
         "discarded": "tuple[LatticeVector, ...]",
-        "_level_one": "homogenized rays of the level-1 set, once computed",
+        "_level_one": "the level-1 cone's rays and tight sets, once computed",
     }
 
 
-def _in_dual(chart: Cone, u: LatticeVector) -> bool:
-    return all(pairing(r, u) >= 0 for r in chart.rays)
+def _coords(v, side: str, dim: int) -> tuple[int, ...]:
+    """The coordinates of v, a LatticeVector or a sequence of ints, checked once."""
+    return _checked(v if isinstance(v, LatticeVector) else LatticeVector(tuple(v), side), side, dim)
+
+
+def _in_dual(chart: Cone, u: tuple[int, ...]) -> bool:
+    return all(_dot(r, u) >= 0 for r in chart.key)
+
+
+def _in_chart(chart: Cone, x: tuple[int, ...]) -> bool:
+    return all(_dot(x, u) >= 0 for u in chart._dual_keys)
+
+
+def _order(a: MonomialIdeal, x: tuple[int, ...]) -> int:
+    return min(_dot(x, u.coords) for u in a.generators)
 
 
 def monomial_ideal(chart: Cone, exponents: Iterable) -> MonomialIdeal:
@@ -92,23 +109,17 @@ def monomial_ideal(chart: Cone, exponents: Iterable) -> MonomialIdeal:
     dual's lineality (on a lower-dimensional chart) the lexicographically
     smallest is kept.
     """
-    gens: list[LatticeVector] = []
+    gens = set()
     for e in exponents:
-        u = e if isinstance(e, LatticeVector) else LatticeVector(tuple(e), M_SIDE)
-        if u.side != M_SIDE:
-            raise ValueError("ideal exponents are M-side vectors")
-        if u.dim != chart.dim_ambient:
-            raise ValueError("exponent dimension mismatch")
+        u = _coords(e, M_SIDE, chart.dim_ambient)
         if not _in_dual(chart, u):
-            raise ValueError(f"exponent {u.coords} is outside the dual semigroup")
-        if u not in gens:
-            gens.append(u)
+            raise ValueError(f"exponent {u} is outside the dual semigroup")
+        gens.add(u)
     if not gens:
         raise ValueError("a monomial ideal needs at least one generator")
-    gens.sort(key=lambda u: u.coords)
-    minimal = set(_minimal([u.coords for u in gens], chart.key))
-    kept = tuple(u for u in gens if u.coords in minimal)
-    return MonomialIdeal(chart, kept, tuple(u for u in gens if u.coords not in minimal))
+    minimal = set(_minimal(gens, chart.key))
+    kept = tuple(LatticeVector(u, M_SIDE) for u in sorted(gens) if u in minimal)
+    return MonomialIdeal(chart, kept, tuple(LatticeVector(u, M_SIDE) for u in sorted(gens - minimal)))
 
 
 def order_function(a: MonomialIdeal, v) -> int:
@@ -120,11 +131,10 @@ def order_function(a: MonomialIdeal, v) -> int:
     """
     if isinstance(v, OrbitLabel):
         return min(v.order_at(u) for u in a.generators)
-    if not isinstance(v, LatticeVector):
-        v = LatticeVector(tuple(v), N_SIDE)
-    if not a.chart.contains(v):
-        raise ValueError(f"{tuple(v.coords)} is not in the chart cone")
-    return min(pairing(v, u) for u in a.generators)
+    x = _coords(v, N_SIDE, a.chart.dim_ambient)
+    if not _in_chart(a.chart, x):
+        raise ValueError(f"{x} is not in the chart cone")
+    return _order(a, x)
 
 
 # ---------------------------------------------------------------------------
@@ -157,57 +167,53 @@ class PolarData(_Record):
     }
 
 
-def _require_full_dim(a: MonomialIdeal) -> None:
-    if not a.chart.is_full_dimensional():
-        raise ValueError("Newton polytope machinery needs a full-dimensional chart")
+def _level_constraints(a: MonomialIdeal, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Halfspaces a . v >= b cutting out {v in the cone : order(v) >= p}."""
+    return [(u.coords, p) for u in a.generators] + list(a.chart.halfspace_data())
 
 
-def _vertex_cell(a: MonomialIdeal, u: LatticeVector) -> Cone | None:
-    """Region of the cone where u attains the minimum; None if not full-dim."""
-    n = a.chart.dim_ambient
-    constraints = [normal for normal, _ in a.chart.halfspace_data()]
-    for w in a.generators:
-        if w != u:
-            constraints.append((w - u).coords)
-    rays, lin = dual_generators(constraints, n)
-    if lin:
-        raise ValueError("dual-fan cell acquired a line; chart is degenerate")
-    cell = Cone(rays, n)
-    if cell.dim == n:
-        return cell
-    return None
+def _level_cone(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]]:
+    """The homogenized level-1 set, one double description kept on the ideal.
+
+    Returns its extreme rays (x, s) and the tight set, the indices of the
+    rays where it is an equality, of each of u . x >= s for the generators
+    u, w . x >= 0 for the chart walls w and s >= 0, in that order.
+    """
+    if a._level_one is None:
+        if not a.chart.is_full_dimensional():
+            raise ValueError("Newton polytope machinery needs a full-dimensional chart")
+        constraints = _level_constraints(a, 1)
+        rays = _homogenized_rays(constraints, a.chart.dim_ambient)
+        walls = [frozenset(i for i, r in enumerate(rays) if _dot(c, r) == b * r[-1]) for c, b in constraints]
+        walls.append(frozenset(i for i, r in enumerate(rays) if r[-1] == 0))
+        _set(a, "_level_one", (rays, tuple(walls)))
+    return a._level_one
 
 
 def newton_polytope(a: MonomialIdeal) -> NewtonData:
-    """Vertices of conv(generators) + dual cone; non-vertex generators flagged."""
-    _require_full_dim(a)
-    vertices = []
-    redundant = []
-    cells = []
-    for u in a.generators:
-        cell = _vertex_cell(a, u)
-        if cell is None:
-            redundant.append(u)
-        else:
-            vertices.append(u)
-            cells.append(cell)
-    order = sorted(range(len(vertices)), key=lambda i: vertices[i].coords)
+    """Vertices of conv(generators) + dual cone; non-vertex generators flagged.
+
+    The cell of a generator u, where u attains the order, is the image
+    under (x, s) -> x of the face u . x = s of the level-1 cone of
+    _level_cone.  A point v of the cell lies on that face as (v, u . v):
+    w . v >= u . v for every generator w, and u . v >= 0 as u is in the
+    dual.  Every point of the face is such a point, and (x, s) -> x is one
+    to one there, as s = u . x.  So the cell is the Cone of the x-parts of
+    the rays in u's tight set; u is a vertex iff its cell is full-dimensional.
+    """
+    rays, walls = _level_cone(a)
+    cells = {u: Cone([rays[i][:-1] for i in wall], a.chart.dim_ambient) for u, wall in zip(a.generators, walls)}
+    vertices = sorted((u for u, cell in cells.items() if cell.is_full_dimensional()), key=lambda u: u.coords)
     return NewtonData(
-        vertices=tuple(vertices[i] for i in order),
-        redundant=tuple(sorted(redundant, key=lambda u: u.coords)),
-        dual_fan_cones=tuple(cells[i] for i in order),
+        vertices=tuple(vertices),
+        redundant=tuple(sorted((u for u in cells if u not in vertices), key=lambda u: u.coords)),
+        dual_fan_cones=tuple(cells[u] for u in vertices),
     )
 
 
 def dual_fan(a: MonomialIdeal) -> tuple[Cone, ...]:
     """Subdivision of the chart cone into the linearity regions of the order."""
-    data = newton_polytope(a)
-    return tuple(sorted(data.dual_fan_cones, key=lambda c: c.key))
-
-
-def _level_constraints(a: MonomialIdeal, p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Halfspaces a . v >= b cutting out {v in the cone : order(v) >= p}."""
-    return [(u.coords, p) for u in a.generators] + list(a.chart.halfspace_data())
+    return tuple(sorted(newton_polytope(a).dual_fan_cones, key=lambda c: c.key))
 
 
 def _check_level(p) -> None:
@@ -216,12 +222,22 @@ def _check_level(p) -> None:
 
 
 def _level_rays(a: MonomialIdeal, p: int) -> list[tuple[int, ...]]:
-    """Extreme rays (x, s) of the homogenized level-p set: see polar_polytope."""
-    if a._level_one is None:
-        _set(a, "_level_one", _homogenized_rays(_level_constraints(a, 1), a.chart.dim_ambient))
-    return [
-        primitive_tuple(tuple(p * x for x in r[:-1]) + r[-1:])[1] if r[-1] else r
-        for r in a._level_one
+    """Extreme rays (x, s) of the homogenized level-p set, in _level_cone's order: see polar_polytope."""
+    return [primitive_tuple(tuple(p * x for x in r[:-1]) + r[-1:])[1] if r[-1] else r for r in _level_cone(a)[0]]
+
+
+def _compact_faces(a: MonomialIdeal, p: int) -> tuple[list[tuple[int, ...]], list[tuple[frozenset[int], list[int]]]]:
+    """The level-p rays, and per compact face its ray indices and those of its tight constraints.
+
+    The tight sets at level p are those at level 1: see polar_polytope.
+    """
+    _check_level(p)
+    rays = _level_rays(a, p)
+    walls = _level_cone(a)[1]
+    return rays, [
+        (face, [k for k, wall in enumerate(walls[:-1]) if face <= wall])
+        for face in _face_keys(walls, len(rays))
+        if face and all(rays[i][-1] for i in face)
     ]
 
 
@@ -233,33 +249,20 @@ def polar_polytope(a: MonomialIdeal, p: int) -> PolarData:
     the level-1 set: (x, s) -> (p x, s) maps one homogenized cone onto the
     other, as u . x >= s becomes u . (p x) >= p s and the chart walls are
     linear.  So the rays at level p are the primitive (p x, s), recession
-    rays (s = 0) unchanged, and one double-description pass at level 1,
-    kept on the ideal, serves every level.  The faces of that cone are the
-    intersections of the ray sets on which the homogenized constraints are
-    tight: each constraint is valid on the cone, so its tight set is a
-    face, and every facet is cut out by one of the constraints.  The
-    compact faces are the nonempty ones made of vertices alone.
+    rays (s = 0) unchanged, each constraint is tight on the same rays, and
+    one double-description pass at level 1, kept on the ideal, serves
+    every level.  The faces of that cone are the intersections of the
+    tight sets of the homogenized constraints, and the compact faces are
+    the nonempty ones made of vertices alone.
     """
-    _require_full_dim(a)
-    _check_level(p)
-    constraints = _level_constraints(a, p)
-    rays = _level_rays(a, p)
+    rays, faces = _compact_faces(a, p)
     points = {i: tuple(Fraction(x, r[-1]) for x in r[:-1]) for i, r in enumerate(rays) if r[-1] > 0}
     vertices = tuple(sorted(points.values()))
     position = {v: k for k, v in enumerate(vertices)}
-    vertex_index = {i: position[v] for i, v in points.items()}
-    # (c, b) is tight at (x, s) iff c . x = b s; the last wall is s >= 0
-    tight = [[i for i, r in enumerate(rays) if _dot(c, r) == b * r[-1]] for c, b in constraints]
-    tight.append([i for i, r in enumerate(rays) if r[-1] == 0])
-    compact = {
-        tuple(sorted(vertex_index[i] for i in face))
-        for face in _face_keys(tight, len(rays))
-        if face and all(i in vertex_index for i in face)
-    }
     return PolarData(
         level=p,
         vertices=vertices,
-        compact_faces=tuple(sorted(compact)),
+        compact_faces=tuple(sorted(tuple(sorted(position[points[i]] for i in face)) for face, _ in faces)),
         recession_rays=tuple(sorted(r[:-1] for r in rays if r[-1] == 0)),
     )
 
@@ -276,32 +279,30 @@ def _box_points(lo: Sequence[int], hi: Sequence[int]) -> int:
     return math.prod(h - l + 1 for l, h in zip(lo, hi))
 
 
+def _vertex_box(tops, widen=()) -> tuple[list[int], list[int]]:
+    """Floor below and ceil above of the points x / s of the rays (x, s) in tops, widened by the sum of widen."""
+    n = len(tops[0]) - 1
+    lo = [min(r[j] // r[-1] for r in tops) + sum(min(0, w[j]) for w in widen) for j in range(n)]
+    hi = [max(-(-r[j] // r[-1]) for r in tops) + sum(max(0, w[j]) for w in widen) for j in range(n)]
+    return lo, hi
+
+
 def compact_face_lattice_points(a: MonomialIdeal, p: int) -> tuple[tuple[int, ...], ...]:
     """All lattice points on compact faces of the level-p set, sorted.
 
     Each face is scanned in the box of its vertices, floor below and ceil
-    above.  The boxes are summed against MAX_CONTACT_BOX_POINTS first.
+    above, and a point is kept when every constraint tight on the face is
+    tight on it.  The boxes are summed against MAX_CONTACT_BOX_POINTS first.
     """
-    data = polar_polytope(a, p)
-    all_constraints = _level_constraints(a, p)
-    n = a.chart.dim_ambient
-    boxes = []
-    for face in data.compact_faces:
-        verts = [data.vertices[i] for i in face]
-        lo = [math.floor(min(v[j] for v in verts)) for j in range(n)]
-        hi = [math.ceil(max(v[j] for v in verts)) for j in range(n)]
-        tight = [
-            (c, b)
-            for c, b in all_constraints
-            if all(sum(x * y for x, y in zip(c, v)) == b for v in verts)
-        ]
-        boxes.append((lo, hi, tight))
+    rays, faces = _compact_faces(a, p)
+    constraints = _level_constraints(a, p)
+    boxes = [(*_vertex_box([rays[i] for i in face]), [constraints[k] for k in tight]) for face, tight in faces]
     work = sum(_box_points(lo, hi) for lo, hi, _ in boxes)
     _within_budget(work, MAX_CONTACT_BOX_POINTS, "compact_face_lattice_points would scan", "box points")
     found = set()
     for lo, hi, tight in boxes:
-        for pt in lattice_points_where(all_constraints, lo, hi):
-            if all(sum(x * y for x, y in zip(c, pt)) == b for c, b in tight):
+        for pt in lattice_points_where(constraints, lo, hi):
+            if all(_dot(c, pt) == b for c, b in tight):
                 found.add(pt)
     return tuple(sorted(found))
 
@@ -328,8 +329,7 @@ class ContactComponent(_Record):
 
 
 def _component(point: tuple[int, ...], level: int | None) -> ContactComponent:
-    e, v0 = primitive_part(LatticeVector(point, N_SIDE))
-    return ContactComponent(point=point, e=e, v0=v0.coords, level=level)
+    return ContactComponent(point, *primitive_tuple(point), level)
 
 
 def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
@@ -340,14 +340,14 @@ def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
     taken one Hilbert step at a time without leaving the level set.
     """
     _check_level(p)
-    vec = v if isinstance(v, LatticeVector) else LatticeVector(tuple(v), N_SIDE)
-    if not a.chart.contains(vec):
-        raise ValueError(f"{tuple(vec.coords)} is not in the chart cone")
-    if order_function(a, vec) != p:
-        raise ValueError(f"order of {tuple(vec.coords)} is not {p}")
+    x = _coords(v, N_SIDE, a.chart.dim_ambient)
+    if not _in_chart(a.chart, x):
+        raise ValueError(f"{x} is not in the chart cone")
+    if _order(a, x) != p:
+        raise ValueError(f"order of {x} is not {p}")
     for h in a.chart.hilbert_basis():
-        w = vec - h
-        if a.chart.contains(w) and order_function(a, w) >= p:
+        w = tuple(map(sub, x, h.coords))
+        if _in_chart(a.chart, w) and _order(a, w) >= p:
             return False
     return True
 
@@ -379,15 +379,11 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
     ValueError before it is scanned.
     """
     _check_level(p)
-    _require_full_dim(a)
-    n = a.chart.dim_ambient
     level = _level_constraints(a, p)
     tops = [r for r in _level_rays(a, p) if r[-1] > 0]
     if not tops:
         return ()
-    rays = [r.coords for r in a.chart.rays]
-    lo = [min(v[j] // v[-1] for v in tops) + sum(min(0, r[j]) for r in rays) for j in range(n)]
-    hi = [max(-(-v[j] // v[-1]) for v in tops) + sum(max(0, r[j]) for r in rays) for j in range(n)]
+    lo, hi = _vertex_box(tops, a.chart.key)
     _within_budget(_box_points(lo, hi), MAX_CONTACT_BOX_POINTS, "contact would scan", "box points")
     gens = [u.coords for u in a.generators]
     exact = (v for v in lattice_points_where(level, lo, hi) if min(_dot(v, u) for u in gens) == p)
@@ -450,7 +446,7 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     raises ValueError, so _minimal makes at most 2048 * 2047 / 2 comparisons.
     """
     rays = c.key
-    walls = [frozenset(c.tight_ray_indices(u)) for u in c.dual_rays]
+    walls = [frozenset(i for i, r in enumerate(rays) if not _dot(r, u)) for u in c._dual_keys]
     simplices = _triangulation(rays, walls)
     cells = [_parallelepiped([rays[i] for i in s]) for s in simplices]
     scanned = simplices if len(simplices) > 1 else []
@@ -486,33 +482,25 @@ def lift_to_open_stratum(a: MonomialIdeal, o: OrbitLabel) -> LatticeVector:
         raise ValueError("orbit meets no contact locus: order is infinite")
     if o.face.is_zero:
         return LatticeVector(o.point, N_SIDE)
-    chart = a.chart
-    q = o.quotient
-    w = q.lift(o.point)
-    v1 = o.face.rays[0]
-    for r in o.face.rays[1:]:
-        v1 = v1 + r
-    off_perp = [
-        u for u in chart.dual_generator_list() if any(pairing(r, u) != 0 for r in o.face.rays)
-    ]
+    face, w = o.face.key, o._lift
+    v1 = tuple(map(sum, zip(*face)))
     k = 0
-    for u in off_perp:
-        num = -pairing(w, u)
-        den = pairing(v1, u)
+    for u in a.chart._dual_keys:
+        if not any(_dot(r, u) for r in face):
+            continue
+        num, den = -_dot(w, u), _dot(v1, u)
         if den <= 0:
             raise ArithmeticError("interior point pairs nonpositively off the annihilator")
         if num > 0:
             k = max(k, -(-num // den))
-    v0 = w + k * v1
-    m = p + 1
-    lifted = v0 + m * v1
-    if not chart.contains(lifted):
-        raise ArithmeticError(f"lift {lifted.coords} left the chart cone")
-    if q.project(lifted).coords != o.point:
-        raise ArithmeticError(f"lift {lifted.coords} does not project to {o.point}")
-    if order_function(a, lifted) != p:
-        raise ArithmeticError(f"lift {lifted.coords} changed the order {p}")
-    return lifted
+    lifted = tuple(x + (k + p + 1) * y for x, y in zip(w, v1))
+    if not _in_chart(a.chart, lifted):
+        raise ArithmeticError(f"lift {lifted} left the chart cone")
+    if tuple(_dot(row, lifted) for row in o.quotient.projection_matrix) != o.point:
+        raise ArithmeticError(f"lift {lifted} does not project to {o.point}")
+    if _order(a, lifted) != p:
+        raise ArithmeticError(f"lift {lifted} changed the order {p}")
+    return LatticeVector(lifted, N_SIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -527,26 +515,24 @@ class ToricValuation(_Record):
 
 
 def toric_valuation(chart: Cone, v) -> ToricValuation:
-    vec = v if isinstance(v, LatticeVector) else LatticeVector(tuple(v), N_SIDE)
-    if vec.is_zero():
+    x = _coords(v, N_SIDE, chart.dim_ambient)
+    if not any(x):
         raise ValueError("the zero vector defines no valuation")
-    if not chart.contains(vec):
-        raise ValueError(f"{tuple(vec.coords)} is not in the chart cone")
-    e, v0 = primitive_part(vec)
-    return ToricValuation(chart=chart, point=vec.coords, e=e, v0=v0.coords)
+    if not _in_chart(chart, x):
+        raise ValueError(f"{x} is not in the chart cone")
+    return ToricValuation(chart, x, *primitive_tuple(x))
 
 
 def toric_valuation_eval(val: ToricValuation, f: Sequence[tuple]) -> int:
     """Value of the valuation on a polynomial given by (coefficient, exponent) pairs."""
     if not f:
         raise ValueError("empty support: the zero polynomial has no finite order")
-    v = LatticeVector(val.point, N_SIDE)
     orders = []
     for coeff, exponent in f:
         if coeff == 0:
             raise ValueError("support coefficients must be nonzero")
-        u = exponent if isinstance(exponent, LatticeVector) else LatticeVector(tuple(exponent), M_SIDE)
+        u = _coords(exponent, M_SIDE, len(val.point))
         if not _in_dual(val.chart, u):
-            raise ValueError(f"exponent {u.coords} is outside the dual semigroup")
-        orders.append(pairing(v, u))
+            raise ValueError(f"exponent {u} is outside the dual semigroup")
+        orders.append(_dot(val.point, u))
     return min(orders)

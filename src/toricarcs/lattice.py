@@ -432,7 +432,11 @@ class QuotientLattice(_Record):
         coords = w.coords if isinstance(w, LatticeVector) else tuple(map(index, w))
         if len(coords) != self.quotient_dim:
             raise ValueError("dimension mismatch")
-        return LatticeVector(tuple(_dot(row, coords) for row in self.section_matrix), N_SIDE)
+        return LatticeVector(self._section(coords), N_SIDE)
+
+    def _section(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """lift on the int coordinates of a quotient point, unchecked."""
+        return tuple(_dot(row, coords) for row in self.section_matrix)
 
     def push_dual(self, u: LatticeVector) -> LatticeVector:
         """Coordinates of a character orthogonal to the subspace, downstairs."""

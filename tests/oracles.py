@@ -376,6 +376,58 @@ def polar_by_face_lattice(ideal, p):
     return vertices, recession, tuple(sorted(compact))
 
 
+def newton_by_vertex_cells(ideal):
+    """(vertex coords, redundant coords, cells) of the Newton polytope, one cell per generator.
+
+    The route ideals.newton_polytope took before it read the cells off the
+    ideal's level-1 cone: the cell of a generator u is the cone cut out by
+    the chart's walls and w - u >= 0 for every other generator w, built as
+    a Cone from its dual generators, so two double descriptions per
+    generator.  u is a vertex iff its cell is full-dimensional; the cells
+    are listed in the order of the sorted vertices.
+    """
+    from toricarcs.cones import Cone, dual_generators
+
+    chart = ideal.chart
+    n = chart.dim_ambient
+    vertices, redundant = [], []
+    for u in ideal.generators:
+        constraints = [normal for normal, _ in chart.halfspace_data()]
+        constraints += [tuple(x - y for x, y in zip(w.coords, u.coords)) for w in ideal.generators if w != u]
+        rays, lineality = dual_generators(constraints, n)
+        if lineality:
+            raise ValueError("dual-fan cell acquired a line; chart is degenerate")
+        cell = Cone(rays, n)
+        if cell.dim == n:
+            vertices.append((u.coords, cell))
+        else:
+            redundant.append(u.coords)
+    vertices.sort(key=lambda pair: pair[0])
+    return tuple(u for u, _ in vertices), tuple(sorted(redundant)), tuple(cell for _, cell in vertices)
+
+
+def compact_face_points_by_fractions(ideal, p):
+    """Lattice points on the compact faces of the level-p set, by Fraction arithmetic.
+
+    The route ideals.compact_face_lattice_points took before it read each
+    face's tight constraints off the level-1 cone: the faces and vertices
+    come from polar_by_face_lattice, each face is scanned in the box of its
+    vertices, floor below and ceil above, and a point is kept when it meets
+    with equality every constraint that all the face's vertices meet with
+    equality.  No work budget.
+    """
+    vertices, _, compact = polar_by_face_lattice(ideal, p)
+    constraints = [(u.coords, p) for u in ideal.generators] + list(ideal.chart.halfspace_data())
+    found = set()
+    for face in compact:
+        verts = [vertices[i] for i in face]
+        lo = [math.floor(min(v[j] for v in verts)) for j in range(len(verts[0]))]
+        hi = [math.ceil(max(v[j] for v in verts)) for j in range(len(verts[0]))]
+        tight = [(c, b) for c, b in constraints if all(dot(c, v) == b for v in verts)]
+        found.update(x for x in box_points_where(constraints, lo, hi) if all(dot(c, x) == b for c, b in tight))
+    return tuple(sorted(found))
+
+
 def face_cone(f):
     """The face f rebuilt as a Cone of its own, in its parent's ambient."""
     from toricarcs.cones import Cone

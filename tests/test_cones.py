@@ -147,6 +147,22 @@ def test_dual_generators_and_cone_rays_match_the_rank_oracle():
     assert cones > 500
 
 
+def test_cone_refuses_exactly_the_generators_whose_dual_is_not_full_dimensional():
+    # the tight-set test of Cone against the rank of the dual's generators
+    lines = 0
+    for rows, dim in _constraint_lists(random.Random(2024), 1500):
+        dual_rays, dual_lin = dual_generators_by_rank(rows, dim)
+        has_line = rank_of(dual_rays + dual_lin) < dim
+        try:
+            Cone(rows, dim)
+        except ValueError:
+            assert has_line, (rows, dim)
+            lines += 1
+        else:
+            assert not has_line, (rows, dim)
+    assert 100 < lines < 1400
+
+
 def _twins(record):
     return copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
 
@@ -190,8 +206,8 @@ def test_faces_are_read_off_tight_sets_with_one_rank_at_the_root(monkeypatch, ge
     ranks = counting(monkeypatch, cones, "rank_of")
     quotients = counting(monkeypatch, cones, "quotient_lattice")
     c = Cone(gens)
-    assert len(ranks) == 1
-    del ranks[:], quotients[:]
+    assert ranks == []  # strong convexity is read on the tight sets too
+    del quotients[:]
     cones.dual_generators(gens, len(gens[0]))
     assert ranks == [] and len(quotients) <= 1
     _triangulation(c.key, (c.tight_ray_indices(u) for u in c.dual_rays))

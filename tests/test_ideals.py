@@ -10,8 +10,10 @@ from conftest import counting, cube_cone, draws, random_full_cone, simplex_produ
 from oracles import (
     brute_contact_minimal,
     brute_sing_minimal,
+    compact_face_points_by_fractions,
     face_cone,
     in_cone_rational,
+    newton_by_vertex_cells,
     polar_by_face_lattice,
     sing_by_zonotope_scan,
 )
@@ -185,20 +187,27 @@ def test_polar_principal_segment(quadrant):
     assert (0, 1) in data.compact_faces
 
 
+def _random_exponents(rng, chart, count):
+    """count nonzero exponents, each a combination of the chart's dual rays with coefficients 0..3."""
+    dual = [u.coords for u in chart.dual_rays]
+    dim = chart.dim_ambient
+    gens = []
+    for _ in draws("_random_exponents"):
+        if len(gens) == count:
+            return gens
+        coeffs = [rng.randint(0, 3) for _ in dual]
+        u = tuple(sum(c * d[j] for c, d in zip(coeffs, dual)) for j in range(dim))
+        if any(u):
+            gens.append(u)
+
+
 def test_polar_polytope_matches_face_lattice_route():
     rng = random.Random(17)
     charts = [random_full_cone(rng, dim, spread=2) for dim in (2, 3) for _ in range(8)]
     charts.append(Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]))
     for chart in charts:
-        dim = chart.dim_ambient
-        dual = [u.coords for u in chart.dual_rays]
         for _ in range(2):
-            gens = []
-            while len(gens) < dim + 2:
-                coeffs = [rng.randint(0, 3) for _ in dual]
-                u = tuple(sum(c * d[j] for c, d in zip(coeffs, dual)) for j in range(dim))
-                if any(u):
-                    gens.append(u)
+            gens = _random_exponents(rng, chart, chart.dim_ambient + 2)
             ideal = monomial_ideal(chart, gens)
             for p in range(1, 5):
                 data = polar_polytope(ideal, p)
@@ -210,13 +219,7 @@ def test_level_p_set_is_p_times_the_level_1_set():
     rng = random.Random(23)
     for dim in (2, 3, 2, 3, 2, 3):
         chart = random_full_cone(rng, dim, spread=2)
-        dual = [u.coords for u in chart.dual_rays]
-        count, gens = rng.randint(1, dim + 2), []
-        while len(gens) < count:
-            coeffs = [rng.randint(0, 3) for _ in dual]
-            u = tuple(sum(c * d[j] for c, d in zip(coeffs, dual)) for j in range(dim))
-            if any(u):
-                gens.append(u)
+        gens = _random_exponents(rng, chart, rng.randint(1, dim + 2))
         ideal = monomial_ideal(chart, gens)
         one = polar_polytope(ideal, 1)
         for p in range(1, 8):
@@ -226,6 +229,58 @@ def test_level_p_set_is_p_times_the_level_1_set():
             # the scaled level-1 rays are those of a fresh pass at level p
             fresh = _homogenized_rays(_level_constraints(ideal, p), dim)
             assert sorted(_level_rays(ideal, p)) == list(fresh), (chart.key, gens, p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_newton_polar_and_compact_faces_match_the_old_routes(seed):
+    # seeded ideals on 2-, 3- and 4-dim charts against the per-generator cells of
+    # newton_by_vertex_cells and the Fraction face boxes of compact_face_points_by_fractions;
+    # doubling the drawn exponents makes the sum of the first two a midpoint, no vertex
+    rng = random.Random(1000 + seed)
+    redundant = 0
+    for i in range(15):
+        dim = 2 + i % 3
+        chart = random_full_cone(rng, dim, spread=2)
+        drawn = _random_exponents(rng, chart, rng.randint(2, dim + 2))
+        gens = [tuple(2 * x for x in u) for u in drawn] + [tuple(map(sum, zip(drawn[0], drawn[1])))]
+        ideal = monomial_ideal(chart, gens)
+        vertices, flagged, cells = newton_by_vertex_cells(ideal)
+        data = newton_polytope(ideal)
+        assert [u.coords for u in data.vertices] == list(vertices), (chart.key, gens)
+        assert [u.coords for u in data.redundant] == list(flagged), (chart.key, gens)
+        assert data.dual_fan_cones == cells, (chart.key, gens)
+        assert dual_fan(ideal) == tuple(sorted(cells, key=lambda c: c.key))
+        redundant += len(flagged)
+        for p in range(1, 4):
+            polar = polar_polytope(ideal, p)
+            got = (polar.vertices, polar.recession_rays, polar.compact_faces)
+            assert got == polar_by_face_lattice(ideal, p), (chart.key, gens, p)
+            points = compact_face_lattice_points(ideal, p)
+            assert points == compact_face_points_by_fractions(ideal, p), (chart.key, gens, p)
+    assert redundant > 0  # the draws reach generators that are no vertex
+
+
+def test_newton_polar_and_contact_read_one_level_cone(monkeypatch):
+    import toricarcs.cones as cones
+
+    chart = Cone([(0, 1, 0), (1, 0, 0), (1, 1, 2)])
+    # (0, 3, 0) is the midpoint of (0, 0, 2) and (0, 6, -2)
+    ideal = monomial_ideal(chart, [(0, 0, 2), (0, 6, -2), (0, 3, 0), (1, 1, -1)])
+    k = len(ideal.generators)
+    calls = counting(monkeypatch, cones, "dual_generators")
+    polar_polytope(ideal, 1)
+    assert len(calls) == 1  # the level-1 cone, kept on the ideal
+    calls.clear()
+    data = newton_polytope(ideal)
+    assert len(calls) == k and data.redundant  # one Cone per generator's cell
+    calls.clear()
+    for p in range(1, 4):
+        polar_polytope(ideal, p)
+        contact_components(ideal, p)
+        compact_face_lattice_points(ideal, p)
+    assert calls == []
+    newton_by_vertex_cells(ideal)
+    assert len(calls) == 2 * k  # the old route: a dual and a Cone per generator
 
 
 def test_one_ideal_answers_every_level_in_any_order():
@@ -266,9 +321,9 @@ def test_contact_takes_no_step_set(quadrant, monkeypatch):
     assert [c.point for c in contact_components(ideal, 2)] == [(2, 2)]
     assert hilbert == []
     # the local test still steps back by the chart's Hilbert basis (0, 1) and (1, 0)
-    orders = counting(monkeypatch, ideals, "order_function")
+    orders = counting(monkeypatch, ideals, "_order")
     assert is_minimal_in_contact(ideal, 1, nvec(1, 1))
-    assert [v.coords for _, v in orders] == [(1, 1), (1, 0), (0, 1)]
+    assert [x for _, x in orders] == [(1, 1), (1, 0), (0, 1)]
     assert len(hilbert) == 1
 
 

@@ -51,6 +51,46 @@ def test_unused_import_rule_sees_a_name_that_is_never_read():
     assert _unused_imports(tree) == [(1, "Fraction"), (3, "INF")]
 
 
+def _calls(tree, name):
+    """The lines where a module calls name, as a bare name or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def _calls_in_package(name):
+    return [
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for line in _calls(ast.parse(path.read_text(encoding="utf-8"), str(path)), name)
+    ]
+
+
+def test_no_package_module_calls_pairing():
+    # pairing checks both vectors at the public boundary; inside, _dot works on int tuples
+    assert _calls_in_package("pairing") == []
+
+
+def test_only_cones_calls_dual_generators():
+    # a double description belongs to a cone, an intersection or a homogenized polyhedron
+    assert [place for place in _calls_in_package("dual_generators") if place[0] != "cones.py"] == []
+
+
+def test_call_rule_sees_a_bare_and_an_attribute_call():
+    source = (
+        "from .lattice import pairing\n"
+        "from . import lattice\n"
+        "f = pairing\n"
+        "pairing(v, u)\n"
+        "lattice.pairing(v, u)\n"
+        "g = lattice.pairing\n"
+        "h = pairing_table(v)\n"
+    )
+    assert _calls(ast.parse(source), "pairing") == [4, 5]
+
+
 def _unnamed_definitions(trees, readme):
     """Functions, methods and classes that nothing names but their own def.
 
