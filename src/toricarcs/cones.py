@@ -363,6 +363,10 @@ def lattice_points_where(
     branch.  Each range is necessary, so no point is lost.  At the last
     coordinate nothing follows, so each range is exactly its constraint,
     and no point reached is rejected.
+
+    An equality a . x = b is given as the pair (a, b), (-a, -b).  The range
+    at the last coordinate is then exact too, a single value or none, so a
+    scan of a hyperplane's slice yields exactly its points.
     """
     dim = len(lo)
     if any(a > b for a, b in zip(lo, hi)):

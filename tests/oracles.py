@@ -428,6 +428,31 @@ def compact_face_points_by_fractions(ideal, p):
     return tuple(sorted(found))
 
 
+def contact_by_region_filter(ideal, p):
+    """Points of the level-p contact components, by the route ideals.contact_components took before slices.
+
+    A fresh double description of the homogenized level-p set gives the
+    vertices x / s; they are boxed, floor below and ceil above by Fraction
+    arithmetic, and the box is widened by the chart's rays.  Every box
+    point of order >= p is scanned, those of order exactly p are kept, and
+    their cones._minimal on the chart's dual rays are the components.  No
+    work budget.
+    """
+    from toricarcs.cones import _homogenized_rays, _minimal, lattice_points_where
+
+    n = ideal.chart.dim_ambient
+    level = [(u.coords, p) for u in ideal.generators] + list(ideal.chart.halfspace_data())
+    vertices = [[Fraction(x, r[-1]) for x in r[:-1]] for r in _homogenized_rays(level, n) if r[-1] > 0]
+    if not vertices:
+        return ()
+    rays = ideal.chart.key
+    lo = [math.floor(min(v[j] for v in vertices)) + sum(min(0, r[j]) for r in rays) for j in range(n)]
+    hi = [math.ceil(max(v[j] for v in vertices)) + sum(max(0, r[j]) for r in rays) for j in range(n)]
+    gens = [u.coords for u in ideal.generators]
+    exact = [x for x in lattice_points_where(level, lo, hi) if g_value(gens, x) == p]
+    return tuple(_minimal(exact, [u.coords for u in ideal.chart.dual_rays]))
+
+
 def face_cone(f):
     """The face f rebuilt as a Cone of its own, in its parent's ambient."""
     from toricarcs.cones import Cone

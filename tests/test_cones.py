@@ -788,6 +788,27 @@ def test_lattice_points_where_matches_the_box_filter():
     assert list(lattice_points_where([((0, 0), 1)], [0, 0], [1, 1])) == []
     assert list(lattice_points_where([((0, 0), 0)], [0, 0], [0, 1])) == [(0, 0), (0, 1)]
     assert list(lattice_points_where([((), 1)], [], [])) == []
+    # an equality a . x = b is the pair (a, b), (-a, -b); with b read off a box point, most
+    # draws hold points on the hyperplane
+    rng = random.Random(37)
+    found = 0
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        lo = [rng.randint(-3, 2) for _ in range(dim)]
+        hi = [x + rng.randint(0, 4) for x in lo]
+        constraints = [
+            (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-4, 8))
+            for _ in range(rng.randint(0, 3))
+        ]
+        for _ in range(rng.randint(1, 2)):
+            a = tuple(rng.randint(-3, 3) for _ in range(dim))
+            b = sum(c * rng.randint(l, h) for c, l, h in zip(a, lo, hi))
+            constraints += [(a, b), (tuple(-c for c in a), -b)]
+        rng.shuffle(constraints)
+        expected = box_points_where(constraints, lo, hi)
+        assert list(lattice_points_where(constraints, lo, hi)) == expected, (constraints, lo, hi)
+        found += bool(expected)
+    assert found > 100
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from oracles import (
     brute_contact_minimal,
     brute_sing_minimal,
     compact_face_points_by_fractions,
+    contact_by_region_filter,
     face_cone,
     in_cone_rational,
     newton_by_vertex_cells,
@@ -442,6 +443,57 @@ def test_contact_matches_brute_oracle_on_singular_3d_chart():
         expected = brute_contact_minimal(rays, gens, p, 5, member)
         got = [list(c.point) for c in contact_components(ideal, p)]
         assert got == [list(v) for v in expected], p
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_contact_slices_match_the_region_filter(seed):
+    # seeded ideals on 2-, 3- and 4-dim charts against the scan of the whole order >= p
+    # region of the box, filtered to order exactly p, in contact_by_region_filter
+    rng = random.Random(2000 + seed)
+    for i in range(9):
+        dim = 2 + i % 3
+        chart = random_full_cone(rng, dim, spread=2)
+        gens = _random_exponents(rng, chart, rng.randint(1, dim + 2))
+        ideal = monomial_ideal(chart, gens)
+        for p in range(1, 7):
+            got = tuple(c.point for c in contact_components(ideal, p))
+            assert got == contact_by_region_filter(ideal, p), (chart.key, gens, p)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_orthant_contact_is_the_points_of_coordinate_sum_p(d):
+    # the ideal (1, ..., 1) on the d-dim orthant: the components are the C(p + d - 1, d - 1)
+    # points of N^d with coordinate sum p
+    orthant = Cone([tuple(int(i == j) for j in range(d)) for i in range(d)])
+    ideal = monomial_ideal(orthant, [(1,) * d])
+    for p in range(1, 7):
+        points = [c.point for c in contact_components(ideal, p)]
+        assert len(points) == math.comb(p + d - 1, d - 1), (d, p)
+        assert all(sum(x) == p and min(x) >= 0 for x in points), (d, p)
+
+
+@pytest.mark.parametrize("p", [20, 40])
+def test_contact_draws_only_points_of_order_p(monkeypatch, p):
+    # on the orthant with the ideal (1, 1, 1), the box scan of the order >= p region drew
+    # 9,108 points at p = 20 and 62,608 at p = 40; the slice scan draws the C(p + 2, 2)
+    # points of order p, each of them a component
+    import toricarcs.ideals as ideals
+
+    scan = ideals.lattice_points_where
+    drawn = []
+
+    def recorded(*args):
+        for x in scan(*args):
+            drawn.append(x)
+            yield x
+
+    monkeypatch.setattr(ideals, "lattice_points_where", recorded)
+    level_rays = counting(monkeypatch, ideals, "_level_rays")
+    ideal = monomial_ideal(Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), [(1, 1, 1)])
+    components = contact_components(ideal, p)
+    assert all(order_function(ideal, x) == p for x in drawn)
+    assert len(drawn) == len(components) == math.comb(p + 2, 2)
+    assert level_rays == []
 
 
 def test_compact_face_points_are_minimal_components(q23, quadrant):
