@@ -2,12 +2,16 @@
 """Survey the components of the arc fiber over Sing X for small charts.
 
 Walks the A_n family, a batch of random two- and three-dimensional
-charts, two simplicial charts of rank 4 and 5 and one of rank 12 whose
-singular faces are the 2^10 faces holding an A_1 2-face, printing each
-component's lattice point and its divisorial valuation data (multiplicity
-times primitive vector), with timings.
+charts, two simplicial charts of rank 4 and 5, one of rank 12 whose
+singular faces are the 2^10 faces holding an A_1 2-face, and the cones
+over the 5-cube and over Delta3 x Delta3, printing each component's
+lattice point and its divisorial valuation data (multiplicity times
+primitive vector), with timings.  The last two have one component per
+face of dimension 2 or more of the cube (131) and one per square face of
+the simplex product (36).
 """
 
+import itertools
 import random
 import time
 
@@ -64,6 +68,15 @@ def main() -> None:
     rays = [tuple(int(i == j) for j in range(12)) for i in range(12)]
     rays[1] = (1, 2) + (0,) * 10
     survey(Cone(rays))
+
+    print()
+    print("== cone over the 5-cube: 131 components ==")
+    survey(Cone([x + (1,) for x in itertools.product((0, 1), repeat=5)]))
+
+    print()
+    print("== cone over Delta3 x Delta3: 36 components ==")
+    vertices = [tuple(int(i == j) for j in range(3)) for i in range(-1, 3)]
+    survey(Cone([p + q + (1,) for p in vertices for q in vertices]))
 
 
 if __name__ == "__main__":

@@ -353,8 +353,8 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
 
     Nodes are deterministic: strata in face order, points lexicographic.
     Cover edges are the transitive reduction of dominance restricted to the
-    node set.  `bound` must be an int; anything else raises TypeError
-    before any face is walked.
+    node set.  `bound` must be an int and not a bool; anything else raises
+    TypeError before any face is walked.
 
     A chart's image in N_tau is cut out by the chart's dual generators
     that vanish on tau, pushed down to N_tau: they span the dual face
@@ -387,7 +387,7 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
       - (i, j) is a cover iff no node lies above i and below j: one AND
         of the n-bit sets above i and below j per related pair.
     """
-    if not isinstance(bound, int):
+    if not isinstance(bound, int) or isinstance(bound, bool):
         raise TypeError(f"bound must be an int, got {bound!r}")
     if bound < 0:
         raise ValueError("bound must be nonnegative")

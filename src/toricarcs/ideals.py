@@ -17,7 +17,6 @@ checked once, at the public boundary; then _dot works on int tuples.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from operator import sub
@@ -416,8 +415,8 @@ def singular_faces(c: Cone) -> tuple[FaceRef, ...]:
 
 
 # Most candidates sing_components may enumerate; see its docstring.  The
-# benchmark's largest sing chart needs 21, the 4-cube cone 24 + 624, the 5-cube
-# cone 6960 (refused).  A_2047 needs 2048: about 1 s on a 2-vCPU Xeon, Python 3.11.
+# benchmark's largest sing chart needs 21, the 4-cube cone 24 + 88, the 5-cube
+# cone 120 + 416 (0.03 s).  A_2047 needs 2048: about 1 s on a 2-vCPU Xeon, Python 3.11.
 MAX_SING_PARALLELEPIPED_POINTS = 2048
 
 
@@ -428,52 +427,51 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     relative interiors of the singular faces, a monoid ideal since every
     face containing a singular face is singular.  A point sum_F l_i r_i,
     every l_i > 0, lies in relint tau(F), tau(F) the smallest face holding
-    the rays F.  A face is its tight set, so tau(F) is the meet of the
-    walls, the rays tight on a dual ray, that hold F (the chart if none
-    does).  On the simplices of cones._triangulation the candidates
-    are (a) the nonzero points of each [0, 1) parallelepiped and (b) the
-    ray sum over each face F of a simplex whose tau(F) has more rays than F.
+    the rays F.  A face is its tight set, so the faces are cones._face_keys
+    of the walls, the rays tight on a dual ray.  The candidates are (a) the
+    nonzero points of each [0, 1) parallelepiped of cones._triangulation
+    and (b) the ray sum over each set G of rays that is no face while every
+    facet G - {j} is one.
 
     (a) is in I: a box point g with support F is in span F but not in ZF,
     so the rays of tau(F), which hold F, are no lattice basis of its span,
-    as g's coordinates on them would be integers.  (b) is in I: tau(F) is
-    not simplicial.  A minimal v is sum l_i r_i on some simplex.  If its
-    fractional part g is nonzero, g is in I and v - g is in the cone, so
-    v = g.  Otherwise the ray sum w over the support F is in relint tau(F)
-    with v, and w <= v, so v = w.  Were tau(F) simplicial, its rays would
-    be F, and a nonzero box point of F, the singular tau(F) having index
-    > 1, would lie in I below w; so w is of kind (b).  A simplicial chart
-    is its own one simplex, where no F qualifies, so (b) is skipped.  Only
-    the cover is used; the simplices also meet in common faces, each face
-    triangulated by one rule, whichever face reaches it.
+    as g's coordinates on them would be integers.  (b) is in I: tau(G) has
+    more rays than G, so it is not simplicial, as every set of rays of a
+    simplicial face is a face; so it is singular.  A minimal v is
+    sum l_i r_i on some simplex.  If its fractional part g is nonzero, g
+    is in I and v - g is in the cone, so v = g.  Otherwise the ray sum w
+    over the support F is in relint tau(F) with v, and w <= v, so v = w.
+    Were F a face, it would be simplicial and singular, and its nonzero box
+    points would lie in I below w.  Were a proper subset G of F no face,
+    its ray sum would lie in I, as for (b), below w by the ray sum over
+    F - G.  So w is of kind (b).  In a simplicial chart every set of rays
+    is a face, so its faces are not walked.
 
     The candidates lie in I and hold its minimal points, so the minimal
     candidates, by cones._minimal on the chart's dual rays, are the
     components: below a candidate not minimal in I lies a minimal point of
     I, itself a candidate.  No generating set of the chart is needed.
 
-    Work budget: sum |det| box points plus, off a simplicial chart, one ray
-    sum, a corner of the closed parallelepiped, per face of two or more
-    rays of each simplex (one ray or none is a chart face), counted before
-    any is enumerated.  More than MAX_SING_PARALLELEPIPED_POINTS = 2048
-    raises ValueError, so _minimal makes at most 2048 * 2047 / 2 comparisons.
+    Work: the walk meets each face with each wall, then grows each face F
+    by each ray past max F and looks up the facets, so each G is grown once,
+    from G - {max G}.  The triangulation restricts to every face, so there
+    are at most sum 2^|S| faces over the simplices S.  The walk is not
+    weighed, as Cone.faces is not.  Work budget: sum |det| box points plus
+    the sums (b), counted before any is enumerated; more than
+    MAX_SING_PARALLELEPIPED_POINTS = 2048 raises ValueError, so _minimal
+    makes at most 2048 * 2047 / 2 comparisons.
     """
     rays = c.key
     walls = [frozenset(i for i, r in enumerate(rays) if not _dot(r, u)) for u in c._dual_keys]
-    simplices = _triangulation(rays, walls)
-    cells = [_parallelepiped([rays[i] for i in s]) for s in simplices]
-    scanned = simplices if len(simplices) > 1 else []
-    work = sum(volume for volume, _ in cells) + sum(2 ** len(s) - len(s) - 1 for s in scanned)
+    cells = [_parallelepiped([rays[i] for i in s]) for s in _triangulation(rays, walls)]
+    faces = _face_keys(walls, len(rays)) if len(rays) > c.dim else set()
+    grown = (f | {i} for f in faces for i in range(max(f, default=-1) + 1, len(rays)))
+    sets = [g for g in grown if g not in faces and all(g - {j} in faces for j in g)]
+    work = sum(volume for volume, _ in cells) + len(sets)
     _within_budget(work, MAX_SING_PARALLELEPIPED_POINTS, "sing would enumerate", "parallelepiped points")
-    sums = (
-        tuple(map(sum, zip(*(rays[i] for i in f))))
-        for s in scanned
-        for k in range(2, len(s) + 1)
-        for f in itertools.combinations(s, k)
-        if len(frozenset(range(len(rays))).intersection(*(w for w in walls if w.issuperset(f)))) > k
-    )
-    boxes = (p for _, cell in cells for p in cell if any(p))
-    minimal = _minimal(itertools.chain(boxes, sums), [u.coords for u in c.dual_rays])
+    sums = [tuple(map(sum, zip(*(rays[i] for i in g)))) for g in sets]
+    boxes = [p for _, cell in cells for p in cell if any(p)]
+    minimal = _minimal(boxes + sums, [u.coords for u in c.dual_rays])
     return tuple(_component(pt, None) for pt in minimal)
 
 

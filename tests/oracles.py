@@ -783,3 +783,36 @@ def orbit_poset_by_pairs(ambient, bound):
         if not any((i, k) in relation and (k, j) in relation for k in range(len(nodes))):
             covers.append((i, j))
     return tuple(nodes), frozenset(relation), tuple(covers)
+
+
+def sing_by_simplex_subsets(cone, budget=None):
+    """Minimal points of the union I of singular-face relative interiors, by the per-simplex subset scan.
+
+    The route ideals.sing_components took before it read the chart's face
+    lattice: the nonzero points of each [0, 1) parallelepiped of the
+    pulling triangulation and, off a simplicial chart, the ray sum over
+    each set of two or more rays of each simplex whose smallest face, the
+    meet of the walls holding the set, has more rays than the set.  The
+    work is sum |det| plus 2^k - k - 1 sets per simplex of k rays; past
+    budget, if one is given, it raises ValueError before any point is read.
+    """
+    from toricarcs.cones import _minimal, _parallelepiped, _triangulation
+
+    rays = cone.key
+    walls = [frozenset(i for i, r in enumerate(rays) if not dot(r, u)) for u in cone._dual_keys]
+    simplices = _triangulation(rays, walls)
+    cells = [_parallelepiped([rays[i] for i in s]) for s in simplices]
+    scanned = simplices if len(simplices) > 1 else []
+    work = sum(volume for volume, _ in cells) + sum(2 ** len(s) - len(s) - 1 for s in scanned)
+    if budget is not None and work > budget:
+        raise ValueError(f"the subset scan would read {work} points, more than {budget}")
+    everything = frozenset(range(len(rays)))
+    sums = [
+        tuple(map(sum, zip(*(rays[i] for i in f))))
+        for s in scanned
+        for k in range(2, len(s) + 1)
+        for f in itertools.combinations(s, k)
+        if len(everything.intersection(*(w for w in walls if w.issuperset(f)))) > k
+    ]
+    boxes = [p for _, cell in cells for p in cell if any(p)]
+    return _minimal(boxes + sums, [u.coords for u in cone.dual_rays])

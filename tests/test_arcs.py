@@ -614,7 +614,7 @@ def test_orbit_poset_default_budget_refuses_a_large_bound_at_once(a1):
         orbit_poset(a1, 11)
 
 
-@pytest.mark.parametrize("bound", [1.5, "2", None, 2.0])
+@pytest.mark.parametrize("bound", [1.5, "2", None, 2.0, True, False])
 def test_orbit_poset_refuses_a_bound_that_is_not_an_int_before_the_face_walk(bound, monkeypatch):
     import toricarcs.arcs as arcs
 

@@ -16,6 +16,7 @@ from oracles import (
     in_cone_rational,
     newton_by_vertex_cells,
     polar_by_face_lattice,
+    sing_by_simplex_subsets,
     sing_by_zonotope_scan,
 )
 
@@ -661,6 +662,37 @@ def test_sing_components_match_the_zonotope_scan(cone):
     assert [c.point for c in sing_components(cone)] == sing_by_zonotope_scan(cone)
 
 
+@pytest.mark.parametrize("cone", _sing_scan_charts(), ids=repr)
+def test_sing_components_match_the_simplex_subset_scan(cone):
+    assert [c.point for c in sing_components(cone)] == sing_by_simplex_subsets(cone)
+
+
+def _non_simplicial_charts(count=200):
+    # full-dimensional charts of rank 3 to 5 with more rays than their rank, whose subset scan
+    # reads at most MAX_SING_PARALLELEPIPED_POINTS = 2048 points, with that scan's answer
+    rng = random.Random(22)
+    charts = []
+    for _ in draws("_non_simplicial_charts"):
+        if len(charts) == count:
+            return charts
+        dim = 3 + len(charts) % 3
+        gens = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(dim + 1, dim + 4))]
+        try:
+            cone = Cone(gens, dim)
+            if cone.is_full_dimensional() and len(cone.key) > dim:
+                charts.append((cone, sing_by_simplex_subsets(cone, 2048)))
+        except ValueError:
+            continue
+
+
+def test_sing_components_match_the_simplex_subset_scan_on_seeded_non_simplicial_charts():
+    # 2000 charts drawn the same way from seed 7 agreed in a longer run outside the suite
+    charts = _non_simplicial_charts()
+    assert {cone.dim for cone, _ in charts} == {3, 4, 5}
+    for cone, expected in charts:
+        assert [c.point for c in sing_components(cone)] == expected, cone
+
+
 def test_sing_components_rank_5_within_a_second():
     # frozen after one comparison with sing_by_zonotope_scan, which took 42.6 s on a 2-vCPU Xeon VM
     cone = Cone([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 2, 3, 4, 9)])
@@ -686,7 +718,7 @@ def test_sing_components_rank_5_within_a_second():
 # cone order, as their difference would be a nonzero point at height 0.
 
 
-@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (1, 3), (2, 2), (1, 4), (2, 3)])
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (1, 3), (2, 2), (1, 4), (2, 3), (3, 3)])
 def test_sing_of_a_simplex_product_has_one_component_per_square_face(a, b):
     # The faces of P = Delta_a x Delta_b are the products F x G of faces.  If F or G is a point,
     # F x G is a unimodular simplex, so the singular faces are those with dim F, dim G >= 1.  A
@@ -704,14 +736,15 @@ def test_sing_of_a_simplex_product_has_one_component_per_square_face(a, b):
         assert got == sing_by_zonotope_scan(cone)
 
 
-@pytest.mark.parametrize("n, count", [(2, 1), (3, 7), (4, 33)])
+@pytest.mark.parametrize("n, count", [(2, 1), (3, 7), (4, 33), (5, 131)])
 def test_sing_of_a_cube_cone_has_one_component_per_face_of_dimension_two_or_more(n, count):
     # A face of [0, 1]^n of dimension <= 1 is a point or a unit edge, a unimodular simplex, and one
     # of dimension k >= 2 is a k-cube, not a simplex, so singular.  The face x + [0, 1]^D has one
     # point of relint at height 2, its center (2x + sum_D e_i, 2).  A point (y, h) of its relint
     # has y_j = h x_j off D and 1 <= y_i <= h - 1 on D, so (y, h) minus the center lies in
     # (h - 2) [0, 1]^n at height h - 2, in the cone.  So the components are the centers of the
-    # faces of dimension >= 2: 1 at n = 2, 6 + 1 at n = 3 and 24 + 8 + 1 at n = 4.
+    # faces of dimension >= 2: 1 at n = 2, 6 + 1 at n = 3, 24 + 8 + 1 at n = 4 and 80 + 40 + 10 + 1
+    # at n = 5.
     cone = cube_cone(n)
     got = [c.point for c in sing_components(cone)]
     assert len(got) == count and {p[-1] for p in got} == {2}
@@ -730,16 +763,29 @@ def test_sing_budget_counts_candidates_only(a2, monkeypatch):
         sing_components(a2)
 
 
-def test_sing_budget_counts_simplex_faces_off_a_simplicial_chart(monkeypatch):
+def test_sing_budget_counts_box_points_and_non_faces_whose_facets_are_faces(monkeypatch):
     import toricarcs.ideals as ideals
 
-    # the 4-cube cone is pulled into 24 unimodular simplices of 5 rays: 24 box points, and
-    # 2^5 - 5 - 1 = 26 faces of two or more rays in each, 24 + 24 * 26 = 648 in all
-    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 648)
+    # the 4-cube cone is pulled into 24 unimodular simplices: 24 box points.  A set of rays whose
+    # facets are faces but which is no face is a pair of vertices that is no edge, C(16, 2) - 32 =
+    # 88 of them: the cube's graph has no triangle, and no three vertices span a face.  24 + 88
+    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 112)
     assert len(sing_components(cube_cone(4))) == 33
-    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 647)
-    with pytest.raises(ValueError, match="648 parallelepiped points, more than the budget of 647"):
+    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 111)
+    with pytest.raises(ValueError, match="112 parallelepiped points, more than the budget of 111"):
         sing_components(cube_cone(4))
+
+
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_sing_of_the_conifold_times_an_orthant_is_one_component(k):
+    # e1, e2, e3, e1 + e2 - e3 span the conifold, a cone over a unit square, whose one singular
+    # face is the whole cone, with both diagonals summing to (1, 1, 0).  Times the k-dim orthant,
+    # a face is a face of each factor, so the singular faces are those holding the conifold, and
+    # the component is (1, 1, 0, ..., 0).  At k = 8 the face walk meets 10 * 2^8 faces.
+    n = 3 + k
+    square = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]
+    rays = [r + (0,) * k for r in square] + [tuple(int(i == j) for j in range(n)) for i in range(3, n)]
+    assert [c.point for c in sing_components(Cone(rays))] == [(1, 1) + (0,) * (n - 2)]
 
 
 def test_sing_takes_one_parallelepiped_on_a_simplicial_chart(monkeypatch):
@@ -753,8 +799,9 @@ def test_sing_takes_one_parallelepiped_on_a_simplicial_chart(monkeypatch):
     rays[1] = (1, 2) + (0,) * (n - 2)
     boxes = counting(monkeypatch, ideals, "_parallelepiped")
     walks = counting(monkeypatch, cones, "_face_keys")
+    sing_walks = counting(monkeypatch, ideals, "_face_keys")
     assert [c.point for c in sing_components(Cone(rays))] == [(1, 1) + (0,) * (n - 2)]
-    assert len(boxes) == 1 and walks == []
+    assert len(boxes) == 1 and walks == [] and sing_walks == []
 
 
 def test_sing_default_budget_refuses_a_large_determinant_at_once():
