@@ -11,8 +11,9 @@ relative interiors of the singular faces.
 
 One double description per ideal, kept on it, serves newton, polar,
 contact and the compact faces at every level: the rays of the homogenized
-level-1 set and the tight set of each of its constraints.  Inputs are
-checked once, at the public boundary; then _dot works on int tuples.
+level-1 set, the tight set of each of its constraints and its compact
+faces, walked once.  Inputs are checked once, at the public boundary;
+then _dot works on int tuples.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class MonomialIdeal(_Record):
         "chart": "Cone",
         "generators": "tuple[LatticeVector, ...]",
         "discarded": "tuple[LatticeVector, ...]",
-        "_level_one": "the level-1 cone's rays and tight sets, once computed",
+        "_level_one": "the level-1 cone's rays, tight sets and compact faces, once computed",
     }
 
 
@@ -171,12 +172,23 @@ def _level_constraints(a: MonomialIdeal, p: int) -> list[tuple[tuple[int, ...], 
     return [(u.coords, p) for u in a.generators] + list(a.chart.halfspace_data())
 
 
-def _level_cone(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]]:
+def _level_cone(a: MonomialIdeal):
     """The homogenized level-1 set, one double description kept on the ideal.
 
-    Returns its extreme rays (x, s) and the tight set, the indices of the
+    Returns its extreme rays (x, s); the tight set, the indices of the
     rays where it is an equality, of each of u . x >= s for the generators
-    u, w . x >= 0 for the chart walls w and s >= 0, in that order.
+    u, w . x >= 0 for the chart walls w and s >= 0, in that order; and
+    each compact face, a nonempty face whose rays all have s > 0, as its
+    ray indices with the indices of the constraints tight on it.  A face
+    is an intersection of tight sets, so the faces are cones._face_keys of
+    the tight sets, walked here once.
+
+    The order is homogeneous of degree one, so the level-p set is p times
+    the level-1 set: (x, s) -> (p x, s) maps one homogenized cone onto the
+    other, as u . x >= s becomes u . (p x) >= p s and the chart walls are
+    linear.  So every level reads this record: the level-p vertices are
+    p x / s, and the recession rays (s = 0), the tight sets and the
+    compact faces are those of level 1.
     """
     if a._level_one is None:
         if not a.chart.is_full_dimensional():
@@ -185,7 +197,12 @@ def _level_cone(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], tuple[fr
         rays = _homogenized_rays(constraints, a.chart.dim_ambient)
         walls = [frozenset(i for i, r in enumerate(rays) if _dot(c, r) == b * r[-1]) for c, b in constraints]
         walls.append(frozenset(i for i, r in enumerate(rays) if r[-1] == 0))
-        _set(a, "_level_one", (rays, tuple(walls)))
+        faces = tuple(
+            (face, tuple(k for k, wall in enumerate(walls[:-1]) if face <= wall))
+            for face in _face_keys(walls, len(rays))
+            if face and all(rays[i][-1] for i in face)
+        )
+        _set(a, "_level_one", (rays, tuple(walls), faces))
     return a._level_one
 
 
@@ -200,7 +217,7 @@ def newton_polytope(a: MonomialIdeal) -> NewtonData:
     to one there, as s = u . x.  So the cell is the Cone of the x-parts of
     the rays in u's tight set; u is a vertex iff its cell is full-dimensional.
     """
-    rays, walls = _level_cone(a)
+    rays, walls, _ = _level_cone(a)
     cells = {u: Cone([rays[i][:-1] for i in wall], a.chart.dim_ambient) for u, wall in zip(a.generators, walls)}
     vertices = sorted((u for u, cell in cells.items() if cell.is_full_dimensional()), key=lambda u: u.coords)
     return NewtonData(
@@ -220,41 +237,17 @@ def _check_level(p) -> None:
         raise ValueError("the level p must be a positive integer")
 
 
-def _level_rays(a: MonomialIdeal, p: int) -> list[tuple[int, ...]]:
-    """Extreme rays (x, s) of the homogenized level-p set, in _level_cone's order: see polar_polytope."""
-    return [primitive_tuple(tuple(p * x for x in r[:-1]) + r[-1:])[1] if r[-1] else r for r in _level_cone(a)[0]]
-
-
-def _compact_faces(a: MonomialIdeal) -> list[tuple[frozenset[int], list[int]]]:
-    """Per compact face of the level-p set, its ray indices in _level_cone and those of its tight constraints.
-
-    The faces and tight sets at level p are those at level 1, for every p: see polar_polytope.
-    """
-    rays, walls = _level_cone(a)
-    return [
-        (face, [k for k, wall in enumerate(walls[:-1]) if face <= wall])
-        for face in _face_keys(walls, len(rays))
-        if face and all(rays[i][-1] for i in face)
-    ]
-
-
 def polar_polytope(a: MonomialIdeal, p: int) -> PolarData:
     """Vertices and compact faces of the level-p polytope of the order function.
 
-    The homogenized level set has rays (x, s), vertices x / s where s > 0.
-    The order is homogeneous of degree one, so the level-p set is p times
-    the level-1 set: (x, s) -> (p x, s) maps one homogenized cone onto the
-    other, as u . x >= s becomes u . (p x) >= p s and the chart walls are
-    linear.  So the rays at level p are the primitive (p x, s), recession
-    rays (s = 0) unchanged, each constraint is tight on the same rays, and
-    one double-description pass at level 1, kept on the ideal, serves
-    every level.  The faces of that cone are the intersections of the
-    tight sets of the homogenized constraints, and the compact faces are
-    the nonempty ones made of vertices alone.
+    The level-p set is p times the level-1 set (see _level_cone), so each
+    vertex is p x / s for a ray (x, s) of the homogenized level-1 set with
+    s > 0, the recession rays are its rays with s = 0, and its compact
+    faces, the nonempty faces made of vertices alone, are kept on the ideal.
     """
     _check_level(p)
-    rays, faces = _level_rays(a, p), _compact_faces(a)
-    points = {i: tuple(Fraction(x, r[-1]) for x in r[:-1]) for i, r in enumerate(rays) if r[-1] > 0}
+    rays, _, faces = _level_cone(a)
+    points = {i: tuple(Fraction(p * x, r[-1]) for x in r[:-1]) for i, r in enumerate(rays) if r[-1] > 0}
     vertices = tuple(sorted(points.values()))
     position = {v: k for k, v in enumerate(vertices)}
     return PolarData(
@@ -302,7 +295,7 @@ def compact_face_lattice_points(a: MonomialIdeal, p: int) -> tuple[tuple[int, ..
     are summed against MAX_CONTACT_BOX_POINTS first.
     """
     _check_level(p)
-    rays, faces = _level_cone(a)[0], _compact_faces(a)
+    rays, _, faces = _level_cone(a)
     constraints = _level_constraints(a, p)
     boxes = [
         (*_vertex_box([rays[i] for i in face], p), [_negated(constraints[k]) for k in tight]) for face, tight in faces
@@ -367,10 +360,9 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
     generator lies in conv(V) + sum [0, 1) r_i: the scanned box is the
     vertex box widened by sum min(0, r_i) below and sum max(0, r_i) above.
 
-    The order is homogeneous of degree one, so the level-p vertices are
-    p x / s for the rays (x, s) of the homogenized level-1 set with s > 0,
-    as in polar_polytope.  The vertex box is read in integers off them:
-    floor(p x_j / s) below and ceil(p x_j / s) above.
+    The level-p vertices are p x / s for the rays (x, s) of the homogenized
+    level-1 set with s > 0 (see _level_cone), so the vertex box is read in
+    integers off them: floor(p x_j / s) below and ceil(p x_j / s) above.
 
     The candidates are the box points of order exactly p.  The order is
     monotone along the cone, so a point of the ideal below one of order p
@@ -414,9 +406,10 @@ def singular_faces(c: Cone) -> tuple[FaceRef, ...]:
     return tuple(f for f in c.faces() if not _unimodular(f.key))
 
 
-# Most candidates sing_components may enumerate; see its docstring.  The
-# benchmark's largest sing chart needs 21, the 4-cube cone 24 + 88, the 5-cube
-# cone 120 + 416 (0.03 s).  A_2047 needs 2048: about 1 s on a 2-vCPU Xeon, Python 3.11.
+# Most candidates sing_components may enumerate, box points plus distinct ray
+# sums; see its docstring.  The benchmark's largest sing chart needs 15, the
+# 4-cube cone 24 + 33, the 5-cube cone 120 + 131 (0.03 s), the 6-cube cone
+# 720 + 473 (0.2 s).  A_2047 needs 2048: about 1 s on a 2-vCPU Xeon, Python 3.11.
 MAX_SING_PARALLELEPIPED_POINTS = 2048
 
 
@@ -457,21 +450,22 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     from G - {max G}.  The triangulation restricts to every face, so there
     are at most sum 2^|S| faces over the simplices S.  The walk is not
     weighed, as Cone.faces is not.  Work budget: sum |det| box points plus
-    the sums (b), counted before any is enumerated; more than
-    MAX_SING_PARALLELEPIPED_POINTS = 2048 raises ValueError, so _minimal
-    makes at most 2048 * 2047 / 2 comparisons.
+    the distinct ray sums (b), the points _minimal reads, counted before
+    any box point is enumerated; more than MAX_SING_PARALLELEPIPED_POINTS
+    = 2048 raises ValueError, so _minimal makes at most 2048 * 2047 / 2
+    comparisons.
     """
     rays = c.key
     walls = [frozenset(i for i, r in enumerate(rays) if not _dot(r, u)) for u in c._dual_keys]
     cells = [_parallelepiped([rays[i] for i in s]) for s in _triangulation(rays, walls)]
     faces = _face_keys(walls, len(rays)) if len(rays) > c.dim else set()
     grown = (f | {i} for f in faces for i in range(max(f, default=-1) + 1, len(rays)))
-    sets = [g for g in grown if g not in faces and all(g - {j} in faces for j in g)]
-    work = sum(volume for volume, _ in cells) + len(sets)
+    sets = (g for g in grown if g not in faces and all(g - {j} in faces for j in g))
+    sums = {tuple(map(sum, zip(*(rays[i] for i in g)))) for g in sets}
+    work = sum(volume for volume, _ in cells) + len(sums)
     _within_budget(work, MAX_SING_PARALLELEPIPED_POINTS, "sing would enumerate", "parallelepiped points")
-    sums = [tuple(map(sum, zip(*(rays[i] for i in g)))) for g in sets]
     boxes = [p for _, cell in cells for p in cell if any(p)]
-    minimal = _minimal(boxes + sums, [u.coords for u in c.dual_rays])
+    minimal = _minimal(boxes + list(sums), [u.coords for u in c.dual_rays])
     return tuple(_component(pt, None) for pt in minimal)
 
 

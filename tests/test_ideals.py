@@ -24,7 +24,6 @@ from toricarcs.arcs import monomial_arc, orbit_label, orbit_poset
 from toricarcs.cones import Cone, _homogenized_rays
 from toricarcs.ideals import (
     _level_constraints,
-    _level_rays,
     compact_face_lattice_points,
     contact_components,
     dual_fan,
@@ -228,9 +227,12 @@ def test_level_p_set_is_p_times_the_level_1_set():
             data = polar_polytope(ideal, p)
             assert data.vertices == tuple(tuple(p * x for x in v) for v in one.vertices)
             assert (data.compact_faces, data.recession_rays) == (one.compact_faces, one.recession_rays)
-            # the scaled level-1 rays are those of a fresh pass at level p
+            # the vertices p x / s read off the level-1 rays, and the recession rays, are those of a
+            # fresh pass at level p
             fresh = _homogenized_rays(_level_constraints(ideal, p), dim)
-            assert sorted(_level_rays(ideal, p)) == list(fresh), (chart.key, gens, p)
+            vertices = tuple(sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in fresh if r[-1] > 0))
+            recession = tuple(sorted(r[:-1] for r in fresh if r[-1] == 0))
+            assert (data.vertices, data.recession_rays) == (vertices, recession), (chart.key, gens, p)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -283,6 +285,21 @@ def test_newton_polar_and_contact_read_one_level_cone(monkeypatch):
     assert calls == []
     newton_by_vertex_cells(ideal)
     assert len(calls) == 2 * k  # the old route: a dual and a Cone per generator
+
+
+def test_one_ideal_walks_its_compact_faces_once(monkeypatch):
+    import toricarcs.ideals as ideals
+
+    # the singular 3D chart of scripts/contact_profile.py: the level cone's faces are walked
+    # when it is built, and every later query at every level reads the kept compact faces
+    ideal = monomial_ideal(Cone([(0, 1, 0), (1, 0, 0), (1, 1, 2)]), [(0, 0, 1), (0, 3, -1), (1, 1, -1)])
+    walks = counting(monkeypatch, ideals, "_face_keys")
+    newton_polytope(ideal)
+    for p in range(1, 5):
+        assert polar_polytope(ideal, p).compact_faces
+        compact_face_lattice_points(ideal, p)
+        contact_components(ideal, p)
+    assert len(walks) == 1
 
 
 def test_one_ideal_answers_every_level_in_any_order():
@@ -489,12 +506,10 @@ def test_contact_draws_only_points_of_order_p(monkeypatch, p):
             yield x
 
     monkeypatch.setattr(ideals, "lattice_points_where", recorded)
-    level_rays = counting(monkeypatch, ideals, "_level_rays")
     ideal = monomial_ideal(Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), [(1, 1, 1)])
     components = contact_components(ideal, p)
     assert all(order_function(ideal, x) == p for x in drawn)
     assert len(drawn) == len(components) == math.comb(p + 2, 2)
-    assert level_rays == []
 
 
 def test_compact_face_points_are_minimal_components(q23, quadrant):
@@ -736,15 +751,15 @@ def test_sing_of_a_simplex_product_has_one_component_per_square_face(a, b):
         assert got == sing_by_zonotope_scan(cone)
 
 
-@pytest.mark.parametrize("n, count", [(2, 1), (3, 7), (4, 33), (5, 131)])
+@pytest.mark.parametrize("n, count", [(2, 1), (3, 7), (4, 33), (5, 131), (6, 473)])
 def test_sing_of_a_cube_cone_has_one_component_per_face_of_dimension_two_or_more(n, count):
     # A face of [0, 1]^n of dimension <= 1 is a point or a unit edge, a unimodular simplex, and one
     # of dimension k >= 2 is a k-cube, not a simplex, so singular.  The face x + [0, 1]^D has one
     # point of relint at height 2, its center (2x + sum_D e_i, 2).  A point (y, h) of its relint
     # has y_j = h x_j off D and 1 <= y_i <= h - 1 on D, so (y, h) minus the center lies in
     # (h - 2) [0, 1]^n at height h - 2, in the cone.  So the components are the centers of the
-    # faces of dimension >= 2: 1 at n = 2, 6 + 1 at n = 3, 24 + 8 + 1 at n = 4 and 80 + 40 + 10 + 1
-    # at n = 5.
+    # faces of dimension >= 2: 1 at n = 2, 6 + 1 at n = 3, 24 + 8 + 1 at n = 4, 80 + 40 + 10 + 1
+    # at n = 5, and 3^6 - 2^6 - 6 * 2^5 = 473 at n = 6.
     cone = cube_cone(n)
     got = [c.point for c in sing_components(cone)]
     assert len(got) == count and {p[-1] for p in got} == {2}
@@ -763,16 +778,18 @@ def test_sing_budget_counts_candidates_only(a2, monkeypatch):
         sing_components(a2)
 
 
-def test_sing_budget_counts_box_points_and_non_faces_whose_facets_are_faces(monkeypatch):
+def test_sing_budget_counts_box_points_and_distinct_ray_sums(monkeypatch):
     import toricarcs.ideals as ideals
 
     # the 4-cube cone is pulled into 24 unimodular simplices: 24 box points.  A set of rays whose
     # facets are faces but which is no face is a pair of vertices that is no edge, C(16, 2) - 32 =
-    # 88 of them: the cube's graph has no triangle, and no three vertices span a face.  24 + 88
-    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 112)
+    # 88 of them: the cube's graph has no triangle, and no three vertices span a face.  Such a pair
+    # is a diagonal of the smallest face holding it, of dimension >= 2, and sums to twice its
+    # center at height 2; so the 88 pairs give 24 + 8 + 1 = 33 distinct sums.  24 + 33 = 57
+    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 57)
     assert len(sing_components(cube_cone(4))) == 33
-    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 111)
-    with pytest.raises(ValueError, match="112 parallelepiped points, more than the budget of 111"):
+    monkeypatch.setattr(ideals, "MAX_SING_PARALLELEPIPED_POINTS", 56)
+    with pytest.raises(ValueError, match="57 parallelepiped points, more than the budget of 56"):
         sing_components(cube_cone(4))
 
 

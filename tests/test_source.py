@@ -51,13 +51,28 @@ def test_unused_import_rule_sees_a_name_that_is_never_read():
     assert _unused_imports(tree) == [(1, "Fraction"), (3, "INF")]
 
 
+def _callers(tree, name):
+    """(function, line) per call of name, as a bare name or as an attribute, sorted by line.
+
+    The function is the innermost def around the call, or None outside any.
+    """
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return sorted(found, key=lambda place: place[1])
+
+
 def _calls(tree, name):
     """The lines where a module calls name, as a bare name or as an attribute."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    )
+    return [line for _, line in _callers(tree, name)]
 
 
 def _calls_in_package(name):
@@ -76,6 +91,30 @@ def test_no_package_module_calls_pairing():
 def test_only_cones_calls_dual_generators():
     # a double description belongs to a cone, an intersection or a homogenized polyhedron
     assert [place for place in _calls_in_package("dual_generators") if place[0] != "cones.py"] == []
+
+
+def test_only_the_level_cone_and_sing_walk_a_face_lattice_in_ideals():
+    # ideals reads two face lattices: the level cone's, walked once per ideal, and the chart's in sing
+    tree = ast.parse((SRC / "ideals.py").read_text(encoding="utf-8"))
+    callers = {"_level_cone", "sing_components"}
+    assert [place for place in _callers(tree, "_face_keys") if place[0] not in callers] == []
+
+
+def test_caller_rule_names_the_innermost_function_around_each_call():
+    source = (
+        "from .cones import _face_keys\n"
+        "_face_keys(w, 1)\n"
+        "def outer(w):\n"
+        "    def inner():\n"
+        "        return cones._face_keys(w, 2)\n"
+        "    return _face_keys(w, 3), inner\n"
+        "class C:\n"
+        "    def method(self, w):\n"
+        "        return [_face_keys(x, 4) for x in w]\n"
+        "def named(w):\n"
+        "    return _face_keys\n"
+    )
+    assert _callers(ast.parse(source), "_face_keys") == [(None, 2), ("inner", 5), ("outer", 6), ("method", 9)]
 
 
 def test_call_rule_sees_a_bare_and_an_attribute_call():
