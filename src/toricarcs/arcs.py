@@ -270,8 +270,7 @@ def monomial_arc(
     hom = hom_from_label(o)
     finite_vals = [v for v in hom.values if is_finite(v)]
     level = max(finite_vals, default=0)
-    if precision is None:
-        precision = level
+    precision = level if precision is None else index(precision)
     if precision < level:
         raise ValueError(f"precision must be at least the largest order {level}")
     cutoff = precision + 1
@@ -526,8 +525,7 @@ def dominance_witness(
         b for _, _, b, _ in pair_data if is_finite(b)
     ]
     max_order = max(finite_orders, default=0)
-    if t_precision is None:
-        t_precision = 2 * max_order + 1
+    t_precision = 2 * max_order + 1 if t_precision is None else index(t_precision)
     if t_precision <= 2 * max_order:
         raise ValueError(
             f"t_precision must exceed twice the largest order ({2 * max_order})"

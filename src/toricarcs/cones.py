@@ -4,9 +4,10 @@ Cones are given by primitive integer ray generators.  Dual descriptions are
 computed by an incremental double-description pass over exact integers:
 halfspaces are inserted one at a time, first consuming the lineality space,
 then combining adjacent rays across the new wall.  A face is its tight set,
-so adjacency, extremality, strong convexity and the facets of the
-triangulation are all read on tight sets, with no rank test per pair, ray,
-cone or facet.
+and the pass returns every constraint's; a Cone keeps its dual rays' as
+_walls.  So adjacency, extremality, strong convexity, faces, smallest faces
+and the facets of the triangulation are all read on the tight sets of the
+one double description, with no rank or zero test per pair, ray or facet.
 
 Inputs are checked once, at the public boundary: generators through
 operator.index, and the argument of contains, tight_ray_indices and
@@ -80,12 +81,14 @@ def _canonical_sign(vec: Sequence[int]) -> tuple[int, ...]:
 
 def dual_generators(
     constraints: Sequence[Sequence[int]], dim: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]]:
     """Generator description of {x in R^dim : c . x >= 0 for all c}.
 
-    Returns (rays, lineality_basis) as primitive integer tuples, each sorted.
-    Rays hold one representative per extreme ray modulo the lineality space,
-    reduced canonically modulo that space.
+    Returns (rays, lineality_basis, walls): primitive integer tuples, each
+    sorted, with one ray per extreme ray modulo the lineality space L,
+    reduced canonically modulo L; walls[k] is the frozenset of indices of
+    the rays on which constraint k vanishes.  A zero constraint vanishes
+    on every vector, so its wall is every ray.
 
     The constraints are inserted one at a time, and after each the list
     holds exactly the extreme rays of the cone so far modulo its lineality
@@ -100,7 +103,7 @@ def dual_generators(
     the rays whose zero sets contain Z, so p and m are adjacent iff no
     third ray's zero set contains Z (Fukuda & Prodon, Double description
     method revisited, 1996, Prop. 7).  Rays are reduced modulo L once, at
-    the end.
+    the end; every constraint vanishes on L, so the zero sets are kept.
     """
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[tuple[int, ...], int]] = []  # (ray, bitmask of the processed rows zero on it)
@@ -109,8 +112,6 @@ def dual_generators(
         a = tuple(map(index, raw))
         if len(a) != dim:
             raise ValueError(f"constraint {list(a)} has length {len(a)}, not {dim}")
-        if not any(a):
-            continue
         hit = next((i for i, l in enumerate(lin) if _dot(a, l) != 0), None)
         if hit is not None:
             l0 = lin.pop(hit)
@@ -136,11 +137,12 @@ def dual_generators(
                 new_rays.append((primitive_tuple(combo)[1], common | bit))
             rays = new_rays
         bit <<= 1
-    out = [r for r, _ in rays]
     if lin:
         q = quotient_lattice(dim, [LatticeVector(l, N_SIDE) for l in lin])
-        out = [q.lift(primitive_tuple(q.project(LatticeVector(r, N_SIDE)).coords)[1]).coords for r in out]
-    return tuple(sorted(out)), tuple(sorted(lin))
+        rays = [(q.lift(primitive_tuple(q.project(LatticeVector(r, N_SIDE)).coords)[1]).coords, z) for r, z in rays]
+    rays.sort()
+    walls = tuple(frozenset(i for i, (_, z) in enumerate(rays) if z >> k & 1) for k in range(bit.bit_length() - 1))
+    return tuple(r for r, _ in rays), tuple(sorted(lin)), walls
 
 
 class Cone(_Record):
@@ -154,8 +156,8 @@ class Cone(_Record):
     cached, so all later membership tests are pure integer arithmetic.
     """
 
-    __slots__ = ("dim_ambient", "key", "rays", "dual_rays", "span_normals",
-                 "_dual_keys", "_duals", "_faces", "_hilbert")  # _dual_keys: dual_generator_list() coords
+    __slots__ = ("dim_ambient", "key", "rays", "dual_rays", "span_normals",  # _walls[j]: the rays on dual ray j
+                 "_dual_keys", "_walls", "_duals", "_faces", "_hilbert")  # _dual_keys: dual_generator_list() coords
 
     def __init__(self, rays: Iterable, dim_ambient: int | None = None):
         ray_tuples: list[tuple[int, ...]] = []
@@ -172,24 +174,22 @@ class Cone(_Record):
             raise ValueError("ambient dimension required for a cone with no rays")
         ray_tuples = sorted(set(ray_tuples))
 
-        dual_rays, dual_lin = dual_generators(ray_tuples, dim_ambient)
-        # a generator tight on every dual ray vanishes on the dual, so its
-        # negative lies in the cone: a line; else the dual rays' sum is positive
-        # on every generator, so the dual is full-dimensional.  A generator is
-        # extreme iff the smallest face holding it, cut out by the dual rays
-        # tight on it, holds no other generator.
-        tight = [sum(1 << i for i, u in enumerate(dual_rays) if not _dot(r, u)) for r in ray_tuples]
-        if (1 << len(dual_rays)) - 1 in tight:
+        dual_rays, dual_lin, tight = dual_generators(ray_tuples, dim_ambient)
+        # tight[g]: the dual rays generator g is on.  A generator tight on every
+        # dual ray vanishes on the dual, so its negative lies in the cone: a line;
+        # else the dual rays' sum is positive on every generator, so the dual is
+        # full-dimensional.  A generator is extreme iff the smallest face holding
+        # it, cut out by the dual rays tight on it, holds no other generator:
+        # its tight set is in no other's.
+        if any(len(t) == len(dual_rays) for t in tight):
             raise ValueError("cone is not strongly convex (contains a line)")
-        extreme = tuple(
-            r
-            for r, t in zip(ray_tuples, tight)
-            if not any(s & t == t and g != r for g, s in zip(ray_tuples, tight))
-        )
+        extreme = [g for g, t in enumerate(tight) if sum(map(t.issubset, tight)) == 1]
 
         _set(self, "dim_ambient", dim_ambient)
-        _set(self, "key", extreme)
-        _set(self, "rays", tuple(LatticeVector(r, N_SIDE) for r in extreme))
+        _set(self, "key", tuple(ray_tuples[g] for g in extreme))
+        walls = (frozenset(i for i, g in enumerate(extreme) if j in tight[g]) for j in range(len(dual_rays)))
+        _set(self, "_walls", tuple(walls))
+        _set(self, "rays", tuple(LatticeVector(r, N_SIDE) for r in self.key))
         _set(self, "dual_rays", tuple(LatticeVector(u, M_SIDE) for u in dual_rays))
         _set(self, "span_normals", tuple(LatticeVector(l, M_SIDE) for l in dual_lin))
         _set(self, "_dual_keys", tuple(sorted(dual_rays + dual_lin + tuple(map(_neg, dual_lin)))))
@@ -247,21 +247,15 @@ class Cone(_Record):
 
     def faces(self) -> tuple["FaceRef", ...]:
         if self._faces is None:
-            keys = _face_keys(
-                ([i for i, r in enumerate(self.key) if not _dot(r, u)] for u in self._dual_keys), len(self.key)
-            )
-            refs = tuple(
-                FaceRef(self, tuple(sorted(k)))
-                for k in sorted(keys, key=lambda k: (len(k), tuple(sorted(k))))
-            )
-            _set(self, "_faces", refs)
+            refs = (FaceRef(self, k) for k in _face_keys(self._walls, len(self.key)))
+            _set(self, "_faces", tuple(sorted(refs, key=lambda f: (len(f.indices), f.indices))))
         return self._faces
 
     def face_from_indices(self, indices: Sequence[int]) -> "FaceRef":
         """The face spanned by the given rays; refused unless they are all of its rays."""
-        wanted = tuple(sorted(indices))
-        if all(0 <= i < len(self.rays) for i in wanted):
-            face = self.smallest_face_containing([self.rays[i] for i in wanted])
+        wanted = tuple(sorted(map(index, indices)))
+        if all(0 <= i < len(self.key) for i in wanted):
+            face = self._face_cut_by(w for w in self._walls if w.issuperset(wanted))
             if face.indices == wanted:
                 return face
         raise ValueError(f"ray subset {list(wanted)} does not span a face")
@@ -280,14 +274,19 @@ class Cone(_Record):
 
     def _face_at(self, points: Sequence[tuple[int, ...]]) -> "FaceRef":
         """smallest_face_containing for the coordinates of points of the cone, unchecked."""
-        tight = [u for u in self._dual_keys if not any(_dot(x, u) for x in points)]
-        return FaceRef(self, (i for i, r in enumerate(self.key) if not any(_dot(r, u) for u in tight)))
+        return self._face_cut_by(
+            w for u, w in zip(self.dual_rays, self._walls) if not any(_dot(x, u.coords) for x in points)
+        )
+
+    def _face_cut_by(self, walls: Iterable[frozenset[int]]) -> "FaceRef":
+        """The face cut out by some dual rays, given by their walls: the rays on all of them."""
+        return FaceRef(self, frozenset(range(len(self.key))).intersection(*walls))
 
     # -- Hilbert basis of the cone's own semigroup ----------------------------
 
     def hilbert_basis(self) -> tuple[LatticeVector, ...]:
         if self._hilbert is None:
-            basis = _hilbert_of_pointed(self.key, self._dual_keys)
+            basis = _hilbert_of_pointed(self.key, self._walls, self._dual_keys)
             _set(self, "_hilbert", tuple(LatticeVector(b, N_SIDE) for b in basis))
         return self._hilbert
 
@@ -504,9 +503,10 @@ def _minimal(points: Iterable[tuple[int, ...]], normals: Sequence[Sequence[int]]
 MAX_HILBERT_COVER_POINTS = 50_000
 
 
-def _hilbert_of_pointed(gens, normals) -> tuple[tuple[int, ...], ...]:
+def _hilbert_of_pointed(gens, walls, normals) -> tuple[tuple[int, ...], ...]:
     """Minimal generating set of cone(gens) cap Z^n, a pointed cone cut out by a . x >= 0.
 
+    walls, the gens on each facet, come from the cone's double description.
     The simplices S of _triangulation cover the cone.  A lattice point of S
     less its whole steps floor(l_i) g_i is in the [0, 1) parallelepiped of
     S, so the gens and the nonzero box points generate the monoid, and hold
@@ -517,7 +517,6 @@ def _hilbert_of_pointed(gens, normals) -> tuple[tuple[int, ...], ...]:
     Work budget: the boxes hold sum |det S| points, counted before any is
     enumerated; more than MAX_HILBERT_COVER_POINTS raises ValueError.
     """
-    walls = ([i for i, g in enumerate(gens) if not _dot(a, g)] for a in normals)
     cells = [_parallelepiped([gens[i] for i in s]) for s in _triangulation(gens, walls)]
     count = sum(volume for volume, _ in cells)
     _within_budget(count, MAX_HILBERT_COVER_POINTS, "Hilbert basis would enumerate", "cover points")
@@ -561,7 +560,8 @@ def hilbert_basis_dual(c: Cone) -> tuple[LatticeVector, ...]:
             "dual semigroup of a lower-dimensional cone is not pointed; "
             "Hilbert basis is unsupported"
         )
-    basis = _hilbert_of_pointed([u.coords for u in c.dual_rays], c.key)
+    walls = [frozenset(j for j, w in enumerate(c._walls) if i in w) for i in range(len(c.key))]  # the transpose
+    basis = _hilbert_of_pointed([u.coords for u in c.dual_rays], walls, c.key)
     return tuple(LatticeVector(b, M_SIDE) for b in basis)
 
 
@@ -615,7 +615,7 @@ def quotient_by_face(c: Cone, f: FaceRef) -> FaceQuotient:
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:
     if c1.dim_ambient != c2.dim_ambient:
         raise ValueError("ambient dimension mismatch")
-    rays, lin = dual_generators(c1._dual_keys + c2._dual_keys, c1.dim_ambient)
+    rays, lin, _ = dual_generators(c1._dual_keys + c2._dual_keys, c1.dim_ambient)
     if lin:
         raise ValueError("intersection of strongly convex cones acquired a line")
     return Cone(rays, c1.dim_ambient)
@@ -623,19 +623,20 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
 
 def _homogenized_rays(
     constraints: Sequence[tuple[Sequence[int], int]], dim: int
-) -> tuple[tuple[int, ...], ...]:
-    """Extreme rays (x, s) of the homogenization of {x : a . x >= b for all (a, b)}.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]]:
+    """Extreme rays (x, s) of the homogenization of {x : a . x >= b for all (a, b)}, and their walls.
 
     The homogenized cone is cut out by a . x - b s >= 0 and s >= 0.  Rays
     with s > 0 are the vertices x / s, rays with s = 0 the recession rays.
-    One double-description pass; the polyhedron must not contain a line.
+    One double-description pass, whose walls are the tight sets of the
+    constraints in order, then s = 0; the polyhedron must not contain a line.
     """
     homog = [tuple(a) + (-int(b),) for a, b in constraints]
     homog.append((0,) * dim + (1,))
-    rays, lin = dual_generators(homog, dim + 1)
+    rays, lin, walls = dual_generators(homog, dim + 1)
     if lin:
         raise ValueError("polyhedron contains a line")
-    return rays
+    return rays, walls
 
 
 class Fan(_Record):

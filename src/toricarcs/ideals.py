@@ -175,13 +175,14 @@ def _level_constraints(a: MonomialIdeal, p: int) -> list[tuple[tuple[int, ...], 
 def _level_cone(a: MonomialIdeal):
     """The homogenized level-1 set, one double description kept on the ideal.
 
-    Returns its extreme rays (x, s); the tight set, the indices of the
+    Returns its extreme rays (x, s) and the tight set, the indices of the
     rays where it is an equality, of each of u . x >= s for the generators
-    u, w . x >= 0 for the chart walls w and s >= 0, in that order; and
-    each compact face, a nonempty face whose rays all have s > 0, as its
-    ray indices with the indices of the constraints tight on it.  A face
-    is an intersection of tight sets, so the faces are cones._face_keys of
-    the tight sets, walked here once.
+    u, w . x >= 0 for the chart walls w and s >= 0, in that order, both
+    from the one double description of _homogenized_rays; and each compact
+    face, a nonempty face whose rays all have s > 0, as its ray indices
+    with the indices of the constraints tight on it.  A face is an
+    intersection of tight sets, so the faces are cones._face_keys of the
+    tight sets, walked here once.
 
     The order is homogeneous of degree one, so the level-p set is p times
     the level-1 set: (x, s) -> (p x, s) maps one homogenized cone onto the
@@ -193,16 +194,13 @@ def _level_cone(a: MonomialIdeal):
     if a._level_one is None:
         if not a.chart.is_full_dimensional():
             raise ValueError("Newton polytope machinery needs a full-dimensional chart")
-        constraints = _level_constraints(a, 1)
-        rays = _homogenized_rays(constraints, a.chart.dim_ambient)
-        walls = [frozenset(i for i, r in enumerate(rays) if _dot(c, r) == b * r[-1]) for c, b in constraints]
-        walls.append(frozenset(i for i, r in enumerate(rays) if r[-1] == 0))
+        rays, walls = _homogenized_rays(_level_constraints(a, 1), a.chart.dim_ambient)
         faces = tuple(
             (face, tuple(k for k, wall in enumerate(walls[:-1]) if face <= wall))
             for face in _face_keys(walls, len(rays))
             if face and all(rays[i][-1] for i in face)
         )
-        _set(a, "_level_one", (rays, tuple(walls), faces))
+        _set(a, "_level_one", (rays, walls, faces))
     return a._level_one
 
 
@@ -421,10 +419,10 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     face containing a singular face is singular.  A point sum_F l_i r_i,
     every l_i > 0, lies in relint tau(F), tau(F) the smallest face holding
     the rays F.  A face is its tight set, so the faces are cones._face_keys
-    of the walls, the rays tight on a dual ray.  The candidates are (a) the
-    nonzero points of each [0, 1) parallelepiped of cones._triangulation
-    and (b) the ray sum over each set G of rays that is no face while every
-    facet G - {j} is one.
+    of the chart's walls, kept from its double description.  The candidates
+    are (a) the nonzero points of each [0, 1) parallelepiped of
+    cones._triangulation and (b) the ray sum over each set G of rays that
+    is no face while every facet G - {j} is one.
 
     (a) is in I: a box point g with support F is in span F but not in ZF,
     so the rays of tau(F), which hold F, are no lattice basis of its span,
@@ -455,8 +453,7 @@ def sing_components(c: Cone) -> tuple[ContactComponent, ...]:
     = 2048 raises ValueError, so _minimal makes at most 2048 * 2047 / 2
     comparisons.
     """
-    rays = c.key
-    walls = [frozenset(i for i, r in enumerate(rays) if not _dot(r, u)) for u in c._dual_keys]
+    rays, walls = c.key, c._walls
     cells = [_parallelepiped([rays[i] for i in s]) for s in _triangulation(rays, walls)]
     faces = _face_keys(walls, len(rays)) if len(rays) > c.dim else set()
     grown = (f | {i} for f in faces for i in range(max(f, default=-1) + 1, len(rays)))

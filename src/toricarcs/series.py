@@ -29,6 +29,7 @@ class TruncatedSeries(_Record):
     __slots__ = ("t_precision", "terms")
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction | int], t_precision: int):
+        t_precision = index(t_precision)
         if t_precision <= 0:
             raise ValueError("t_precision must be positive")
         clean: dict[tuple[int, int], Fraction] = {}

@@ -357,7 +357,7 @@ def polar_by_face_lattice(ideal, p):
     constraints = [(u.coords, p) for u in ideal.generators]
     constraints += list(ideal.chart.halfspace_data())
     homogenized = [tuple(a) + (-b,) for a, b in constraints] + [(0,) * n + (1,)]
-    rays, lineality = dual_generators(homogenized, n + 1)
+    rays, lineality, _ = dual_generators(homogenized, n + 1)
     if lineality:
         raise ValueError("polyhedron contains a line")
     homog = Cone(rays, n + 1)
@@ -394,7 +394,7 @@ def newton_by_vertex_cells(ideal):
     for u in ideal.generators:
         constraints = [normal for normal, _ in chart.halfspace_data()]
         constraints += [tuple(x - y for x, y in zip(w.coords, u.coords)) for w in ideal.generators if w != u]
-        rays, lineality = dual_generators(constraints, n)
+        rays, lineality, _ = dual_generators(constraints, n)
         if lineality:
             raise ValueError("dual-fan cell acquired a line; chart is degenerate")
         cell = Cone(rays, n)
@@ -442,7 +442,7 @@ def contact_by_region_filter(ideal, p):
 
     n = ideal.chart.dim_ambient
     level = [(u.coords, p) for u in ideal.generators] + list(ideal.chart.halfspace_data())
-    vertices = [[Fraction(x, r[-1]) for x in r[:-1]] for r in _homogenized_rays(level, n) if r[-1] > 0]
+    vertices = [[Fraction(x, r[-1]) for x in r[:-1]] for r in _homogenized_rays(level, n)[0] if r[-1] > 0]
     if not vertices:
         return ()
     rays = ideal.chart.key

@@ -882,3 +882,22 @@ def test_orbit_label_refuses_a_non_integer_point_and_a_stratum_of_another_rank()
     orthant = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError, match="different ranks"):
         orbit_label(c, orthant.zero_face(), (1, 1, 1))
+
+
+def test_monomial_arc_refuses_a_non_integer_precision(a1):
+    # 2.5 used to pass the level check and give series O(t^3.5)
+    label = orbit_label(a1, a1.zero_face(), (1, 1))
+    for precision in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            monomial_arc(label, precision)
+    assert {s.t_precision for s in monomial_arc(label, 2).values()} == {3}
+
+
+def test_dominance_witness_refuses_a_non_integer_precision(quadrant):
+    # 7.5 used to give a witness with precision=7.5, verified=True
+    zero = quadrant.zero_face()
+    o1, o2 = orbit_label(quadrant, zero, (1, 1)), orbit_label(quadrant, zero, (2, 1))
+    for precision in (7.5, 7.0, "7"):
+        with pytest.raises(TypeError):
+            dominance_witness(o1, o2, precision)
+    assert dominance_witness(o1, o2, 7).precision == 7

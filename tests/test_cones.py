@@ -129,13 +129,24 @@ def _constraint_lists(rng, count):
     return lists
 
 
+def _walls_by_dot(rows, rays):
+    """The rays each row vanishes on, by the zero test the returned walls replace."""
+    return tuple(frozenset(i for i, r in enumerate(rays) if dot(a, r) == 0) for a in rows)
+
+
 def test_dual_generators_and_cone_rays_match_the_rank_oracle():
     # the tight-set route against the rank criterion it replaced, on the
     # constraints and, where they span a strongly convex cone, on the same
-    # rows read as generators
-    cones = 0
+    # rows read as generators; each returned wall against a zero test on
+    # the returned rays, so a wall read before the reduction modulo the
+    # lineality, or before the sort, would show
+    cones = zeros = lines = 0
     for rows, dim in _constraint_lists(random.Random(1996), 2000):
-        assert dual_generators(rows, dim) == dual_generators_by_rank(rows, dim), (rows, dim)
+        rays, lineality, walls = dual_generators(rows, dim)
+        assert (rays, lineality) == dual_generators_by_rank(rows, dim), (rows, dim)
+        assert walls == _walls_by_dot(rows, rays), (rows, dim)
+        zeros += any(not any(a) for a in rows)
+        lines += bool(rays and lineality)
         try:
             c = Cone(rows, dim)
         except ValueError:
@@ -144,7 +155,17 @@ def test_dual_generators_and_cone_rays_match_the_rank_oracle():
             continue
         assert c.key == cone_rays_by_rank(rows, dim), (rows, dim)
         cones += 1
-    assert cones > 500
+    assert cones > 500 and zeros > 100 and lines > 100, (cones, zeros, lines)
+    # a zero row keeps its place, so walls[k] stays row k's, and its wall is every ray;
+    # x + z >= 0, y + z >= 0 keep the line (1, 1, -1), taken off the rays after the pass
+    for rows, dim, expected in [
+        ([(1, 0), (0, 0), (0, 1)], 2, (((0, 1), (1, 0)), (), ({0}, {0, 1}, {1}))),
+        ([(0, 0, 0), (1, 0, 0)], 3, (((1, 0, 0),), ((0, 0, 1), (0, 1, 0)), ({0}, set()))),
+        ([(0, 0)], 2, ((), ((0, 1), (1, 0)), (set(),))),
+        ([(1, 0, 1), (0, 1, 1), (1, 1, 2)], 3, (((0, -1, 1), (0, 1, 0)), ((1, 1, -1),), ({1}, {0}, set()))),
+    ]:
+        rays, lineality, walls = dual_generators(rows, dim)
+        assert (rays, lineality, walls) == expected and walls == _walls_by_dot(rows, rays), rows
 
 
 def test_cone_refuses_exactly_the_generators_whose_dual_is_not_full_dimensional():

@@ -229,7 +229,7 @@ def test_level_p_set_is_p_times_the_level_1_set():
             assert (data.compact_faces, data.recession_rays) == (one.compact_faces, one.recession_rays)
             # the vertices p x / s read off the level-1 rays, and the recession rays, are those of a
             # fresh pass at level p
-            fresh = _homogenized_rays(_level_constraints(ideal, p), dim)
+            fresh, _ = _homogenized_rays(_level_constraints(ideal, p), dim)
             vertices = tuple(sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in fresh if r[-1] > 0))
             recession = tuple(sorted(r[:-1] for r in fresh if r[-1] == 0))
             assert (data.vertices, data.recession_rays) == (vertices, recession), (chart.key, gens, p)

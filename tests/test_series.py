@@ -75,7 +75,12 @@ def test_order_of_product_adds_when_defined(a, b):
     assert (a * b).t_order_generic() == oa + ob
 
 
-@pytest.mark.parametrize("exponent", [(1.5, 0), (1, 0.0), ("1", 0)])
-def test_a_non_integer_exponent_raises_type_error(exponent):
+@pytest.mark.parametrize(
+    "exponent, precision",
+    [((1.5, 0), 3), ((1, 0.0), 3), (("1", 0), 3), ((0, 0), 2.5), ((0, 0), 3.0), ((0, 0), "3")],
+    ids=["exponent0", "exponent1", "exponent2", "precision0", "precision1", "precision2"],
+)
+def test_a_non_integer_exponent_raises_type_error(exponent, precision):
+    # the t-precision too: 2.5 used to give <0 + O(t^2.5)>
     with pytest.raises(TypeError):
-        TruncatedSeries({exponent: 1}, 3)
+        TruncatedSeries({exponent: 1}, precision)

@@ -100,6 +100,23 @@ def test_only_the_level_cone_and_sing_walk_a_face_lattice_in_ideals():
     assert [place for place in _callers(tree, "_face_keys") if place[0] not in callers] == []
 
 
+def test_incidence_readers_make_no_zero_test_of_their_own():
+    # dual_generators returns the rays on each wall, and a Cone keeps its dual rays' walls:
+    # these functions read that incidence and never recompute it with _dot.  In cones.py
+    # __init__ names Cone's, FaceRef's and Fan's constructors alike, and faces the method
+    # and the module function.
+    readers = {
+        "cones.py": {"__init__", "faces", "face_from_indices", "_hilbert_of_pointed", "hilbert_basis_dual"},
+        "ideals.py": {"_level_cone", "sing_components"},
+    }
+    found = []
+    for module, names in readers.items():
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        assert names <= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        found += [(module, *place) for place in _callers(tree, "_dot") if place[0] in names]
+    assert found == []
+
+
 def test_caller_rule_names_the_innermost_function_around_each_call():
     source = (
         "from .cones import _face_keys\n"
