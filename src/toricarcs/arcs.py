@@ -19,10 +19,10 @@ from .cones import (
     Cone,
     FaceRef,
     Fan,
+    _adapted_dual_basis,
     _stratum_quotient,
     hilbert_basis_dual,
     is_face_of,
-    is_smooth,
     lattice_points_where,
 )
 from .lattice import (
@@ -33,11 +33,11 @@ from .lattice import (
     QuotientLattice,
     _checked,
     _dot,
+    _int_at_least,
     _Record,
     _set,
     _within_budget,
     is_finite,
-    row_hermite,
     solve_linear,
 )
 from .series import TruncatedSeries
@@ -209,13 +209,8 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
         values = SemigroupHom(c, tuple(h)).values
 
     finite = [(g, v) for g, v in zip(gens, values) if is_finite(v)]
-    finite_sum = None
-    for g, _ in finite:
-        finite_sum = g if finite_sum is None else finite_sum + g
-    if finite_sum is None:
-        tight = tuple(range(len(c.rays)))
-    else:
-        tight = c.tight_ray_indices(finite_sum)
+    # tau: the rays on which every finite generator vanishes, all of them when none is finite
+    tight = [i for i, r in enumerate(c.key) if not any(_dot(r, g.coords) for g, _ in finite)]
     tau = c.face_from_indices(tight)
 
     # every generator inside the finiteness face must carry a finite value
@@ -229,17 +224,10 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
             )
 
     q = _stratum_quotient(c.dim_ambient, tau.key)
-    rows = [q.push_dual(g).coords for g, _ in finite]
-    rhs = [v for _, v in finite]
-    solution = solve_linear(rows, rhs)
-    if solution is None:
+    solution = solve_linear([q.push_dual(g).coords for g, _ in finite], [v for _, v in finite])
+    if solution is None or any(x.denominator != 1 for x in solution):
         raise ValueError("values violate an additive relation among the generators")
-    point = []
-    for x in solution:
-        if x.denominator != 1:
-            raise ValueError("values violate an additive relation among the generators")
-        point.append(int(x))
-    return OrbitLabel(c, tau, point)
+    return OrbitLabel(c, tau, [int(x) for x in solution])
 
 
 def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
@@ -386,10 +374,7 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
       - (i, j) is a cover iff no node lies above i and below j: one AND
         of the n-bit sets above i and below j per related pair.
     """
-    if not isinstance(bound, int) or isinstance(bound, bool):
-        raise TypeError(f"bound must be an int, got {bound!r}")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    _int_at_least(bound, 0, "bound")
     doing = f"orbit poset at bound {bound} would scan"
     simplicial = [2 ** c.dim for c in _maximal_cones(ambient) if len(c.rays) == c.dim]
     _within_budget(max(simplicial, default=0), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
@@ -467,26 +452,6 @@ class DominanceWitness(_Record):
     }
 
 
-def _adapted_dual_basis(rays: Sequence[tuple[int, ...]], dim: int):
-    """Dual basis rows for a smooth cone: first block dual to the rays.
-
-    Returns a unimodular dim x dim matrix whose i-th row pairs to delta_ij
-    with the j-th ray for i, j below the cone dimension; the remaining rows
-    complete the basis (characters of the torus factor).
-    """
-    d = len(rays)
-    A = [[rays[j][i] for j in range(d)] for i in range(dim)]
-    H, U, _, rank = row_hermite(A)
-    if rank != d or any(H[i][i] != 1 for i in range(d)):
-        raise ValueError("rays do not extend to a lattice basis (cone not smooth)")
-    # U @ A stacks a unit upper-triangular T over zeros; rows[:d] solve T @ top = U[:d]
-    rows = [list(row) for row in U]
-    for i in reversed(range(d)):
-        for k in range(i + 1, d):
-            rows[i] = [a - H[i][k] * b for a, b in zip(rows[i], rows[k])]
-    return rows
-
-
 def dominance_witness(
     o1: OrbitLabel, o2: OrbitLabel, t_precision: int | None = None
 ) -> DominanceWitness:
@@ -505,26 +470,26 @@ def dominance_witness(
     ring, that generic lambda recovers o1's orders, and that lambda = 0
     recovers o2's.
     """
-    chart = next((c for c in _dominance_charts(o1, o2) if is_smooth(c)), None)
-    if chart is None:
-        if dominates(o1, o2):
-            raise ValueError(
-                "no smooth chart realizes this domination; witness unsupported"
-            )
+    seen = False
+    for chart in _dominance_charts(o1, o2):
+        seen = True
+        basis = _adapted_dual_basis(chart.key, chart.dim_ambient)
+        if basis is not None:
+            break
+    else:
+        if seen:
+            raise ValueError("no smooth chart realizes this domination; witness unsupported")
         raise ValueError("lattice criterion fails: o1 does not dominate o2")
 
     d = len(chart.rays)
     pair_data = []  # (character, a, b, is a ray character)
-    for i, row in enumerate(_adapted_dual_basis(chart.key, chart.dim_ambient)):
+    for i, row in enumerate(basis):
         u = LatticeVector(tuple(row), M_SIDE)
         a = o1.order_at(u)
         if is_finite(a):
             pair_data.append((u.coords, a, o2.order_at(u), i < d))
 
-    finite_orders = [a for _, a, _, _ in pair_data] + [
-        b for _, _, b, _ in pair_data if is_finite(b)
-    ]
-    max_order = max(finite_orders, default=0)
+    max_order = max((x for _, a, b, _ in pair_data for x in (a, b) if is_finite(x)), default=0)
     t_precision = 2 * max_order + 1 if t_precision is None else index(t_precision)
     if t_precision <= 2 * max_order:
         raise ValueError(
@@ -555,10 +520,8 @@ def dominance_witness(
 
     for char, a, b, on_ray in pair_data:
         if on_ray:
-            series = TruncatedSeries.monomial(a, 1, 1, t_precision=t_precision)
-            if is_finite(b):
-                series = TruncatedSeries.monomial(b, t_precision=t_precision) + series
-            record(char, series, a, b)
+            terms = {(b, 0): 1, (a, 1): 1} if is_finite(b) else {(a, 1): 1}
+            record(char, TruncatedSeries(terms, t_precision), a, b)
         elif a != 0 or b != 0:
             raise ArithmeticError(f"unit character {char} has orders ({a}, {b}), not (0, 0)")
         else:

@@ -264,7 +264,7 @@ class Cone(_Record):
         return FaceRef(self, ())
 
     def full_face(self) -> "FaceRef":
-        return FaceRef(self, range(len(self.rays)))
+        return FaceRef(self, range(len(self.key)))
 
     def smallest_face_containing(self, vectors: Sequence[LatticeVector]) -> "FaceRef":
         """The rays on every dual ray tight at all the vectors, without the face lattice."""
@@ -313,14 +313,18 @@ def _face_keys(tight_sets: Iterable[Iterable[int]], nrays: int) -> set[frozenset
 
 
 class FaceRef(_Record):
-    """A face of a parent cone, addressed by the spanning ray indices; key is built once."""
+    """A face of a parent cone, addressed by distinct indices of its rays (else ValueError); key is built once."""
 
     __slots__ = {"parent": "Cone", "indices": "tuple[int, ...]", "_key": "the rays' coordinates"}
 
     def __init__(self, parent: Cone, indices: Iterable[int]):
+        indices = tuple(sorted(map(index, indices)))
+        key = parent.key
+        if indices and (indices[0] < 0 or indices[-1] >= len(key) or len(set(indices)) < len(indices)):
+            raise ValueError(f"face indices {list(indices)} are not distinct ray indices of the cone")
         _set(self, "parent", parent)
-        _set(self, "indices", tuple(sorted(map(index, indices))))
-        _set(self, "_key", tuple(parent.key[i] for i in self.indices))
+        _set(self, "indices", indices)
+        _set(self, "_key", tuple([key[i] for i in indices]))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -537,19 +541,28 @@ def faces(c: Cone) -> tuple[FaceRef, ...]:
     return c.faces()
 
 
-def _unimodular(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff the integer rows extend to a basis of the lattice.
+def _adapted_dual_basis(rays: Sequence[tuple[int, ...]], dim: int) -> list[list[int]] | None:
+    """A basis of M whose first rows are dual to the rays; None unless the rays extend to a basis of N.
 
-    With the rows as columns, that holds iff the echelon form has full
-    column rank and unit pivots: its top block is then unimodular.
+    The rays extend to a basis iff H = U @ A (row_hermite, the rays as the
+    columns of A) has full column rank and unit pivots: its top block T is
+    then unimodular.  The rows T^-1 U[:d] pair to delta_ij with the rays,
+    and U's other rows, zero on every ray, complete the basis (torus factor).
     """
-    H, _, _, rank = row_hermite(list(zip(*rows)))
-    return rank == len(rows) and all(H[i][i] == 1 for i in range(rank))
+    d = len(rays)
+    H, U, _, rank = row_hermite([[r[i] for r in rays] for i in range(dim)])
+    if rank != d or any(H[i][i] != 1 for i in range(d)):
+        return None
+    rows = [list(row) for row in U]
+    for i in reversed(range(d)):
+        for k in range(i + 1, d):
+            rows[i] = [a - H[i][k] * b for a, b in zip(rows[i], rows[k])]
+    return rows
 
 
 def is_smooth(c: Cone) -> bool:
     """True iff the primitive rays extend to a basis of the ambient lattice."""
-    return _unimodular(c.key)
+    return _adapted_dual_basis(c.key, c.dim_ambient) is not None
 
 
 @lru_cache(maxsize=None)

@@ -27,13 +27,13 @@ from .arcs import OrbitLabel
 from .cones import (
     Cone,
     FaceRef,
+    _adapted_dual_basis,
     _dot,
     _face_keys,
     _homogenized_rays,
     _minimal,
     _parallelepiped,
     _triangulation,
-    _unimodular,
     is_smooth,
     lattice_points_where,
 )
@@ -42,6 +42,7 @@ from .lattice import (
     N_SIDE,
     LatticeVector,
     _checked,
+    _int_at_least,
     _Record,
     _set,
     _within_budget,
@@ -125,11 +126,14 @@ def monomial_ideal(chart: Cone, exponents: Iterable) -> MonomialIdeal:
 def order_function(a: MonomialIdeal, v) -> int:
     """Minimal order of the ideal along arcs with order data v.
 
-    v may be a lattice point of the chart cone, or an orbit label whose
-    extended order function assigns INF to characters off the stratum's
-    annihilator.  Homogeneous of degree one and monotone along the cone.
+    v may be a lattice point of the chart cone, or an orbit label over the
+    chart whose extended order function assigns INF to characters off the
+    stratum's annihilator; a label over another ambient raises ValueError.
+    Homogeneous of degree one and monotone along the cone.
     """
     if isinstance(v, OrbitLabel):
+        if v.ambient != a.chart:
+            raise ValueError("the orbit label lies over another ambient than the ideal's chart")
         return min(v.order_at(u) for u in a.generators)
     x = _coords(v, N_SIDE, a.chart.dim_ambient)
     if not _in_chart(a.chart, x):
@@ -230,11 +234,6 @@ def dual_fan(a: MonomialIdeal) -> tuple[Cone, ...]:
     return tuple(sorted(newton_polytope(a).dual_fan_cones, key=lambda c: c.key))
 
 
-def _check_level(p) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise ValueError("the level p must be a positive integer")
-
-
 def polar_polytope(a: MonomialIdeal, p: int) -> PolarData:
     """Vertices and compact faces of the level-p polytope of the order function.
 
@@ -243,7 +242,7 @@ def polar_polytope(a: MonomialIdeal, p: int) -> PolarData:
     s > 0, the recession rays are its rays with s = 0, and its compact
     faces, the nonempty faces made of vertices alone, are kept on the ideal.
     """
-    _check_level(p)
+    _int_at_least(p, 1, "p")
     rays, _, faces = _level_cone(a)
     points = {i: tuple(Fraction(p * x, r[-1]) for x in r[:-1]) for i, r in enumerate(rays) if r[-1] > 0}
     vertices = tuple(sorted(points.values()))
@@ -292,7 +291,7 @@ def compact_face_lattice_points(a: MonomialIdeal, p: int) -> tuple[tuple[int, ..
     so the scan yields exactly the face's points in the box.  The boxes
     are summed against MAX_CONTACT_BOX_POINTS first.
     """
-    _check_level(p)
+    _int_at_least(p, 1, "p")
     rays, _, faces = _level_cone(a)
     constraints = _level_constraints(a, p)
     boxes = [
@@ -335,7 +334,7 @@ def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
     the order function is monotone along the cone, so any descent can be
     taken one Hilbert step at a time without leaving the level set.
     """
-    _check_level(p)
+    _int_at_least(p, 1, "p")
     x = _coords(v, N_SIDE, a.chart.dim_ambient)
     if not _in_chart(a.chart, x):
         raise ValueError(f"{x} is not in the chart cone")
@@ -381,7 +380,7 @@ def contact_components(a: MonomialIdeal, p: int) -> tuple[ContactComponent, ...]
     prefix of a box point, so a scan visits at most d times the box points
     for d the rank, and the query at most (generators) * d * (box points).
     """
-    _check_level(p)
+    _int_at_least(p, 1, "p")
     level = _level_constraints(a, p)
     tops = [r for r in _level_cone(a)[0] if r[-1] > 0]
     if not tops:
@@ -401,7 +400,7 @@ def singular_faces(c: Cone) -> tuple[FaceRef, ...]:
     """Faces whose primitive rays do not extend to a lattice basis."""
     if is_smooth(c):
         return ()
-    return tuple(f for f in c.faces() if not _unimodular(f.key))
+    return tuple(f for f in c.faces() if _adapted_dual_basis(f.key, c.dim_ambient) is None)
 
 
 # Most candidates sing_components may enumerate, box points plus distinct ray

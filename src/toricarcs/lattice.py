@@ -137,6 +137,14 @@ def _within_budget(work: int, budget: int, doing: str, unit: str) -> None:
         raise ValueError(f"{doing} {work} {unit}, more than the budget of {budget}")
 
 
+def _int_at_least(value, least: int, name: str) -> None:
+    """Refuse a level or a bound: TypeError unless an int and not a bool, ValueError below least."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 _set = object.__setattr__
 
 

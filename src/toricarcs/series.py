@@ -2,7 +2,9 @@
 
 Series live in Q[lambda][[t]] truncated at a stated t-precision; exponents
 are checked nonnegative on construction, so membership in the power-series
-ring is explicit.  Coefficients are exact rationals.  The two order queries
+ring is explicit.  Coefficients are ints, or the Fractions they were given:
+each goes through operator.index unless it is a Fraction, so a float or a
+string raises TypeError, and sums start from 0.  The two order queries
 mirror the two specializations used by deformation witnesses: the t-order
 for generic lambda (lambda kept symbolic) and the t-order at lambda = 0.
 """
@@ -32,15 +34,15 @@ class TruncatedSeries(_Record):
         t_precision = index(t_precision)
         if t_precision <= 0:
             raise ValueError("t_precision must be positive")
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], Fraction | int] = {}
         for (td, ld), coeff in terms.items():
             td, ld = index(td), index(ld)
             if td < 0 or ld < 0:
                 raise ValueError("negative exponent: not a power series")
-            c = Fraction(coeff)
+            c = coeff if isinstance(coeff, Fraction) else index(coeff)
             if c == 0 or td >= t_precision:
                 continue
-            clean[(td, ld)] = clean.get((td, ld), Fraction(0)) + c
+            clean[(td, ld)] = clean.get((td, ld), 0) + c
         _set(self, "t_precision", t_precision)
         _set(self, "terms", {k: v for k, v in sorted(clean.items()) if v != 0})
 
@@ -66,7 +68,7 @@ class TruncatedSeries(_Record):
         self._check(other)
         merged = dict(self.terms)
         for key, c in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
+            merged[key] = merged.get(key, 0) + c
         return TruncatedSeries(merged, self.t_precision)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -77,14 +79,14 @@ class TruncatedSeries(_Record):
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Fraction | int] = {}
         for (t1, l1), c1 in self.terms.items():
             for (t2, l2), c2 in other.terms.items():
                 td = t1 + t2
                 if td >= self.t_precision:
                     continue
                 key = (td, l1 + l2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return TruncatedSeries(out, self.t_precision)
 
     def __pow__(self, k: int) -> "TruncatedSeries":

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -882,6 +883,51 @@ def test_orbit_label_refuses_a_non_integer_point_and_a_stratum_of_another_rank()
     orthant = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError, match="different ranks"):
         orbit_label(c, orthant.zero_face(), (1, 1, 1))
+
+
+def test_dominance_witness_eliminates_each_chart_once_in_integers(quadrant, a1, monkeypatch):
+    # one row_hermite call per chart tried both tests smoothness and gives the dual basis,
+    # and the charts are walked once, also to choose the error message
+    import toricarcs.arcs as arcs
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return row_hermite(matrix)
+
+    binders = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "toricarcs"]
+    binders = [m for m in binders if getattr(m, "row_hermite", None) is row_hermite]
+    assert binders
+    for module in binders:
+        monkeypatch.setattr(module, "row_hermite", counted)
+    walks = counting(monkeypatch, arcs, "_dominance_charts")
+    zero = quadrant.zero_face()
+    o1, o2 = orbit_label(quadrant, zero, (1, 1)), orbit_label(quadrant, zero, (2, 1))
+    calls.clear()
+    witness = dominance_witness(o1, o2)
+    assert witness.verified and len(calls) == 1 and len(walks) == 1
+    coefficients = [c for _, s in witness.family for c in s.terms.values()]
+    coefficients += [c for s in monomial_arc(o2).values() for c in s.terms.values()]
+    assert coefficients and {type(c) for c in coefficients} == {int}
+    # a1 is not smooth: one chart tried, one walk, and the message of a domination
+    b1, b2 = orbit_label(a1, a1.zero_face(), (1, 1)), orbit_label(a1, a1.zero_face(), (2, 1))
+    calls.clear()
+    walks.clear()
+    with pytest.raises(ValueError, match="no smooth chart realizes this domination"):
+        dominance_witness(b1, b2)
+    assert len(calls) == 1 and len(walks) == 1
+    walks.clear()
+    with pytest.raises(ValueError, match="lattice criterion fails"):
+        dominance_witness(o2, o1)
+    assert len(walks) == 1
+    # the walk stops at the first smooth chart: two charts show (1, 0) <= (2, 0), one is read
+    homs = counting(monkeypatch, OrbitLabel, "_hom")
+    fan = Fan([Cone([(1, 0), (0, 1)]), Cone([(1, 0), (0, -1)])])
+    f1, f2 = orbit_label(fan, zero, (1, 0)), orbit_label(fan, zero, (2, 0))
+    assert len(list(arcs._dominance_charts(f1, f2))) == 2
+    homs.clear()
+    assert dominance_witness(f1, f2).verified and len(homs) == 2
 
 
 def test_monomial_arc_refuses_a_non_integer_precision(a1):

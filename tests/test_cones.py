@@ -845,3 +845,11 @@ def test_a_non_integer_input_raises_type_error(build):
     # int() would truncate: Cone([(1.9, 0), (0, 1)]) used to be the orthant
     with pytest.raises(TypeError):
         build()
+
+
+@pytest.mark.parametrize("indices", [[-1], [2], [0, 0]], ids=["negative", "past_the_rays", "repeated"])
+def test_a_face_index_outside_the_rays_or_repeated_raises_value_error(indices):
+    # [-1] used to give ray 1's stratum unequal to face_from_indices([1]), [2] an IndexError,
+    # and [0, 0] a face with a repeated ray
+    with pytest.raises(ValueError, match="not distinct ray indices of the cone"):
+        FaceRef(Cone([(1, 0), (1, 2)]), indices)

@@ -86,6 +86,17 @@ def test_order_function_on_labels(a1, a1_max):
     assert order_function(a1_max, top) == INF
 
 
+def test_a_label_over_another_cone_is_refused(a1_max, quadrant):
+    # the label's point (0, 1) is outside a1, and order_function used to answer -1 for it,
+    # lift_to_open_stratum (0, 1); the point form already raised "not in the chart cone"
+    label = orbit_label(quadrant, quadrant.zero_face(), (0, 1))
+    for query in (order_function, lift_to_open_stratum):
+        with pytest.raises(ValueError, match="another ambient than the ideal's chart"):
+            query(a1_max, label)
+    with pytest.raises(ValueError, match="not in the chart cone"):
+        order_function(a1_max, nvec(0, 1))
+
+
 def test_order_homogeneity_and_monotonicity_fuzz():
     rng = random.Random(13)
     for _ in range(5):
@@ -314,11 +325,12 @@ def test_one_ideal_answers_every_level_in_any_order():
 
 
 def test_polar_and_contact_reject_a_bool_level(q23, a1_max):
+    # a bool is not a level: TypeError, as for orbit_poset's bound
     for query in (polar_polytope, contact_components, compact_face_lattice_points):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="p must be an int, got True"):
             query(q23, True)
     # (1, 1) has order 1 == True
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         is_minimal_in_contact(a1_max, True, nvec(1, 1))
 
 
@@ -983,10 +995,25 @@ _IDEAL = monomial_ideal(_QUADRANT, [(2, 0), (0, 1)])
         lambda: is_minimal_in_contact(_IDEAL, 1, (0, 1.0)),
         lambda: toric_valuation(_QUADRANT, (1, 1.5)),
         lambda: toric_valuation_eval(toric_valuation(_QUADRANT, (1, 1)), [(1, (0.5, 1))]),
+        lambda: contact_components(_IDEAL, 1.0),
+        lambda: polar_polytope(_IDEAL, True),
+        lambda: compact_face_lattice_points(_IDEAL, "2"),
+        lambda: is_minimal_in_contact(_IDEAL, 1.0, (0, 1)),
     ],
-    ids=["monomial_ideal", "order_function", "is_minimal_in_contact", "toric_valuation", "toric_valuation_eval"],
+    ids=[
+        "monomial_ideal",
+        "order_function",
+        "is_minimal_in_contact",
+        "toric_valuation",
+        "toric_valuation_eval",
+        "contact_components_level",
+        "polar_polytope_level",
+        "compact_face_lattice_points_level",
+        "is_minimal_in_contact_level",
+    ],
 )
 def test_a_non_integer_point_or_exponent_raises_type_error(call):
-    # int() would truncate: order_function(ideal, (2.5, 1)) used to answer at (2, 1)
+    # int() would truncate: order_function(ideal, (2.5, 1)) used to answer at (2, 1);
+    # a level of 1.0, True or "2" used to raise ValueError, unlike orbit_poset's bound
     with pytest.raises(TypeError):
         call()

@@ -84,3 +84,18 @@ def test_a_non_integer_exponent_raises_type_error(exponent, precision):
     # the t-precision too: 2.5 used to give <0 + O(t^2.5)>
     with pytest.raises(TypeError):
         TruncatedSeries({exponent: 1}, precision)
+
+
+@pytest.mark.parametrize("coeff", [0.1, "1/2"], ids=["float", "string"])
+def test_a_float_or_string_coefficient_raises_type_error(coeff):
+    # 0.1 used to be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        TruncatedSeries({(0, 0): coeff}, 2)
+
+
+def test_coefficients_are_ints_or_the_fractions_given():
+    s = TruncatedSeries({(0, 0): Fraction(1, 2), (1, 0): True, (1, 1): 3}, 2)
+    assert s.terms == {(0, 0): Fraction(1, 2), (1, 0): 1, (1, 1): 3}
+    assert [type(c) for c in s.terms.values()] == [Fraction, int, int]
+    ints = TruncatedSeries({(1, 0): 1, (1, 1): -2}, 3)
+    assert {type(c) for c in (ints + ints * ints - ints).terms.values()} == {int}

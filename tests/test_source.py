@@ -117,6 +117,18 @@ def test_incidence_readers_make_no_zero_test_of_their_own():
     assert found == []
 
 
+def test_only_solve_and_polar_vertices_build_fractions():
+    # series keep the int coefficients they are given; the rational steps are the
+    # back-substitution of solve_linear and the vertices p x / s of polar_polytope
+    found = [
+        (path.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, _ in _callers(ast.parse(path.read_text(encoding="utf-8"), str(path)), "Fraction")
+    ]
+    assert ("lattice.py", "solve_linear") in found
+    assert set(found) <= {("lattice.py", "solve_linear"), ("ideals.py", "polar_polytope")}
+
+
 def test_caller_rule_names_the_innermost_function_around_each_call():
     source = (
         "from .cones import _face_keys\n"
