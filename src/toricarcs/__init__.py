@@ -26,11 +26,7 @@ from .cones import (
     Cone,
     FaceRef,
     Fan,
-    contains,
-    dual_cone,
-    faces,
     hilbert_basis_dual,
-    hilbert_basis_points,
     intersect_cones,
     is_smooth,
     leq_sigma,
@@ -61,7 +57,6 @@ from .lattice import (
     mvec,
     nvec,
     pairing,
-    primitive_part,
     quotient_lattice,
 )
 from .series import TruncatedSeries

@@ -162,7 +162,10 @@ class OrbitLabel(_Record):
 
     def order_at(self, u: LatticeVector):
         """The orbit's hom at u: INF unless u vanishes on the face, else u at the point lifted to N."""
-        y = _checked(u, M_SIDE, len(self._lift))
+        return self._order(_checked(u, M_SIDE, len(self._lift)))
+
+    def _order(self, y: tuple[int, ...]):
+        """order_at on an int tuple of the right rank, unchecked."""
         return INF if any(_dot(r, y) for r in self.face.key) else _dot(self._lift, y)
 
     def _hom(self, keys) -> list[int]:
@@ -460,7 +463,8 @@ def dominance_witness(
     The family lives on the first smooth chart where the lattice criterion
     holds, in the chart's own dual basis: the rows dual to its rays, then
     the torus-factor rows orthogonal to every ray.  Each character u takes
-    the orders a = o1.order_at(u) and b = o2.order_at(u); characters with a
+    the orders a = o1.order_at(u) and b = o2.order_at(u), read on the basis
+    rows as int tuples by OrbitLabel._order, unchecked; characters with a
     INF are dual to a ray of o1's stratum and are left out.  A ray character
     is sent to t^b + lambda*t^a when b is finite and to lambda*t^a when it
     is infinite on the target stratum.  A torus-factor character has orders
@@ -484,10 +488,10 @@ def dominance_witness(
     d = len(chart.rays)
     pair_data = []  # (character, a, b, is a ray character)
     for i, row in enumerate(basis):
-        u = LatticeVector(tuple(row), M_SIDE)
-        a = o1.order_at(u)
+        u = tuple(row)
+        a = o1._order(u)
         if is_finite(a):
-            pair_data.append((u.coords, a, o2.order_at(u), i < d))
+            pair_data.append((u, a, o2._order(u), i < d))
 
     max_order = max((x for _, a, b, _ in pair_data for x in (a, b) if is_finite(x)), default=0)
     t_precision = 2 * max_order + 1 if t_precision is None else index(t_precision)

@@ -18,7 +18,7 @@ import json
 import sys
 
 from .arcs import dominance_witness, dominates, orbit_label, orbit_poset
-from .cones import Cone, Fan, dual_cone, faces, hilbert_basis_dual, is_smooth
+from .cones import Cone, Fan, hilbert_basis_dual, is_smooth
 from .ideals import (
     MonomialIdeal,
     contact_components,
@@ -186,12 +186,12 @@ def _series_payload(series) -> list:
 
 def cmd_dual(doc, args):
     chart = _chart(doc, args.cone)
-    return {"generators": [list(u.coords) for u in dual_cone(chart)]}
+    return {"generators": [list(u.coords) for u in chart.dual_generator_list()]}
 
 
 def cmd_faces(doc, args):
     chart = _chart(doc, args.cone)
-    return {"faces": [list(f.indices) for f in faces(chart)]}
+    return {"faces": [list(f.indices) for f in chart.faces()]}
 
 
 def cmd_smooth(doc, args):

@@ -51,12 +51,8 @@ __all__ = [
     "FaceRef",
     "Fan",
     "FaceQuotient",
-    "dual_cone",
-    "faces",
     "is_smooth",
     "hilbert_basis_dual",
-    "hilbert_basis_points",
-    "contains",
     "leq_sigma",
     "quotient_by_face",
     "intersect_cones",
@@ -532,15 +528,6 @@ def _hilbert_of_pointed(gens, walls, normals) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def dual_cone(c: Cone) -> tuple[LatticeVector, ...]:
-    """Generators of the dual cone, lineality included as +/- pairs."""
-    return c.dual_generator_list()
-
-
-def faces(c: Cone) -> tuple[FaceRef, ...]:
-    return c.faces()
-
-
 def _adapted_dual_basis(rays: Sequence[tuple[int, ...]], dim: int) -> list[list[int]] | None:
     """A basis of M whose first rows are dual to the rays; None unless the rays extend to a basis of N.
 
@@ -576,15 +563,6 @@ def hilbert_basis_dual(c: Cone) -> tuple[LatticeVector, ...]:
     walls = [frozenset(j for j, w in enumerate(c._walls) if i in w) for i in range(len(c.key))]  # the transpose
     basis = _hilbert_of_pointed([u.coords for u in c.dual_rays], walls, c.key)
     return tuple(LatticeVector(b, M_SIDE) for b in basis)
-
-
-def hilbert_basis_points(c: Cone) -> tuple[LatticeVector, ...]:
-    """Minimal generating set of the cone's own lattice semigroup."""
-    return c.hilbert_basis()
-
-
-def contains(c: Cone, v: LatticeVector) -> bool:
-    return c.contains(v)
 
 
 def leq_sigma(c: Cone, v: LatticeVector, v2: LatticeVector) -> bool:
@@ -626,12 +604,10 @@ def quotient_by_face(c: Cone, f: FaceRef) -> FaceQuotient:
 
 
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:
+    """The meet of two cones: strongly convex as they are, so its dual generators have no lineality."""
     if c1.dim_ambient != c2.dim_ambient:
         raise ValueError("ambient dimension mismatch")
-    rays, lin, _ = dual_generators(c1._dual_keys + c2._dual_keys, c1.dim_ambient)
-    if lin:
-        raise ValueError("intersection of strongly convex cones acquired a line")
-    return Cone(rays, c1.dim_ambient)
+    return Cone(dual_generators(c1._dual_keys + c2._dual_keys, c1.dim_ambient)[0], c1.dim_ambient)
 
 
 def _homogenized_rays(
@@ -693,9 +669,6 @@ class Fan(_Record):
             for f in c.faces():
                 seen.setdefault(f.key, f)
         return tuple(seen[k] for k in sorted(seen, key=lambda k: (len(k), k)))
-
-    def contains(self, v: LatticeVector) -> bool:
-        return any(c.contains(v) for c in self.maximal_cones)
 
 
 def is_face_of(sub: FaceRef, sup: FaceRef) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import sub
+from operator import index, sub
 from typing import Iterable, Sequence
 
 from .arcs import OrbitLabel
@@ -525,12 +525,12 @@ def toric_valuation(chart: Cone, v) -> ToricValuation:
 
 
 def toric_valuation_eval(val: ToricValuation, f: Sequence[tuple]) -> int:
-    """Value of the valuation on a polynomial given by (coefficient, exponent) pairs."""
+    """Value of the valuation on a polynomial given by (integer coefficient, exponent) pairs."""
     if not f:
         raise ValueError("empty support: the zero polynomial has no finite order")
     orders = []
     for coeff, exponent in f:
-        if coeff == 0:
+        if index(coeff) == 0:
             raise ValueError("support coefficients must be nonzero")
         u = _coords(exponent, M_SIDE, len(val.point))
         if not _in_dual(val.chart, u):

@@ -39,7 +39,6 @@ __all__ = [
     "nvec",
     "mvec",
     "pairing",
-    "primitive_part",
     "primitive_tuple",
     "QuotientLattice",
     "quotient_lattice",
@@ -298,12 +297,6 @@ def primitive_tuple(coords: Sequence[int]) -> tuple[int, int, ...]:
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return g, tuple(c // g for c in coords)
-
-
-def primitive_part(v: LatticeVector) -> tuple[int, LatticeVector]:
-    """Write v = e * v0 with e >= 1 and v0 primitive (coprime coordinates)."""
-    g, coords = primitive_tuple(v.coords)
-    return g, LatticeVector(coords, v.side)
 
 
 # ---------------------------------------------------------------------------

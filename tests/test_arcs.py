@@ -930,6 +930,31 @@ def test_dominance_witness_eliminates_each_chart_once_in_integers(quadrant, a1, 
     assert dominance_witness(f1, f2).verified and len(homs) == 2
 
 
+def test_dominance_witness_reads_orders_on_int_rows(monkeypatch):
+    # the dual basis rows are int tuples read by OrbitLabel._order: no LatticeVector is built
+    # for them and order_at, which checks its argument, is not called
+    from toricarcs.lattice import LatticeVector
+
+    orthant = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    ray = orthant.face_from_indices([0])
+    pairs = [
+        (orbit_label(orthant, orthant.zero_face(), (1, 2, 1)), orbit_label(orthant, orthant.zero_face(), (3, 2, 1))),
+        (orbit_label(orthant, orthant.zero_face(), (1, 0, 1)), orbit_label(orthant, ray, (0, 2))),
+    ]
+    before = [dominance_witness(o1, o2) for o1, o2 in pairs]
+
+    def refused(self, u):
+        raise AssertionError("order_at called")
+
+    monkeypatch.setattr(OrbitLabel, "order_at", refused)
+    made = counting(monkeypatch, LatticeVector, "__post_init__")
+    after = [dominance_witness(o1, o2) for o1, o2 in pairs]
+    assert made == []
+    for old, new in zip(before, after):
+        assert new.verified and new.verified == old.verified
+        assert new.family == old.family and new.entries == old.entries
+
+
 def test_monomial_arc_refuses_a_non_integer_precision(a1):
     # 2.5 used to pass the level check and give series O(t^3.5)
     label = orbit_label(a1, a1.zero_face(), (1, 1))

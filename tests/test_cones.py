@@ -34,11 +34,8 @@ from toricarcs.cones import (
     _parallelepiped,
     _triangulation,
     Fan,
-    dual_cone,
     dual_generators,
-    faces,
     hilbert_basis_dual,
-    hilbert_basis_points,
     intersect_cones,
     is_smooth,
     lattice_points_where,
@@ -55,17 +52,17 @@ from toricarcs.lattice import nvec, rank_of
 def test_dual_cone_a1():
     # frozen from the brute-force half-space oracle over |u|_oo <= 3
     c = Cone([(1, 0), (1, 2)])
-    assert [u.coords for u in dual_cone(c)] == [(0, 1), (2, -1)]
+    assert [u.coords for u in c.dual_generator_list()] == [(0, 1), (2, -1)]
 
 
 def test_dual_cone_quadrant_self_dual():
     q = Cone([(1, 0), (0, 1)])
-    assert [u.coords for u in dual_cone(q)] == [(0, 1), (1, 0)]
+    assert [u.coords for u in q.dual_generator_list()] == [(0, 1), (1, 0)]
 
 
 def test_dual_cone_single_ray_has_lineality_pair():
     r = Cone([(1, 0)], 2)
-    assert [u.coords for u in dual_cone(r)] == [(0, -1), (0, 1), (1, 0)]
+    assert [u.coords for u in r.dual_generator_list()] == [(0, -1), (0, 1), (1, 0)]
 
 
 def test_dual_cone_matches_brute_oracle():
@@ -257,10 +254,10 @@ def test_cone_dim_is_rank_of_rays():
 
 
 def test_faces_counts():
-    assert len(faces(Cone([(1, 0), (0, 1)]))) == 4
-    assert len(faces(Cone([(1, 0), (1, 2)]))) == 4
-    assert len(faces(Cone([(1, 2)], 2))) == 2
-    assert len(faces(Cone([], 2))) == 1
+    assert len(Cone([(1, 0), (0, 1)]).faces()) == 4
+    assert len(Cone([(1, 0), (1, 2)]).faces()) == 4
+    assert len(Cone([(1, 2)], 2).faces()) == 2
+    assert len(Cone([], 2).faces()) == 1
 
 
 def test_faces_simplicial_count_is_power_of_two():
@@ -269,12 +266,12 @@ def test_faces_simplicial_count_is_power_of_two():
         for _ in range(10):
             c = random_full_cone(rng, dim, spread=2)
             if len(c.rays) == dim:
-                assert len(faces(c)) == 2**dim
+                assert len(c.faces()) == 2**dim
 
 
 def test_faces_closed_under_intersection():
     c = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
-    keys = {f.indices for f in faces(c)}
+    keys = {f.indices for f in c.faces()}
     for a in keys:
         for b in keys:
             assert tuple(sorted(set(a) & set(b))) in keys
@@ -310,7 +307,7 @@ def _spans_face(c, indices):
 
 
 def test_face_cone_roundtrip(a1):
-    for f in faces(a1):
+    for f in a1.faces():
         sub = face_cone(f)
         for r in sub.rays:
             assert a1.contains(r)
@@ -374,9 +371,9 @@ def test_hilbert_basis_decomposition_property():
 
 def test_hilbert_basis_points_primal():
     c = Cone([(1, 0), (1, 2)])
-    assert [v.coords for v in hilbert_basis_points(c)] == [(1, 0), (1, 1), (1, 2)]
+    assert [v.coords for v in c.hilbert_basis()] == [(1, 0), (1, 1), (1, 2)]
     ray = Cone([(2, 3)], 2)
-    assert [v.coords for v in hilbert_basis_points(ray)] == [(2, 3)]
+    assert [v.coords for v in ray.hilbert_basis()] == [(2, 3)]
 
 
 def _hilbert_scan_cones():
@@ -415,7 +412,7 @@ def test_hilbert_scan_cones_raise_a_named_error_instead_of_hanging(monkeypatch):
 @pytest.mark.parametrize("c", _hilbert_scan_cones(), ids=repr)
 def test_hilbert_bases_match_the_zonotope_scan(c):
     primal = hilbert_by_zonotope_scan(list(c.key), c.halfspace_data())
-    assert [v.coords for v in hilbert_basis_points(c)] == primal
+    assert [v.coords for v in c.hilbert_basis()] == primal
     if c.is_full_dimensional():
         dual = hilbert_by_zonotope_scan([u.coords for u in c.dual_rays], [(r, 0) for r in c.key])
         assert [u.coords for u in hilbert_basis_dual(c)] == dual
@@ -433,7 +430,7 @@ def test_hilbert_bases_scan_no_box(monkeypatch):
     monkeypatch.setattr(cones, "lattice_points_where", counting_scan)
     c = Cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (3, 1, 3, 8)])
     assert len(hilbert_basis_dual.__wrapped__(c)) == 29
-    assert len(hilbert_basis_points(c)) == 11
+    assert len(c.hilbert_basis()) == 11
     assert scans == []
 
 
@@ -477,10 +474,10 @@ def test_hilbert_budget_counts_the_cover(monkeypatch):
     # their boxes hold 6 points, its normalized volume
     hexagon = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]
     monkeypatch.setattr(cones, "MAX_HILBERT_COVER_POINTS", 6)
-    assert len(hilbert_basis_points(Cone(hexagon))) == 7
+    assert len(Cone(hexagon).hilbert_basis()) == 7
     monkeypatch.setattr(cones, "MAX_HILBERT_COVER_POINTS", 5)
     with pytest.raises(ValueError, match="6 cover points, more than the budget of 5"):
-        hilbert_basis_points(Cone(hexagon))
+        Cone(hexagon).hilbert_basis()
 
 
 def test_hilbert_default_budget_refuses_a_large_determinant_at_once():
@@ -489,7 +486,7 @@ def test_hilbert_default_budget_refuses_a_large_determinant_at_once():
     with pytest.raises(ValueError, match="1000000000 cover points, more than the budget of 50000"):
         hilbert_basis_dual(c)
     with pytest.raises(ValueError, match="1000000000 cover points, more than the budget of 50000"):
-        hilbert_basis_points(c)
+        c.hilbert_basis()
     assert time.perf_counter() - start < 1.0
 
 
@@ -768,14 +765,14 @@ def test_intersect_cones():
 
 def test_dual_cone_two_dim_in_three_space():
     c = Cone([(1, 0, 0), (0, 1, 0)], 3)
-    gen_list = [u.coords for u in dual_cone(c)]
+    gen_list = [u.coords for u in c.dual_generator_list()]
     assert gen_list == [(0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert [l.coords for l in c.span_normals] == [(0, 0, 1)]
 
 
 def test_faces_of_two_dim_cone_in_three_space():
     c = Cone([(1, 0, 0), (0, 1, 0)], 3)
-    assert len(faces(c)) == 4
+    assert len(c.faces()) == 4
 
 
 # -- box enumeration ------------------------------------------------------------

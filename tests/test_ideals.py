@@ -995,6 +995,8 @@ _IDEAL = monomial_ideal(_QUADRANT, [(2, 0), (0, 1)])
         lambda: is_minimal_in_contact(_IDEAL, 1, (0, 1.0)),
         lambda: toric_valuation(_QUADRANT, (1, 1.5)),
         lambda: toric_valuation_eval(toric_valuation(_QUADRANT, (1, 1)), [(1, (0.5, 1))]),
+        lambda: toric_valuation_eval(toric_valuation(_QUADRANT, (1, 1)), [(1.5, (1, 0))]),
+        lambda: toric_valuation_eval(toric_valuation(_QUADRANT, (1, 1)), [("a", (0, 1))]),
         lambda: contact_components(_IDEAL, 1.0),
         lambda: polar_polytope(_IDEAL, True),
         lambda: compact_face_lattice_points(_IDEAL, "2"),
@@ -1006,6 +1008,8 @@ _IDEAL = monomial_ideal(_QUADRANT, [(2, 0), (0, 1)])
         "is_minimal_in_contact",
         "toric_valuation",
         "toric_valuation_eval",
+        "toric_valuation_eval_coefficient",
+        "toric_valuation_eval_string_coefficient",
         "contact_components_level",
         "polar_polytope_level",
         "compact_face_lattice_points_level",
@@ -1014,6 +1018,7 @@ _IDEAL = monomial_ideal(_QUADRANT, [(2, 0), (0, 1)])
 )
 def test_a_non_integer_point_or_exponent_raises_type_error(call):
     # int() would truncate: order_function(ideal, (2.5, 1)) used to answer at (2, 1);
-    # a level of 1.0, True or "2" used to raise ValueError, unlike orbit_poset's bound
+    # a level of 1.0, True or "2" used to raise ValueError, unlike orbit_poset's bound;
+    # a coefficient of 1.5 or "a" used to be taken as nonzero and evaluated
     with pytest.raises(TypeError):
         call()

@@ -103,8 +103,7 @@ def test_only_the_level_cone_and_sing_walk_a_face_lattice_in_ideals():
 def test_incidence_readers_make_no_zero_test_of_their_own():
     # dual_generators returns the rays on each wall, and a Cone keeps its dual rays' walls:
     # these functions read that incidence and never recompute it with _dot.  In cones.py
-    # __init__ names Cone's, FaceRef's and Fan's constructors alike, and faces the method
-    # and the module function.
+    # __init__ names Cone's, FaceRef's and Fan's constructors alike, and faces is Cone.faces.
     readers = {
         "cones.py": {"__init__", "faces", "face_from_indices", "_hilbert_of_pointed", "hilbert_basis_dual"},
         "ideals.py": {"_level_cone", "sing_components"},
@@ -212,6 +211,68 @@ def test_unnamed_definition_rule_sees_a_dead_def():
     trees = {"m.py": ast.parse(source), "n.py": ast.parse("from .m import imported\n")}
     found = _unnamed_definitions(trees, "Call `documented()` first.")
     assert found == ["m.py:6 dead", "m.py:10 unused"]
+
+
+def _bare_wrappers(tree):
+    """Module-level functions whose body is one return of a method call on the first parameter.
+
+    The call must pass the function's other parameters through unchanged, as
+    bare names in their order; a docstring before the return is allowed.
+    """
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        params = [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+        if len(body) != 1 or not isinstance(body[0], ast.Return) or not params:
+            continue
+        call = body[0].value
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
+            continue
+        if getattr(call.func.value, "id", None) != params[0]:
+            continue
+        passed = list(call.args) + [k.value for k in call.keywords]
+        if all(isinstance(a, ast.Name) for a in passed) and [a.id for a in passed] == params[1:]:
+            found.append(f"{node.name}:{node.lineno}")
+    return found
+
+
+def test_package_defines_no_bare_wrapper():
+    # a function that only calls its first argument's method is a second name for that method
+    found = [
+        f"{path.name} {place}"
+        for path in sorted(SRC.glob("*.py"))
+        for place in _bare_wrappers(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+
+
+def test_wrapper_rule_sees_a_bare_wrapper():
+    source = (
+        "def faces(c):\n"
+        "    return c.faces()\n"
+        "def contains(c, v):\n"
+        "    \"Whether v is in c.\"\n"
+        "    return c.contains(v)\n"
+        "def swapped(c, v, w):\n"
+        "    return c.between(w, v)\n"
+        "def scaled(c, v):\n"
+        "    return c.contains(2 * v)\n"
+        "def of_other(c, v):\n"
+        "    return v.contains(c)\n"
+        "def checked(c, v):\n"
+        "    check(v)\n"
+        "    return c.contains(v)\n"
+        "def plain(c):\n"
+        "    return faces(c)\n"
+        "class Cone:\n"
+        "    def hull(self):\n"
+        "        return self.faces()\n"
+    )
+    assert _bare_wrappers(ast.parse(source)) == ["faces:1", "contains:3"]
 
 
 # the caches perfbench reads with cache_info() and cache_clear(); entries may be
