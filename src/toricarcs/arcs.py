@@ -101,13 +101,38 @@ def _finite(face: FaceRef, keys) -> list[int]:
     return [k for k, u in enumerate(keys) if not any(_dot(r, u) for r in face.key)]
 
 
+def _stratum(ambient, face: FaceRef):
+    """The stratum record of a face over an ambient: built once, kept in ambient._strata by face key.
+
+    The record is (quotient, rays, finite): the quotient lattice N_tau of
+    the stratum's orbits, the face's rays as a frozenset, and for each
+    chart over the face the _finite positions of its dual generators.  The
+    first build checks that some chart holds the face's rays and that the
+    face is a face of each such chart; if not, ValueError is raised and
+    nothing is stored, so every later try raises again.
+    """
+    record = ambient._strata.get(face.key)
+    if record is None:
+        charts = _charts_over(ambient, face)
+        if not charts or not all(is_face_of(face, chart.full_face()) for chart in charts):
+            raise ValueError("the stratum is not a face of a chart containing its rays")
+        q = _stratum_quotient(face.parent.dim_ambient, face.key)
+        record = q, frozenset(face.key), {chart: _finite(face, chart._dual_keys) for chart in charts}
+        ambient._strata[face.key] = record
+    return record
+
+
 class OrbitLabel(_Record):
     """An arc-space orbit: a stratum face and a point of the quotient lattice.
 
     The constructor validates its arguments and raises ValueError unless
     the point has one coordinate per rank of the stratum's quotient
-    lattice, the face is a face of every chart over it, and on some chart
-    order_at is >= 0 on every dual generator.  orbit_label is this constructor.
+    lattice, some chart holds the face's rays, the face is a face of every
+    such chart, and on one of them order_at is >= 0 on every dual
+    generator.  orbit_label is this constructor.  The face check is made
+    here, once per face and ambient: the first label of a face builds its
+    stratum record (see _stratum), kept on the ambient, and later labels
+    read it.  FaceRef does not check it.
     """
 
     __slots__ = {
@@ -123,16 +148,14 @@ class OrbitLabel(_Record):
         _set(self, "point", tuple(map(index, point)))
         if face.parent.dim_ambient != _maximal_cones(ambient)[0].dim_ambient:
             raise ValueError("the stratum and the ambient lie in lattices of different ranks")
-        q = self.quotient
+        q, _, finite = _stratum(ambient, face)
         if len(self.point) != q.quotient_dim:
             raise ValueError(f"point has {len(self.point)} coordinates, expected {q.quotient_dim}")
-        _set(self, "_lift", q._section(self.point))
-        charts = _charts_over(ambient, face)
-        if not all(is_face_of(face, chart.full_face()) for chart in charts):
-            raise ValueError("the stratum is not a face of a chart containing its rays")
-        for c in charts:
-            values = self._hom(c._dual_keys)
-            if all(values[k] >= 0 for k in _finite(face, c._dual_keys)):
+        lift = q._section(self.point)
+        _set(self, "_lift", lift)
+        for chart, positions in finite.items():
+            keys = chart._dual_keys
+            if all(_dot(lift, keys[k]) >= 0 for k in positions):
                 return
         raise ValueError("point lies in no chart's image cone for this stratum")
 
@@ -242,9 +265,9 @@ def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
         if not isinstance(o.ambient, Cone):
             raise ValueError("a chart cone is required for labels over a fan")
         chart = o.ambient
-    elif not all(chart.contains(r) for r in o.face.rays):
+    elif chart.dim_ambient != len(o._lift) or not all(chart.contains(r) for r in o.face.rays):
         raise ValueError(f"chart {chart!r} does not contain the stratum {list(o.face.key)}")
-    return SemigroupHom(chart, tuple(o.order_at(g) for g in hilbert_basis_dual(chart)))
+    return SemigroupHom(chart, tuple(o._order(g.coords) for g in hilbert_basis_dual(chart)))
 
 
 def monomial_arc(
@@ -293,14 +316,15 @@ def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
     """The charts that show o1 dominating o2; see dominates."""
     if o1.ambient != o2.ambient:
         raise ValueError("orbit labels live over different ambients")
-    if not is_face_of(o1.face, o2.face):
+    _, tau, low = _stratum(o1.ambient, o1.face)
+    _, gamma, high = _stratum(o1.ambient, o2.face)
+    if not tau <= gamma:
         return
-    for chart in _charts_over(o1.ambient, o2.face):
+    for chart, positions in high.items():
         keys = chart._dual_keys
         a, b = o1._hom(keys), o2._hom(keys)
-        if all(a[k] >= 0 for k in _finite(o1.face, keys)):
-            if all(a[k] <= b[k] for k in _finite(o2.face, keys)):
-                yield chart
+        if all(a[k] >= 0 for k in low[chart]) and all(a[k] <= b[k] for k in positions):
+            yield chart
 
 
 def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
@@ -320,6 +344,12 @@ def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
     Labels over charts sharing no maximal cone are never comparable.
     It runs on ints: o2 is finite only where u vanishes on gamma, hence on
     tau, so it reads o1 >= 0 where o1 is finite and o1 <= o2 where o2 is.
+
+    The face test is a subset test of the ray sets, read off the stratum
+    records; no face check is made here.  Both strata were checked over
+    the shared ambient when their records were built, so if tau's rays lie
+    among gamma's, tau is a face of each chart over gamma inside its face
+    gamma, hence a face of gamma.  orbit_poset pairs its strata the same way.
     """
     return next(_dominance_charts(o1, o2), None) is not None
 

@@ -153,7 +153,8 @@ class Cone(_Record):
     """
 
     __slots__ = ("dim_ambient", "key", "rays", "dual_rays", "span_normals",  # _walls[j]: the rays on dual ray j
-                 "_dual_keys", "_walls", "_duals", "_faces", "_hilbert")  # _dual_keys: dual_generator_list() coords
+                 "_dual_keys", "_walls", "_duals", "_faces", "_hilbert",  # _dual_keys: dual_generator_list() coords
+                 "_strata")  # stratum records by face key, for labels over this cone; see arcs._stratum
 
     def __init__(self, rays: Iterable, dim_ambient: int | None = None):
         ray_tuples: list[tuple[int, ...]] = []
@@ -191,6 +192,7 @@ class Cone(_Record):
         _set(self, "_dual_keys", tuple(sorted(dual_rays + dual_lin + tuple(map(_neg, dual_lin)))))
         for name in ("_duals", "_faces", "_hilbert"):
             _set(self, name, None)
+        _set(self, "_strata", {})
 
     # -- identity ---------------------------------------------------------
 
@@ -309,7 +311,11 @@ def _face_keys(tight_sets: Iterable[Iterable[int]], nrays: int) -> set[frozenset
 
 
 class FaceRef(_Record):
-    """A face of a parent cone, addressed by distinct indices of its rays (else ValueError); key is built once."""
+    """A face of a parent cone, addressed by distinct indices of its rays (else ValueError); key is built once.
+
+    It does not check that the indices span a face: face_from_indices,
+    OrbitLabel and quotient_by_face do.
+    """
 
     __slots__ = {"parent": "Cone", "indices": "tuple[int, ...]", "_key": "the rays' coordinates"}
 
@@ -597,8 +603,11 @@ def _face_quotient_cached(parent: Cone, face_key: tuple) -> FaceQuotient:
 
 
 def quotient_by_face(c: Cone, f: FaceRef) -> FaceQuotient:
-    """Quotient lattice and image cone of c modulo the span of the face f."""
-    if f.parent != c and not is_face_of(f, c.full_face()):
+    """Quotient lattice and image cone of c modulo the span of f.
+
+    ValueError unless f is a face of c, whatever cone f's parent is.
+    """
+    if not is_face_of(f, c.full_face()):
         raise ValueError("not a face of the given cone")
     return _face_quotient_cached(c, f.key)
 
@@ -631,7 +640,7 @@ def _homogenized_rays(
 class Fan(_Record):
     """A finite fan: face-closed, intersection-compatible strongly convex cones."""
 
-    __slots__ = ("dim_ambient", "maximal_cones")
+    __slots__ = ("dim_ambient", "maximal_cones", "_strata")  # _strata: as Cone's
 
     def __init__(self, maximal_cones: Sequence[Cone]):
         cones = sorted(set(maximal_cones), key=lambda c: c.key)
@@ -652,6 +661,7 @@ class Fan(_Record):
                 raise ValueError("cones do not intersect in a common face; not a valid fan")
         _set(self, "dim_ambient", dim)
         _set(self, "maximal_cones", tuple(kept))
+        _set(self, "_strata", {})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Fan) and self.maximal_cones == other.maximal_cones

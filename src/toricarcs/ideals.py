@@ -134,7 +134,7 @@ def order_function(a: MonomialIdeal, v) -> int:
     if isinstance(v, OrbitLabel):
         if v.ambient != a.chart:
             raise ValueError("the orbit label lies over another ambient than the ideal's chart")
-        return min(v.order_at(u) for u in a.generators)
+        return min(v._order(u.coords) for u in a.generators)
     x = _coords(v, N_SIDE, a.chart.dim_ambient)
     if not _in_chart(a.chart, x):
         raise ValueError(f"{x} is not in the chart cone")

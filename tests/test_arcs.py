@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 
@@ -26,7 +28,7 @@ from toricarcs.arcs import (
     orbit_label,
     orbit_poset,
 )
-from toricarcs.cones import Cone, Fan, hilbert_basis_dual, is_face_of, quotient_by_face
+from toricarcs.cones import Cone, FaceRef, Fan, hilbert_basis_dual, is_face_of, quotient_by_face
 from toricarcs.lattice import INF, is_finite, mvec, nvec, pairing, row_hermite
 from toricarcs.series import TruncatedSeries
 
@@ -85,6 +87,10 @@ def test_hom_from_label_refuses_a_chart_off_the_stratum():
     assert hom_from_label(label, c1).values == (0, INF)
     with pytest.raises(ValueError, match="does not contain the stratum"):
         hom_from_label(label, c2)
+    # orders are read on int tuples, so a chart in a lattice of another rank is refused first
+    zero = orbit_label(fan, c1.zero_face(), (1, 1))
+    with pytest.raises(ValueError, match="does not contain the stratum"):
+        hom_from_label(zero, Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 
 
 def test_orbit_label_refuses_a_foreign_face():
@@ -871,6 +877,87 @@ def test_orbit_hot_paths_make_no_pairing_call_and_build_each_key_once(ambient, m
     # the public order_at still reads the same hom, through its checks
     zero = nodes[0]
     assert [zero.order_at(u) for u in charts[0].dual_generator_list()] == zero._hom(charts[0]._dual_keys)
+
+
+def test_labels_build_each_stratum_record_once_and_dominates_makes_no_face_test(monkeypatch):
+    import toricarcs.arcs as arcs
+
+    # at most three nodes per stratum of the conifold: 24 labels on its 10 faces,
+    # read off a twin of the chart, so the chart itself starts with no record
+    per_face = {}
+    for node in orbit_poset(Cone(CONIFOLD), 1).nodes:
+        per_face.setdefault(node.face.indices, []).append(node.point)
+    wanted = [(face, point) for face, points in per_face.items() for point in points[:3]]
+    assert len(wanted) == 24 and len(per_face) == 10
+    chart = Cone(CONIFOLD)
+    charts_over = counting(monkeypatch, arcs, "_charts_over")
+    face_tests = counting(monkeypatch, arcs, "is_face_of")
+    labels = [orbit_label(chart, chart.face_from_indices(face), point) for face, point in wanted]
+    keys = sorted({label.face.key for label in labels})
+    # one record per face key: one chart walk and, with one chart, one face test
+    assert sorted(face.key for _, face in charts_over) == keys
+    assert sorted(face.key for face, _ in face_tests) == keys
+    assert sorted(chart._strata) == keys
+    charts_over.clear()
+    face_tests.clear()
+    again = [orbit_label(chart, label.face, label.point) for label in labels]
+    assert again == labels
+    answers = [dominates(a, b) for a in labels for b in labels]
+    assert any(answers) and not all(answers)
+    assert charts_over == [] and face_tests == []
+
+
+def test_a_label_on_a_non_face_raises_again_and_stores_no_record(monkeypatch):
+    import toricarcs.arcs as arcs
+
+    # two opposite rays of the conifold span no face
+    chart = Cone(CONIFOLD)
+    face = FaceRef(chart, (0, 3))
+    assert not is_face_of(face, chart.full_face())
+    face_tests = counting(monkeypatch, arcs, "is_face_of")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a face of a chart") as raised:
+            orbit_label(chart, face, (0,))
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert len(face_tests) == 2 and face.key not in chart._strata
+    # a ray no chart holds is no stratum of the ambient either; it used to be
+    # refused point by point, as if the stratum were one
+    outside = Cone([(0, 0, -1)]).full_face()
+    with pytest.raises(ValueError, match="not a face of a chart"):
+        orbit_label(chart, outside, (0, 0))
+    assert outside.key not in chart._strata
+
+
+def test_copies_of_an_ambient_are_equal_and_start_with_no_record():
+    chart = Cone(CONIFOLD)
+    fan = Fan([chart, Cone([(1, 0, 1), (0, 1, 1), (1, 1, 0)])])
+    for ambient in (chart, fan):
+        orbit_label(ambient, chart.zero_face(), (0, 0, 1))
+        assert ambient._strata
+        for twin in (copy.deepcopy(ambient), pickle.loads(pickle.dumps(ambient))):
+            assert twin == ambient and hash(twin) == hash(ambient)
+            assert twin._strata == {}
+
+
+@pytest.mark.parametrize(
+    "ambient",
+    [
+        Cone([(1, 0), (1, 3)]),
+        Cone(CONIFOLD),
+        Fan([Cone([(1, 0), (0, 1)]), Cone([(0, 1), (-1, 1)]), Cone([(-1, 1), (-1, -2)]), Cone([(-1, -2), (1, 0)])]),
+    ],
+    ids=["a2", "conifold", "fan_2d"],
+)
+def test_dominates_by_the_ray_subset_test_matches_the_poset(ambient):
+    # dominates pairs the strata by their ray sets alone; orbit_poset reads the same order
+    poset = orbit_poset(ambient, 1)
+    nodes = poset.nodes
+    assert len({n.face for n in nodes}) > 3
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            assert dominates(a, b) == ((i, j) in poset.relation or i == j), (a, b)
 
 
 def test_orbit_label_refuses_a_non_integer_point_and_a_stratum_of_another_rank():

@@ -690,6 +690,19 @@ def test_quotient_rejects_non_face(a1):
         quotient_by_face(a1, q.smallest_face_containing([nvec(0, 1)]))
 
 
+def test_quotient_rejects_a_non_face_of_its_own_parent():
+    # FaceRef checks no face-ness, so a FaceRef of c itself is checked too: three
+    # vertices of the square of a pyramid used to give the square's quotient, and
+    # two rays of a non-simplicial chart failed on an image cone with a line
+    pyramid = Cone([(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1)])
+    chart = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+    for c, indices in [(pyramid, (0, 1, 3)), (chart, (0, 3))]:
+        with pytest.raises(ValueError, match="not a face of the given cone"):
+            quotient_by_face(c, FaceRef(c, indices))
+    square = pyramid.face_from_indices((0, 1, 3, 4))
+    assert quotient_by_face(pyramid, FaceRef(pyramid, square.indices)).image_cone == Cone([(1,)])
+
+
 def test_quotient_lattice_map_surjective_on_cone_points(a1):
     # sampled surjectivity: image-cone points lift into the cone
     f = a1.smallest_face_containing([nvec(1, 0)])
