@@ -28,10 +28,12 @@ from .cones import (
 from .lattice import (
     INF,
     M_SIDE,
+    N_SIDE,
     Infinite,
     LatticeVector,
     QuotientLattice,
     _checked,
+    _coords,
     _dot,
     _int_at_least,
     _Record,
@@ -96,29 +98,33 @@ def _charts_over(ambient, face: FaceRef) -> tuple[Cone, ...]:
     return tuple(c for c in cones if all(_dot(r, u) >= 0 for r in face.key for u in c._dual_keys))
 
 
-def _finite(face: FaceRef, keys) -> list[int]:
-    """The positions of the characters in keys that vanish on the face: where its orbits are finite."""
-    return [k for k, u in enumerate(keys) if not any(_dot(r, u) for r in face.key)]
+def _build_stratum(ambient, face: FaceRef, charts: tuple[Cone, ...]):
+    """The one builder of stratum records: made from the charts over the face, unchecked, kept on the ambient.
+
+    A record is (N_tau, the face on the first chart as Fan.strata picks it,
+    the rays as a frozenset, per chart the positions of its dual generators
+    vanishing on the face: where the stratum's orbits are finite).
+    """
+    key, chart = face.key, charts[0]
+    if face.parent is not chart:
+        face = FaceRef(chart, map(chart.key.index, key))
+    finite = {c: [k for k, u in enumerate(c._dual_keys) if not any(_dot(r, u) for r in key)] for c in charts}
+    record = ambient._strata[key] = _stratum_quotient(chart.dim_ambient, key), face, frozenset(key), finite
+    return record
 
 
 def _stratum(ambient, face: FaceRef):
-    """The stratum record of a face over an ambient: built once, kept in ambient._strata by face key.
+    """The stratum record of a face over an ambient, kept in ambient._strata by face key.
 
-    The record is (quotient, rays, finite): the quotient lattice N_tau of
-    the stratum's orbits, the face's rays as a frozenset, and for each
-    chart over the face the _finite positions of its dual generators.  The
-    first build checks that some chart holds the face's rays and that the
-    face is a face of each such chart; if not, ValueError is raised and
-    nothing is stored, so every later try raises again.
+    Its first use checks that some chart holds the face's rays and that the face is
+    a face of each, then calls _build_stratum; else it raises ValueError, keeping nothing.
     """
     record = ambient._strata.get(face.key)
     if record is None:
         charts = _charts_over(ambient, face)
         if not charts or not all(is_face_of(face, chart.full_face()) for chart in charts):
             raise ValueError("the stratum is not a face of a chart containing its rays")
-        q = _stratum_quotient(face.parent.dim_ambient, face.key)
-        record = q, frozenset(face.key), {chart: _finite(face, chart._dual_keys) for chart in charts}
-        ambient._strata[face.key] = record
+        record = _build_stratum(ambient, face, charts)
     return record
 
 
@@ -132,7 +138,9 @@ class OrbitLabel(_Record):
     generator.  orbit_label is this constructor.  The face check is made
     here, once per face and ambient: the first label of a face builds its
     stratum record (see _stratum), kept on the ambient, and later labels
-    read it.  FaceRef does not check it.
+    read it.  FaceRef does not check it.  A label keeps the record's face,
+    so labels of one orbit are equal whichever chart's face built them.
+    The point is a sequence of ints or an N-side LatticeVector.
     """
 
     __slots__ = {
@@ -144,11 +152,11 @@ class OrbitLabel(_Record):
 
     def __init__(self, ambient, face: FaceRef, point: Sequence[int]):
         _set(self, "ambient", ambient)
-        _set(self, "face", face)
-        _set(self, "point", tuple(map(index, point)))
+        _set(self, "point", _coords(point, N_SIDE))
         if face.parent.dim_ambient != _maximal_cones(ambient)[0].dim_ambient:
             raise ValueError("the stratum and the ambient lie in lattices of different ranks")
-        q, _, finite = _stratum(ambient, face)
+        q, face, _, finite = _stratum(ambient, face)
+        _set(self, "face", face)
         if len(self.point) != q.quotient_dim:
             raise ValueError(f"point has {len(self.point)} coordinates, expected {q.quotient_dim}")
         lift = q._section(self.point)
@@ -161,12 +169,13 @@ class OrbitLabel(_Record):
 
     @classmethod
     def _from_image(cls, ambient, face: FaceRef, point: tuple[int, ...]) -> "OrbitLabel":
-        """A label without the checks, for a point read off a chart's image cone."""
+        """A label without the point checks, for a point read off a chart's image cone."""
+        q, face, _, _ = _stratum(ambient, face)
         label = cls.__new__(cls)
         _set(label, "ambient", ambient)
         _set(label, "face", face)
         _set(label, "point", point)
-        _set(label, "_lift", label.quotient._section(point))
+        _set(label, "_lift", q._section(point))
         return label
 
     def __eq__(self, other):
@@ -180,8 +189,7 @@ class OrbitLabel(_Record):
 
     @property
     def quotient(self) -> QuotientLattice:
-        dim = self.face.parent.dim_ambient
-        return _stratum_quotient(dim, self.face.key)
+        return _stratum(self.ambient, self.face)[0]
 
     def order_at(self, u: LatticeVector):
         """The orbit's hom at u: INF unless u vanishes on the face, else u at the point lifted to N."""
@@ -249,7 +257,7 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
                 "finiteness face but is assigned INF"
             )
 
-    q = _stratum_quotient(c.dim_ambient, tau.key)
+    q = _stratum(c, tau)[0]
     solution = solve_linear([q.push_dual(g).coords for g, _ in finite], [v for _, v in finite])
     if solution is None or any(x.denominator != 1 for x in solution):
         raise ValueError("values violate an additive relation among the generators")
@@ -316,8 +324,8 @@ def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
     """The charts that show o1 dominating o2; see dominates."""
     if o1.ambient != o2.ambient:
         raise ValueError("orbit labels live over different ambients")
-    _, tau, low = _stratum(o1.ambient, o1.face)
-    _, gamma, high = _stratum(o1.ambient, o2.face)
+    _, _, tau, low = _stratum(o1.ambient, o1.face)
+    _, _, gamma, high = _stratum(o1.ambient, o2.face)
     if not tau <= gamma:
         return
     for chart, positions in high.items():
@@ -379,6 +387,8 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     A chart's image in N_tau is cut out by the chart's dual generators
     that vanish on tau, pushed down to N_tau: they span the dual face
     sigma^vee cap tau^perp (see dominates), so no image cone is built.
+    Each stratum's record is built by _build_stratum and kept on the ambient,
+    without _stratum's face check: a cone of a fan is a face of each chart over it.
 
     The order is read from the homs, with no dominates call.  Among the
     strata of one cone or of one fan, tau's rays among gamma's is already
@@ -413,17 +423,13 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     _within_budget(max(simplicial, default=0), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
     strata = ambient.strata() if isinstance(ambient, Fan) else ambient.faces()
     _within_budget(len(strata), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
-    plan = []
-    for face in strata:
-        q = _stratum_quotient(face.parent.dim_ambient, face.key)
-        plan.append((face, q, _charts_over(ambient, face)))
-    box = sum(len(charts) * (2 * bound + 1) ** q.quotient_dim for _, q, charts in plan)
+    plan = [_build_stratum(ambient, face, _charts_over(ambient, face)) for face in strata]
+    box = sum(len(finite) * (2 * bound + 1) ** q.quotient_dim for q, _, _, finite in plan)
     _within_budget(box, MAX_POSET_BOX_POINTS, doing, "box points")
     nodes: list[OrbitLabel] = []
     groups = []  # per stratum: its rays; per chart, finite positions, all (node, hom) and those >= 0
-    for face, q, charts in plan:
+    for q, face, rays, finite in plan:
         box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim
-        finite = {chart: _finite(face, chart._dual_keys) for chart in charts}
         points = set()
         for chart, positions in finite.items():
             duals = chart.dual_generator_list()
@@ -434,7 +440,7 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
         for chart, positions in finite.items():
             rows = [(i, o._hom(chart._dual_keys)) for i, o in enumerate(labels, len(nodes))]
             homs[chart] = positions, rows, [(i, v) for i, v in rows if all(v[k] >= 0 for k in positions)]
-        groups.append((frozenset(face.key), homs))
+        groups.append((rays, homs))
         nodes += labels
     relation = set()
     for tau, low_homs in groups:

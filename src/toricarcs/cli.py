@@ -43,11 +43,31 @@ def _reject_float(value):
 
 
 def _load_json(text: str):
-    """Decode strict JSON with integer numbers only; every defect is an InputError."""
+    """Decode strict JSON with integer numbers only; every defect is an InputError.
+
+    Nesting past the interpreter's recursion limit and an integer literal
+    past its digit limit are defects too.
+    """
     try:
         return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except json.JSONDecodeError as err:
         raise InputError(f"malformed JSON: {err}") from None
+    except RecursionError:
+        raise InputError("malformed JSON: nested too deeply") from None
+    except ValueError:  # int() refused a literal past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"malformed JSON: an integer literal has over {limit} digits") from None
+
+
+def _read(path: str | None) -> str:
+    """The text of a document file, or of stdin when no path is given; bytes that are not UTF-8 are an InputError."""
+    try:
+        if not path:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path or 'stdin'} is not UTF-8: {err}") from None
 
 
 class InputDocument(_Record):
@@ -280,8 +300,7 @@ def cmd_polar(doc, args):
 def cmd_valuation(doc, args):
     chart = _chart(doc, args.cone)
     if args.poly is not None:
-        with open(args.poly, "r", encoding="utf-8") as fh:
-            raw = _load_json(fh.read())
+        raw = _load_json(_read(args.poly))
         if isinstance(raw, dict) and "poly" not in raw:
             raise InputError(f"{args.poly}: field 'poly' is missing")
         terms = _parse_poly(raw["poly"] if isinstance(raw, dict) else raw, doc.dim)
@@ -354,12 +373,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.input:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = sys.stdin.read()
-        doc = parse_input(text)
+        doc = parse_input(_read(args.input))
         for line in doc.warnings:
             print(line, file=sys.stderr)
         result = COMMANDS[args.command](doc, args)

@@ -9,10 +9,11 @@ _walls.  So adjacency, extremality, strong convexity, faces, smallest faces
 and the facets of the triangulation are all read on the tight sets of the
 one double description, with no rank or zero test per pair, ray or facet.
 
-Inputs are checked once, at the public boundary: generators through
-operator.index, and the argument of contains, tight_ray_indices and
-smallest_face_containing with _checked.  Then _dot works on int tuples
-built once per object: Cone.key, Cone._dual_keys and FaceRef.key.
+Inputs are checked once, at the public boundary: generators with _coords,
+which refuses an M-side vector, and the argument of contains,
+tight_ray_indices and smallest_face_containing with _checked.  Then _dot
+works on int tuples built once per object: Cone.key, Cone._dual_keys and
+FaceRef.key.
 
 On top of that sit face lattices, the smoothness test, the pulling
 triangulation, lattice points of parallelepipeds, Hilbert bases of pointed
@@ -36,6 +37,7 @@ from .lattice import (
     LatticeVector,
     QuotientLattice,
     _checked,
+    _coords,
     _dot,
     _Record,
     _set,
@@ -159,7 +161,7 @@ class Cone(_Record):
     def __init__(self, rays: Iterable, dim_ambient: int | None = None):
         ray_tuples: list[tuple[int, ...]] = []
         for r in rays:
-            coords = r.coords if isinstance(r, LatticeVector) else tuple(map(index, r))
+            coords = _coords(r, N_SIDE)
             if dim_ambient is None:
                 dim_ambient = len(coords)
             if len(coords) != dim_ambient:

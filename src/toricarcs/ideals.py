@@ -41,7 +41,7 @@ from .lattice import (
     M_SIDE,
     N_SIDE,
     LatticeVector,
-    _checked,
+    _coords,
     _int_at_least,
     _Record,
     _set,
@@ -81,11 +81,6 @@ class MonomialIdeal(_Record):
         "discarded": "tuple[LatticeVector, ...]",
         "_level_one": "the level-1 cone's rays, tight sets and compact faces, once computed",
     }
-
-
-def _coords(v, side: str, dim: int) -> tuple[int, ...]:
-    """The coordinates of v, a LatticeVector or a sequence of ints, checked once."""
-    return _checked(v if isinstance(v, LatticeVector) else LatticeVector(tuple(v), side), side, dim)
 
 
 def _in_dual(chart: Cone, u: tuple[int, ...]) -> bool:

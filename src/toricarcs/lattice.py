@@ -13,9 +13,10 @@ back-substitutes in fractions.Fraction, the only rational step.
 Quotient lattices by a saturated subspace are built from the Hermite
 transform so that projections are reproducible across runs.
 
-The checks live at the public boundary: LatticeVector and lift take
-coordinates through operator.index, so a non-integer raises TypeError, and
-pairing, project and push_dual check side and dimension with _checked.
+The checks live at the public boundary: LatticeVector takes coordinates
+through operator.index, so a non-integer raises TypeError; lift takes a
+plain int sequence or an N-side vector with _coords; and pairing, project
+and push_dual check side and dimension with _checked.
 Internal loops take _dot on the plain int tuples, with no pairing call.
 """
 
@@ -124,6 +125,20 @@ def _checked(v, side: str, dim: int) -> tuple[int, ...]:
     if v.dim != dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {dim}")
     return v.coords
+
+
+def _coords(v, side: str, dim: int | None = None) -> tuple[int, ...]:
+    """The int coordinates of v, a LatticeVector or a plain sequence of ints.
+
+    A LatticeVector of the other side is refused as _checked refuses it, and
+    so is a v of another dimension than dim, when dim is given.
+    """
+    if isinstance(v, LatticeVector):
+        return _checked(v, side, v.dim if dim is None else dim)
+    coords = tuple(map(index, v))
+    if dim is not None and len(coords) != dim:
+        raise ValueError(f"dimension mismatch: {len(coords)} vs {dim}")
+    return coords
 
 
 def _within_budget(work: int, budget: int, doing: str, unit: str) -> None:
@@ -430,10 +445,7 @@ class QuotientLattice(_Record):
         return LatticeVector(tuple(_dot(row, coords) for row in self.projection_matrix), N_SIDE)
 
     def lift(self, w) -> LatticeVector:
-        coords = w.coords if isinstance(w, LatticeVector) else tuple(map(index, w))
-        if len(coords) != self.quotient_dim:
-            raise ValueError("dimension mismatch")
-        return LatticeVector(self._section(coords), N_SIDE)
+        return LatticeVector(self._section(_coords(w, N_SIDE, self.quotient_dim)), N_SIDE)
 
     def _section(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """lift on the int coordinates of a quotient point, unchecked."""

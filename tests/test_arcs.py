@@ -907,6 +907,42 @@ def test_labels_build_each_stratum_record_once_and_dominates_makes_no_face_test(
     assert charts_over == [] and face_tests == []
 
 
+def test_labels_and_dominance_after_a_poset_read_its_records(monkeypatch):
+    import toricarcs.arcs as arcs
+
+    # the poset keeps the record of each stratum it walks on the ambient
+    chart = Cone(CONIFOLD)
+    nodes = orbit_poset(chart, 1).nodes
+    assert sorted(chart._strata) == sorted({n.face.key for n in nodes})
+    charts_over = counting(monkeypatch, arcs, "_charts_over")
+    face_tests = counting(monkeypatch, arcs, "is_face_of")
+    labels = [orbit_label(chart, n.face, n.point) for n in nodes]
+    assert labels == list(nodes)
+    answers = [dominates(a, b) for a in labels for b in labels]
+    assert any(answers) and not all(answers)
+    assert charts_over == [] and face_tests == []
+    assert sorted(chart._strata) == sorted({n.face.key for n in nodes})
+
+
+def test_labels_of_one_orbit_are_equal_whichever_chart_built_them():
+    # the ray (1, 1) is a face of both charts; the label keeps the first chart's face
+    fan = Fan([Cone([(1, 0), (1, 1)]), Cone([(1, 1), (0, 1)])])
+    first, second = [orbit_label(fan, chart.face_from_indices([1]), (1,)) for chart in fan.maximal_cones]
+    assert dominates(first, second) and dominates(second, first)
+    assert first == second and hash(first) == hash(second)
+    assert first.face.parent is second.face.parent is fan.maximal_cones[0]
+    nodes = set(orbit_poset(fan, 1).nodes)
+    assert first in nodes and second in nodes
+    assert second.face in fan.strata()
+
+
+def test_orbit_label_refuses_an_m_side_point():
+    c = Cone([(1, 0), (1, 2)])
+    with pytest.raises(ValueError, match="expected an N-side vector, got an M-side one"):
+        orbit_label(c, c.zero_face(), mvec(1, 1))
+    assert orbit_label(c, c.zero_face(), nvec(1, 1)) == orbit_label(c, c.zero_face(), (1, 1))
+
+
 def test_a_label_on_a_non_face_raises_again_and_stores_no_record(monkeypatch):
     import toricarcs.arcs as arcs
 

@@ -326,3 +326,21 @@ def test_negative_first_coordinate_is_passed_with_equals(capsys, tmp_path):
         main(["dominates", "--v", "-1,0", "--v2=-2,0", "--input", str(doc)])
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+UNDECODABLE = {
+    "not_utf8": b'{"dim":2,"cones":[[[1,0],[0,1]]]}\xff',
+    "nested_100000_deep": b"[" * 100000 + b"]" * 100000,
+    "integer_over_4300_digits": b'{"dim":2,"cones":[[[1' + b"0" * 4400 + b',1]]]}',
+}
+
+
+@pytest.mark.parametrize("flag", ["--input", "--poly"])
+@pytest.mark.parametrize("data", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_a_document_that_cannot_be_decoded_exits_2_with_one_error_line(data, flag, capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    argv = ["valuation", "--v", "1,1", "--input", str(FIXTURES / "a1.json"), flag, str(bad)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

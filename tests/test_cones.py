@@ -43,7 +43,7 @@ from toricarcs.cones import (
     quotient_by_face,
 )
 from toricarcs.ideals import sing_components, singular_faces
-from toricarcs.lattice import nvec, rank_of
+from toricarcs.lattice import mvec, nvec, rank_of
 
 
 # -- dual cones ---------------------------------------------------------------
@@ -863,3 +863,12 @@ def test_a_face_index_outside_the_rays_or_repeated_raises_value_error(indices):
     # and [0, 0] a face with a repeated ray
     with pytest.raises(ValueError, match="not distinct ray indices of the cone"):
         FaceRef(Cone([(1, 0), (1, 2)]), indices)
+
+
+def test_a_cone_refuses_m_side_generators():
+    with pytest.raises(ValueError, match="expected an N-side vector, got an M-side one"):
+        Cone([mvec(1, 0), mvec(1, 2)])
+    # plain int tuples stay accepted, dual rays among them
+    c = Cone([(1, 0), (1, 2)])
+    assert Cone([nvec(1, 0), nvec(1, 2)]) == c
+    assert Cone([u.coords for u in Cone([u.coords for u in c.dual_rays]).dual_rays]) == c

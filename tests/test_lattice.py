@@ -296,3 +296,10 @@ def test_a_non_integer_coordinate_raises_type_error(build):
 def test_integer_coordinates_of_any_int_type_are_kept():
     assert nvec(True, 2).coords == (1, 2) and type(nvec(True, 2).coords[0]) is int
     assert quotient_lattice(2, [nvec(1, 0)]).lift((3,)) == nvec(0, 3)
+
+
+def test_lift_refuses_an_m_side_point():
+    q = quotient_lattice(2, [nvec(1, 1)])
+    with pytest.raises(ValueError, match="expected an N-side vector, got an M-side one"):
+        q.lift(mvec(3))
+    assert q.lift(nvec(3)) == q.lift((3,))

@@ -116,6 +116,13 @@ def test_incidence_readers_make_no_zero_test_of_their_own():
     assert found == []
 
 
+def test_arcs_derives_a_stratum_in_one_builder():
+    # the stratum record is the one place arcs takes a stratum's quotient; every orbit
+    # reader (labels, quotient, classify_hom, dominates, orbit_poset) reads the record
+    tree = ast.parse((SRC / "arcs.py").read_text(encoding="utf-8"))
+    assert [owner for owner, _ in _callers(tree, "_stratum_quotient")] == ["_build_stratum"]
+
+
 def test_only_solve_and_polar_vertices_build_fractions():
     # series keep the int coefficients they are given; the rational steps are the
     # back-substitution of solve_linear and the vertices p x / s of polar_polytope
