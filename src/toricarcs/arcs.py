@@ -230,10 +230,7 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
             raise ValueError("homomorphism belongs to a different cone")
         values = h.values
     elif isinstance(h, Mapping):
-        lookup = {}
-        for key, val in h.items():
-            coords = tuple(key.coords) if isinstance(key, LatticeVector) else tuple(key)
-            lookup[coords] = val
+        lookup = {_coords(key, M_SIDE, c.dim_ambient): val for key, val in h.items()}
         try:
             values = tuple(lookup[g.coords] for g in gens)
         except KeyError as missing:
@@ -419,7 +416,7 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     """
     _int_at_least(bound, 0, "bound")
     doing = f"orbit poset at bound {bound} would scan"
-    simplicial = [2 ** c.dim for c in _maximal_cones(ambient) if len(c.rays) == c.dim]
+    simplicial = [2 ** c.dim for c in _maximal_cones(ambient) if len(c.key) == c.dim]
     _within_budget(max(simplicial, default=0), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
     strata = ambient.strata() if isinstance(ambient, Fan) else ambient.faces()
     _within_budget(len(strata), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
@@ -521,7 +518,7 @@ def dominance_witness(
             raise ValueError("no smooth chart realizes this domination; witness unsupported")
         raise ValueError("lattice criterion fails: o1 does not dominate o2")
 
-    d = len(chart.rays)
+    d = len(chart.key)
     pair_data = []  # (character, a, b, is a ray character)
     for i, row in enumerate(basis):
         u = tuple(row)

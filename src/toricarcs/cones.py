@@ -39,12 +39,11 @@ from .lattice import (
     _checked,
     _coords,
     _dot,
+    _primitive,
     _Record,
     _set,
     _within_budget,
-    primitive_tuple,
     quotient_lattice,
-    rank_of,
     row_hermite,
 )
 
@@ -70,11 +69,17 @@ def _neg(a: Sequence[int]) -> tuple[int, ...]:
 
 def _canonical_sign(vec: Sequence[int]) -> tuple[int, ...]:
     """Primitive representative of a line: first nonzero coordinate positive."""
-    _, prim = primitive_tuple(vec)
+    _, prim = _primitive(vec)
     for c in prim:
         if c != 0:
             return prim if c > 0 else _neg(prim)
     raise ValueError("zero vector")
+
+
+def _along(v: Sequence[int], l0: Sequence[int], d0: int, a: Sequence[int]) -> list[int]:
+    """d0 v - (a . v) l0, on the wall of a when a . l0 = d0: v moved along l0, a . v taken once."""
+    t = _dot(a, v)
+    return [d0 * x - t * y for x, y in zip(v, l0)]
 
 
 def dual_generators(
@@ -116,11 +121,8 @@ def dual_generators(
             d0 = _dot(a, l0)
             if d0 < 0:
                 l0, d0 = _neg(l0), -d0
-            lin = [_canonical_sign([d0 * x - _dot(a, l) * y for x, y in zip(l, l0)]) for l in lin]
-            rays = [
-                (primitive_tuple([d0 * x - _dot(a, r) * y for x, y in zip(r, l0)])[1], z | bit)
-                for r, z in rays
-            ]
+            lin = [_canonical_sign(_along(l, l0, d0, a)) for l in lin]
+            rays = [(_primitive(_along(r, l0, d0, a))[1], z | bit) for r, z in rays]
             rays.append((l0, bit - 1))
         else:
             values = [_dot(a, r) for r, _ in rays]
@@ -132,12 +134,12 @@ def dual_generators(
                 if any(z & common == common and r != rp and r != rm for r, z in rays):
                     continue
                 combo = tuple(vp * x - vm * y for x, y in zip(rm, rp))
-                new_rays.append((primitive_tuple(combo)[1], common | bit))
+                new_rays.append((_primitive(combo)[1], common | bit))
             rays = new_rays
         bit <<= 1
     if lin:
         q = quotient_lattice(dim, [LatticeVector(l, N_SIDE) for l in lin])
-        rays = [(q.lift(primitive_tuple(q.project(LatticeVector(r, N_SIDE)).coords)[1]).coords, z) for r, z in rays]
+        rays = [(q._section(_primitive([_dot(row, r) for row in q.projection_matrix])[1]), z) for r, z in rays]
     rays.sort()
     walls = tuple(frozenset(i for i, (_, z) in enumerate(rays) if z >> k & 1) for k in range(bit.bit_length() - 1))
     return tuple(r for r, _ in rays), tuple(sorted(lin)), walls
@@ -147,15 +149,18 @@ class Cone(_Record):
     """A strongly convex rational polyhedral cone, canonicalized.
 
     Input generators are scaled to primitive vectors, deduplicated, and
-    reduced to the extreme rays; the stored ray list is sorted, and key
-    holds the same rays as tuples, built once for identity.  The dual
-    description (extreme rays of the dual plus, for lower-dimensional cones,
-    a basis of the annihilator of the span) is computed at construction and
-    cached, so all later membership tests are pure integer arithmetic.
+    reduced to the extreme rays, which key holds sorted, as int tuples.  The
+    dual description (extreme rays of the dual plus, for lower-dimensional
+    cones, a basis of the annihilator of the span) is computed at
+    construction and kept as int tuples too, so all later membership tests
+    are pure integer arithmetic.  rays, dual_rays and span_normals are the
+    same tuples as LatticeVectors, built the first time each is read.
     """
 
-    __slots__ = ("dim_ambient", "key", "rays", "dual_rays", "span_normals",  # _walls[j]: the rays on dual ray j
-                 "_dual_keys", "_walls", "_duals", "_faces", "_hilbert",  # _dual_keys: dual_generator_list() coords
+    __slots__ = ("dim_ambient", "key", "_dual_ray_keys", "_normal_keys",  # the coords of dual_rays, span_normals
+                 "_dual_keys", "_walls",  # dual_generator_list() coords; _walls[j]: the rays on dual ray j
+                 "_rays", "_dual_rays", "_span_normals", "_duals",  # the LatticeVectors, built on first read
+                 "_faces", "_hilbert",
                  "_strata")  # stratum records by face key, for labels over this cone; see arcs._stratum
 
     def __init__(self, rays: Iterable, dim_ambient: int | None = None):
@@ -168,7 +173,7 @@ class Cone(_Record):
                 raise ValueError("ray dimension mismatch")
             if all(c == 0 for c in coords):
                 continue
-            ray_tuples.append(primitive_tuple(coords)[1])
+            ray_tuples.append(_primitive(coords)[1])
         if dim_ambient is None:
             raise ValueError("ambient dimension required for a cone with no rays")
         ray_tuples = sorted(set(ray_tuples))
@@ -188,11 +193,10 @@ class Cone(_Record):
         _set(self, "key", tuple(ray_tuples[g] for g in extreme))
         walls = (frozenset(i for i, g in enumerate(extreme) if j in tight[g]) for j in range(len(dual_rays)))
         _set(self, "_walls", tuple(walls))
-        _set(self, "rays", tuple(LatticeVector(r, N_SIDE) for r in self.key))
-        _set(self, "dual_rays", tuple(LatticeVector(u, M_SIDE) for u in dual_rays))
-        _set(self, "span_normals", tuple(LatticeVector(l, M_SIDE) for l in dual_lin))
+        _set(self, "_dual_ray_keys", dual_rays)
+        _set(self, "_normal_keys", dual_lin)
         _set(self, "_dual_keys", tuple(sorted(dual_rays + dual_lin + tuple(map(_neg, dual_lin)))))
-        for name in ("_duals", "_faces", "_hilbert"):
+        for name in ("_rays", "_dual_rays", "_span_normals", "_duals", "_faces", "_hilbert"):
             _set(self, name, None)
         _set(self, "_strata", {})
 
@@ -209,27 +213,46 @@ class Cone(_Record):
         return hash((self.dim_ambient, self.key))
 
     def __repr__(self) -> str:
-        return f"Cone({[list(r.coords) for r in self.rays]}, dim={self.dim_ambient})"
+        return f"Cone({[list(r) for r in self.key]}, dim={self.dim_ambient})"
 
     def __reduce__(self):
         return type(self), (self.key, self.dim_ambient)
+
+    # -- the LatticeVectors, built on first read -------------------------------
+
+    def _vectors(self, slot: str, keys: tuple[tuple[int, ...], ...], side: str) -> tuple[LatticeVector, ...]:
+        if getattr(self, slot) is None:
+            _set(self, slot, tuple(LatticeVector(k, side) for k in keys))
+        return getattr(self, slot)
+
+    @property
+    def rays(self) -> tuple[LatticeVector, ...]:
+        """The extreme rays, sorted: key as N-side vectors."""
+        return self._vectors("_rays", self.key, N_SIDE)
+
+    @property
+    def dual_rays(self) -> tuple[LatticeVector, ...]:
+        """The extreme rays of the dual modulo its lineality, sorted."""
+        return self._vectors("_dual_rays", self._dual_ray_keys, M_SIDE)
+
+    @property
+    def span_normals(self) -> tuple[LatticeVector, ...]:
+        """A basis of the annihilator of the span, sorted: the dual's lineality."""
+        return self._vectors("_span_normals", self._normal_keys, M_SIDE)
 
     # -- basic geometry -----------------------------------------------------
 
     @property
     def dim(self) -> int:
-        # span_normals is a basis of the annihilator of the span
-        return self.dim_ambient - len(self.span_normals)
+        # the span normals are a basis of the annihilator of the span
+        return self.dim_ambient - len(self._normal_keys)
 
     def is_full_dimensional(self) -> bool:
         return self.dim == self.dim_ambient
 
     def dual_generator_list(self) -> tuple[LatticeVector, ...]:
         """Generators of the dual cone, sorted and built once; lineality contributes +/- pairs."""
-        if self._duals is None:
-            have = {u.coords: u for u in self.dual_rays + self.span_normals}
-            _set(self, "_duals", tuple(have.get(u) or LatticeVector(u, M_SIDE) for u in self._dual_keys))
-        return self._duals
+        return self._vectors("_duals", self._dual_keys, M_SIDE)
 
     def halfspace_data(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """(normal, 0) pairs cutting out the cone, for point enumeration."""
@@ -275,7 +298,7 @@ class Cone(_Record):
     def _face_at(self, points: Sequence[tuple[int, ...]]) -> "FaceRef":
         """smallest_face_containing for the coordinates of points of the cone, unchecked."""
         return self._face_cut_by(
-            w for u, w in zip(self.dual_rays, self._walls) if not any(_dot(x, u.coords) for x in points)
+            w for u, w in zip(self._dual_ray_keys, self._walls) if not any(_dot(x, u) for x in points)
         )
 
     def _face_cut_by(self, walls: Iterable[frozenset[int]]) -> "FaceRef":
@@ -286,7 +309,7 @@ class Cone(_Record):
 
     def hilbert_basis(self) -> tuple[LatticeVector, ...]:
         if self._hilbert is None:
-            basis = _hilbert_of_pointed(self.key, self._walls, self._dual_keys)
+            basis = _hilbert_of_pointed(self.key, self._walls, self._dual_keys, self.dim)
             _set(self, "_hilbert", tuple(LatticeVector(b, N_SIDE) for b in basis))
         return self._hilbert
 
@@ -447,19 +470,24 @@ def _parallelepiped(gens: Sequence[Sequence[int]]):
     return volume, points()
 
 
-def _triangulation(gens: Sequence[Sequence[int]], walls: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
+def _triangulation(
+    gens: Sequence[Sequence[int]], walls: Iterable[Iterable[int]], rank: int
+) -> list[tuple[int, ...]]:
     """Maximal simplices, sorted index tuples into gens, of the pulling triangulation of cone(gens).
 
     walls are the index sets of the gens on which valid inequalities of the
     pointed cone vanish, every facet among them; a face is the set of gens
-    it holds.  A face K with independent gens is its own simplex; any other
-    is coned from its least index a over its facets that miss a.  These
+    it holds.  rank is the rank of the gens, which the caller's cone
+    already holds: Cone.dim, or the ambient rank for the dual of a
+    full-dimensional cone.  A face K with independent gens is its own
+    simplex; any other is coned from its least index a over its facets
+    that miss a.  These
     are the inclusion-maximal K cap W, W a wall missing a.  Each K cap W is
     a proper face of K missing a.  Every proper face H of K missing a lies
     in a facet of K missing a, as the facets of K holding H meet in H.  A
     facet G of K missing a is the meet of the walls holding it, one of
     which, W, misses a, so K cap W is G.  Facets have rank one less than
-    K's, so the rank is read once, at the root.  The facets cover K, as
+    K's, so the rank is needed only at the root.  The facets cover K, as
     x - t g_a leaves the pointed K through a facet positive at g_a.  Each
     face is triangulated by one rule, whichever face reaches it (a face
     holding a is pulled from a too), so the simplices meet in common faces
@@ -480,28 +508,41 @@ def _triangulation(gens: Sequence[Sequence[int]], walls: Iterable[Iterable[int]]
             done[face] = [(a,) + s for f in facets for s in pull(f, rank - 1)]
         return done[face]
 
-    return sorted(pull(frozenset(range(len(gens))), rank_of(gens))) if gens else []
+    return sorted(pull(frozenset(range(len(gens))), rank)) if gens else []
 
 
 def _minimal(points: Iterable[tuple[int, ...]], normals: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """The minimal points, sorted, in the order q <= p iff a . q <= a . p for every normal a.
 
     Each point is read once as its tuple of values a . p.  The points are
-    taken by the sum of their values, l . p for l the sum of the normals,
-    ties broken lexicographically, and a point is kept unless a kept point
-    has every value <= its own.  A point q < p has no value larger and one
+    taken by their degree, the sum of their values, l . p for l the sum of
+    the normals, ties broken lexicographically, and a point is kept unless
+    a kept point has every value <= its own.  A point q < p has no value larger and one
     smaller, so it is taken before p; the first point taken among those
     below p has no kept point below it, so it is kept and p is dropped.
     Points with equal values differ by the lineality of the order (for the
     dual of a lower-dimensional cone, the cone's annihilator); of these the
     lexicographically first is kept.  This is the degree-ordered reduction
     of Normaliz (Bruns & Ichim, J. Algebra 324, 2010).
+
+    So p is compared only with the kept points of strictly lower degree: a
+    point of equal degree is below p only if its values equal p's, which
+    the set of the values kept at p's degree settles.  Two points of one degree are
+    never compared, and an antichain of one degree costs no comparison.
     """
     values = {p: tuple(_dot(a, p) for a in normals) for p in points}
     kept: list[tuple[int, ...]] = []
-    for p in sorted(values, key=lambda p: (sum(values[p]), p)):
-        if not any(all(map(le, q, values[p])) for q in map(values.get, kept)):
+    lower: list[tuple[int, ...]] = []  # the values of the kept points of lower degree than p
+    level: set[tuple[int, ...]] = set()  # those of p's degree
+    degree = None
+    for d, p, v in sorted((sum(v), p, v) for p, v in values.items()):
+        if d != degree:
+            degree = d
+            lower += level
+            level = set()
+        if v not in level and not any(all(map(le, q, v)) for q in lower):
             kept.append(p)
+            level.add(v)
     return sorted(kept)
 
 
@@ -511,8 +552,8 @@ def _minimal(points: Iterable[tuple[int, ...]], normals: Sequence[Sequence[int]]
 MAX_HILBERT_COVER_POINTS = 50_000
 
 
-def _hilbert_of_pointed(gens, walls, normals) -> tuple[tuple[int, ...], ...]:
-    """Minimal generating set of cone(gens) cap Z^n, a pointed cone cut out by a . x >= 0.
+def _hilbert_of_pointed(gens, walls, normals, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Minimal generating set of cone(gens) cap Z^n, a pointed cone of the given rank cut out by a . x >= 0.
 
     walls, the gens on each facet, come from the cone's double description.
     The simplices S of _triangulation cover the cone.  A lattice point of S
@@ -525,7 +566,7 @@ def _hilbert_of_pointed(gens, walls, normals) -> tuple[tuple[int, ...], ...]:
     Work budget: the boxes hold sum |det S| points, counted before any is
     enumerated; more than MAX_HILBERT_COVER_POINTS raises ValueError.
     """
-    cells = [_parallelepiped([gens[i] for i in s]) for s in _triangulation(gens, walls)]
+    cells = [_parallelepiped([gens[i] for i in s]) for s in _triangulation(gens, walls, rank)]
     count = sum(volume for volume, _ in cells)
     _within_budget(count, MAX_HILBERT_COVER_POINTS, "Hilbert basis would enumerate", "cover points")
     return tuple(_minimal(itertools.chain(gens, (p for _, cell in cells for p in cell if any(p))), normals))
@@ -569,7 +610,7 @@ def hilbert_basis_dual(c: Cone) -> tuple[LatticeVector, ...]:
             "Hilbert basis is unsupported"
         )
     walls = [frozenset(j for j, w in enumerate(c._walls) if i in w) for i in range(len(c.key))]  # the transpose
-    basis = _hilbert_of_pointed([u.coords for u in c.dual_rays], walls, c.key)
+    basis = _hilbert_of_pointed(c._dual_ray_keys, walls, c.key, c.dim_ambient)
     return tuple(LatticeVector(b, M_SIDE) for b in basis)
 
 

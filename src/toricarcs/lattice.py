@@ -14,10 +14,11 @@ Quotient lattices by a saturated subspace are built from the Hermite
 transform so that projections are reproducible across runs.
 
 The checks live at the public boundary: LatticeVector takes coordinates
-through operator.index, so a non-integer raises TypeError; lift takes a
-plain int sequence or an N-side vector with _coords; and pairing, project
-and push_dual check side and dimension with _checked.
-Internal loops take _dot on the plain int tuples, with no pairing call.
+through operator.index, so a non-integer raises TypeError, and so does
+primitive_tuple; lift takes a plain int sequence or an N-side vector with
+_coords; and pairing, project and push_dual check side and dimension with
+_checked.  Internal loops take _dot on the plain int tuples, with no
+pairing call, and _primitive, with no operator.index.
 """
 
 from __future__ import annotations
@@ -171,9 +172,10 @@ class _Record:
     of its own class with equal fields, hashes as the tuple of its fields,
     and refuses assignment and deletion.  A slot named _x is a cache, not
     a field, and the base __init__ sets it to None.  Classes built in hot
-    loops define their own __init__, __eq__ and __hash__; Cone, Fan and
-    TruncatedSeries keep only the immutability and reduce to their
-    constructor arguments for copy and pickle.
+    loops define their own __init__, __eq__ and __hash__, and
+    ContactComponent its own __init__; Cone, Fan and TruncatedSeries keep
+    only the immutability and reduce to their constructor arguments for
+    copy and pickle.
     """
 
     __slots__ = ()
@@ -304,14 +306,19 @@ def pairing(v: LatticeVector, u: LatticeVector) -> int:
     return _dot(v.coords, _checked(u, M_SIDE if v.side == N_SIDE else N_SIDE, v.dim))
 
 
-def primitive_tuple(coords: Sequence[int]) -> tuple[int, int, ...]:
-    """(gcd, primitive coords) of a nonzero integer tuple; gcd is positive."""
-    g = 0
-    for c in coords:
-        g = math.gcd(g, c)
+def primitive_tuple(coords: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(gcd, primitive coords) of a nonzero integer sequence; gcd is positive, and a bool reads as an int."""
+    return _primitive(tuple(map(index, coords)))
+
+
+def _primitive(coords: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """primitive_tuple of a sequence of ints, unchecked: one gcd call, and no division when it is 1."""
+    g = math.gcd(*coords)
+    if g == 1:
+        return 1, tuple(coords)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
-    return g, tuple(c // g for c in coords)
+    return g, tuple([c // g for c in coords])
 
 
 # ---------------------------------------------------------------------------
@@ -332,30 +339,9 @@ def row_hermite(matrix: Sequence[Sequence[int]]):
     m = len(H)
     ncols = len(H[0]) if m else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    Uinv = [row[:] for row in U]
-
-    def swap(i, j):
-        if i == j:
-            return
-        H[i], H[j] = H[j], H[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Uinv:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul(i, j, q):
-        # row_i -= q * row_j ; inverse column op on Uinv
-        if q == 0:
-            return
-        H[i] = [a - q * b for a, b in zip(H[i], H[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-        for row in Uinv:
-            row[j] += q * row[i]
-
-    def negate(i):
-        H[i] = [-a for a in H[i]]
-        U[i] = [-a for a in U[i]]
-        for row in Uinv:
-            row[i] = -row[i]
+    # Uinv transposed: the column operation on Uinv that undoes a row
+    # operation on U is a row operation on V
+    V = [row[:] for row in U]
 
     rank = 0
     for col in range(ncols):
@@ -365,24 +351,32 @@ def row_hermite(matrix: Sequence[Sequence[int]]):
             pivots = [(abs(H[i][col]), i) for i in range(rank, m) if H[i][col] != 0]
             if not pivots:
                 break
-            _, ip = min(pivots)
-            swap(rank, ip)
+            ip = min(pivots)[1]
+            if ip != rank:
+                H[rank], H[ip] = H[ip], H[rank]
+                U[rank], U[ip] = U[ip], U[rank]
+                V[rank], V[ip] = V[ip], V[rank]
+            hp, up, pivot = H[rank], U[rank], H[rank][col]
             done = True
             for i in range(rank + 1, m):
+                q = H[i][col] // pivot
+                if q:
+                    # row_i -= q * row_rank; Uinv's column rank += q * its column i
+                    H[i] = [a - q * b for a, b in zip(H[i], hp)]
+                    U[i] = [a - q * b for a, b in zip(U[i], up)]
+                    V[rank] = [a + q * b for a, b in zip(V[rank], V[i])]
                 if H[i][col] != 0:
-                    q = H[i][col] // H[rank][col]
-                    addmul(i, rank, q)
-                    if H[i][col] != 0:
-                        done = False
+                    done = False
             if done:
                 break
-        if rank < m and H[rank][col] != 0:
+        if H[rank][col] != 0:
             if H[rank][col] < 0:
-                negate(rank)
+                H[rank] = [-a for a in H[rank]]
+                U[rank] = [-a for a in U[rank]]
+                V[rank] = [-a for a in V[rank]]
             rank += 1
 
-    to_t = lambda rows: tuple(tuple(r) for r in rows)
-    return to_t(H), to_t(U), to_t(Uinv), rank
+    return tuple(map(tuple, H)), tuple(map(tuple, U)), tuple(zip(*V)), rank
 
 
 def rank_of(matrix: Sequence[Sequence[int]]) -> int:

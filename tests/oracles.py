@@ -800,7 +800,7 @@ def sing_by_simplex_subsets(cone, budget=None):
 
     rays = cone.key
     walls = [frozenset(i for i, r in enumerate(rays) if not dot(r, u)) for u in cone._dual_keys]
-    simplices = _triangulation(rays, walls)
+    simplices = _triangulation(rays, walls, cone.dim)
     cells = [_parallelepiped([rays[i] for i in s]) for s in simplices]
     scanned = simplices if len(simplices) > 1 else []
     work = sum(volume for volume, _ in cells) + sum(2 ** len(s) - len(s) - 1 for s in scanned)

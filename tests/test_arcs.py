@@ -61,6 +61,19 @@ def test_classify_hom_rejects_infinity_inside_finiteness_face(a1):
         classify_hom(a1, {(0, 1): 2, (1, 0): INF, (2, -1): 0})
 
 
+def test_classify_hom_refuses_keys_from_the_other_lattice(a1):
+    # the keys are characters: an N-side vector is refused, an M-side one or an int tuple read
+    with pytest.raises(ValueError):
+        classify_hom(a1, {nvec(0, 1): 1, nvec(1, 0): 1, nvec(2, -1): 1})
+    label = classify_hom(a1, {mvec(0, 1): 1, mvec(1, 0): 1, mvec(2, -1): 1})
+    assert label == classify_hom(a1, {(0, 1): 1, (1, 0): 1, (2, -1): 1})
+
+
+def test_classify_hom_refuses_float_keys(a1):
+    with pytest.raises(TypeError):
+        classify_hom(a1, {(0.0, 1.0): 1, (1.0, 0.0): 1, (2.0, -1.0): 1})
+
+
 def test_classify_hom_all_infinite(a1):
     label = classify_hom(a1, {(0, 1): INF, (1, 0): INF, (2, -1): INF})
     assert label.face.key == a1.key

@@ -221,18 +221,37 @@ _COUNTED_CHARTS = [
 def test_faces_are_read_off_tight_sets_with_one_rank_at_the_root(monkeypatch, gens):
     import toricarcs.cones as cones
 
-    ranks = counting(monkeypatch, cones, "rank_of")
+    # the rank is the cone's own: neither the cone nor its triangulation eliminates
+    eliminations = counting(monkeypatch, cones, "row_hermite")
     quotients = counting(monkeypatch, cones, "quotient_lattice")
     c = Cone(gens)
-    assert ranks == []  # strong convexity is read on the tight sets too
+    assert eliminations == []  # strong convexity is read on the tight sets too
     del quotients[:]
     cones.dual_generators(gens, len(gens[0]))
-    assert ranks == [] and len(quotients) <= 1
-    _triangulation(c.key, (c.tight_ray_indices(u) for u in c.dual_rays))
-    assert len(ranks) == 1
+    assert eliminations == [] and len(quotients) <= 1
+    _triangulation(c.key, (c.tight_ray_indices(u) for u in c.dual_rays), c.dim)
+    assert eliminations == []
     smallest = counting(monkeypatch, Cone, "smallest_face_containing")
     sing_components(c)
     assert smallest == []
+
+
+@pytest.mark.parametrize("gens", _COUNTED_CHARTS, ids=["lower", "square", "4-cube"])
+def test_a_cone_builds_its_vectors_on_first_read(monkeypatch, gens):
+    import toricarcs.lattice as lattice
+
+    made = counting(monkeypatch, lattice.LatticeVector, "__post_init__")
+    c = Cone(gens)
+    # the only vectors a cone builds are the span normals a lower-dimensional one hands to quotient_lattice
+    assert len(made) == c.dim_ambient - c.dim
+    for name, keys, side in (("rays", c.key, "N"), ("dual_rays", c._dual_ray_keys, "M"),
+                             ("span_normals", c._normal_keys, "M")):
+        del made[:]
+        first = getattr(c, name)
+        assert len(made) == len(first) == len(keys)
+        del made[:]
+        assert getattr(c, name) is first and made == []
+        assert first == tuple(lattice.LatticeVector(k, side) for k in keys)
 
 
 def test_cone_dim_is_rank_of_rays():
@@ -458,6 +477,34 @@ def test_minimal_matches_the_pairwise_rule():
             kinds |= 1 << chart.is_full_dimensional()
             assert _minimal(points, normals) == minimal_by_pairs(points, normals), (chart, normals, points)
     assert ties > 5 and kinds == 3
+    # named cases: an antichain of one degree, equal value tuples, and the dual of a
+    # lower-dimensional cone, whose order has the cone's annihilator as its lineality
+    orthant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    antichain = [p for p in itertools.product(range(7), repeat=3) if sum(p) == 6]
+    tied = [(1, 2, z) for z in (0, 5, -3)] + [(2, 1, 0), (2, 1, 4), (0, 4, 1), (3, 3, 3)]
+    flat = Cone([(1, 0, 0), (1, 2, 0)])
+    dual = [p for p in itertools.product(range(-2, 3), repeat=3) if all(dot(r, p) >= 0 for r in flat.key)]
+    for points, normals in ((antichain, orthant), (tied, orthant[:2]), (dual, flat.key)):
+        assert _minimal(points, normals) == minimal_by_pairs(points, normals), (normals, points)
+    assert _minimal(antichain, orthant) == antichain
+    assert _minimal(tied, orthant[:2]) == [(0, 4, 1), (1, 2, -3), (2, 1, 0)]
+
+
+def test_minimal_compares_no_two_points_of_one_degree(monkeypatch):
+    # a point below p of the same degree has p's values, so only lower degrees are compared
+    import toricarcs.cones as cones
+
+    calls = []
+    monkeypatch.setattr(cones, "le", lambda a, b: calls.append((a, b)) or a <= b)
+    orthant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    level = [p for p in itertools.product(range(6), repeat=3) if sum(p) == 5]
+    assert _minimal(level, orthant) == level and calls == []
+    tied = [(1, 2, z) for z in (0, 5, -3)] + [(2, 1, 0)]
+    assert _minimal(tied, orthant[:2]) == [(1, 2, -3), (2, 1, 0)] and calls == []
+    # the points of degree 5 are compared with the one kept point of degree 3 alone
+    top = [p for p in level if p[0] < 3]
+    assert _minimal(top + [(3, 0, 0)], orthant) == sorted(top + [(3, 0, 0)])
+    assert 0 < len(calls) <= len(orthant) * len(top)
 
 
 def test_hilbert_basis_dual_rank_5():
@@ -556,7 +603,7 @@ def test_parallelepiped_refuses_dependent_generators():
 
 def _pulled(gens, normals):
     """cones._triangulation of the pointed cone(gens) cut out by the normals, walls read off them."""
-    return _triangulation(gens, ([i for i, g in enumerate(gens) if dot(a, g) == 0] for a in normals))
+    return _triangulation(gens, ([i for i, g in enumerate(gens) if dot(a, g) == 0] for a in normals), rank_of(gens))
 
 
 def test_triangulation_matches_the_exact_oracle():

@@ -61,11 +61,19 @@ def test_primitive_part_examples():
     assert primitive_tuple((2, 4)) == (2, (1, 2))
     assert primitive_tuple((1, 0)) == (1, (1, 0))
     assert primitive_tuple((-3, 6, 9)) == (3, (-1, 2, 3))
+    assert primitive_tuple((0, -4, 6)) == (2, (0, -2, 3))
+    assert primitive_tuple([3, -1, 2]) == (1, (3, -1, 2))
+    # a bool reads as the int it equals, and every entry comes back an int
+    assert primitive_tuple([True, 2]) == (1, (1, 2))
+    for coords in ([True, 2], [False, True], [3, -1, 2], (0, -4, 6)):
+        g, prim = primitive_tuple(coords)
+        assert type(g) is int and all(type(c) is int for c in prim), coords
 
 
 def test_primitive_part_rejects_zero():
-    with pytest.raises(ValueError):
-        primitive_tuple((0, 0))
+    for zero in ((0, 0), [0, 0, 0], [False], ()):
+        with pytest.raises(ValueError):
+            primitive_tuple(zero)
 
 
 @given(st.lists(big, min_size=1, max_size=5))
@@ -223,6 +231,23 @@ def test_row_hermite_invariants():
         assert all(H[i][j] > 0 for i, j in enumerate(leads)), M
         assert not any(any(row) for row in H[rank:]), M
         assert rank == rank_fraction(M), M
+
+
+def test_row_hermite_pivots_are_pinned():
+    # the smallest absolute pivot, lowest row first: every basis read off the transform depends on it
+    assert row_hermite([[0, 3, -2], [4, -6, 1], [-2, 5, 0]]) == (
+        ((2, -5, 0), (0, 1, 3), (0, 0, 11)),
+        ((0, 0, -1), (-1, 1, 2), (-4, 3, 6)),
+        ((0, 3, -1), (2, 4, -1), (-1, 0, 0)),
+        3,
+    )
+    assert row_hermite([[2, 4], [-3, 1], [6, 12]]) == (
+        ((1, 9), (0, 14), (0, 0)),
+        ((2, 1, 0), (3, 2, 0), (-3, 0, 1)),
+        ((2, -1, 0), (-3, 2, 0), (6, -3, 1)),
+        2,
+    )
+    assert row_hermite([]) == ((), (), (), 0)
 
 
 def test_rank_of_matches_fraction_elimination():

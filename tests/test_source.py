@@ -88,6 +88,11 @@ def test_no_package_module_calls_pairing():
     assert _calls_in_package("pairing") == []
 
 
+def test_no_package_module_calls_rank_of():
+    # a cone holds its rank as Cone.dim, so no module eliminates to learn it; rank_of stays public
+    assert _calls_in_package("rank_of") == []
+
+
 def test_only_cones_calls_dual_generators():
     # a double description belongs to a cone, an intersection or a homogenized polyhedron
     assert [place for place in _calls_in_package("dual_generators") if place[0] != "cones.py"] == []
