@@ -12,14 +12,15 @@ deformation families verified by truncated power-series arithmetic.
 
 from __future__ import annotations
 
-from operator import index, le
+from bisect import bisect_right
+from itertools import accumulate, repeat
+from operator import index, or_, sub
 from typing import Mapping, Sequence
 
 from .cones import (
     Cone,
     FaceRef,
     Fan,
-    _adapted_dual_basis,
     _stratum_quotient,
     hilbert_basis_dual,
     is_face_of,
@@ -118,11 +119,18 @@ def _stratum(ambient, face: FaceRef):
 
     Its first use checks that some chart holds the face's rays and that the face is
     a face of each, then calls _build_stratum; else it raises ValueError, keeping nothing.
+    A face of a Cone ambient has its rays among the ambient's, the one chart, so
+    it is checked by _face_at alone: it is a face iff it is the smallest face holding its rays.
     """
     record = ambient._strata.get(face.key)
     if record is None:
-        charts = _charts_over(ambient, face)
-        if not charts or not all(is_face_of(face, chart.full_face()) for chart in charts):
+        if face.parent is ambient:
+            charts = (ambient,) if ambient._face_at(face.key).indices == face.indices else ()
+        else:
+            charts = _charts_over(ambient, face)
+            if not all(is_face_of(face, chart.full_face()) for chart in charts):
+                charts = ()
+        if not charts:
             raise ValueError("the stratum is not a face of a chart containing its rays")
         record = _build_stratum(ambient, face, charts)
     return record
@@ -199,11 +207,6 @@ class OrbitLabel(_Record):
         """order_at on an int tuple of the right rank, unchecked."""
         return INF if any(_dot(r, y) for r in self.face.key) else _dot(self._lift, y)
 
-    def _hom(self, keys) -> list[int]:
-        """u at the point lifted to N for each u of keys: order_at wherever u vanishes on the face."""
-        lift = self._lift
-        return [_dot(lift, u) for u in keys]
-
     def __repr__(self) -> str:
         return f"OrbitLabel(stratum={[list(r) for r in self.face.key]}, v={list(self.point)})"
 
@@ -255,7 +258,7 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
             )
 
     q = _stratum(c, tau)[0]
-    solution = solve_linear([q.push_dual(g).coords for g, _ in finite], [v for _, v in finite])
+    solution = solve_linear([q._push(g.coords) for g, _ in finite], [v for _, v in finite])
     if solution is None or any(x.denominator != 1 for x in solution):
         raise ValueError("values violate an additive relation among the generators")
     return OrbitLabel(c, tau, [int(x) for x in solution])
@@ -270,7 +273,9 @@ def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
         if not isinstance(o.ambient, Cone):
             raise ValueError("a chart cone is required for labels over a fan")
         chart = o.ambient
-    elif chart.dim_ambient != len(o._lift) or not all(chart.contains(r) for r in o.face.rays):
+    elif chart.dim_ambient != len(o._lift) or not all(
+        _dot(r, u) >= 0 for r in o.face.key for u in chart._dual_keys
+    ):
         raise ValueError(f"chart {chart!r} does not contain the stratum {list(o.face.key)}")
     return SemigroupHom(chart, tuple(o._order(g.coords) for g in hilbert_basis_dual(chart)))
 
@@ -325,10 +330,11 @@ def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
     _, _, gamma, high = _stratum(o1.ambient, o2.face)
     if not tau <= gamma:
         return
+    a = o1._lift
+    step = tuple(map(sub, o2._lift, a))  # o1 <= o2 at u is u at the step >= 0
     for chart, positions in high.items():
         keys = chart._dual_keys
-        a, b = o1._hom(keys), o2._hom(keys)
-        if all(a[k] >= 0 for k in low[chart]) and all(a[k] <= b[k] for k in positions):
+        if all(_dot(a, keys[k]) >= 0 for k in low[chart]) and all(_dot(step, keys[k]) >= 0 for k in positions):
             yield chart
 
 
@@ -373,6 +379,33 @@ class OrbitPoset(_Record):
 MAX_POSET_BOX_POINTS = 512
 
 
+def _chart_rows(points, positions, walls, first):
+    """The order data of a stratum's nodes on one chart over it, for orbit_poset.
+
+    A node is the point p, numbered from first; its value at the dual key k
+    of positions is p at k's pushed wall, which is k at p's lift.  Returns
+    (positions, the value rows, per k the values of the nonnegative nodes
+    sorted with the bitmask of each prefix, the bitmask of all of them).
+    """
+    rows = [[_dot(p, w) for w in walls] for p in points]
+    lows = [(row, 1 << i) for i, row in enumerate(rows, first) if min(row, default=0) >= 0]
+    prefixes = {}
+    for c, k in enumerate(positions):
+        order = sorted((row[c], bit) for row, bit in lows)
+        prefixes[k] = [v for v, _ in order], list(accumulate((bit for _, bit in order), or_, initial=0))
+    return positions, rows, prefixes, sum(bit for _, bit in lows)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def orbit_poset(ambient, bound: int) -> OrbitPoset:
     """All orbit labels with sup-norm at most `bound`, ordered by dominance.
 
@@ -394,6 +427,11 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     exactly when tau's rays lie among gamma's and, on some chart over
     gamma, 0 <= a <= b pointwise on the chart's dual generators.
 
+    The hom is read as ints on the walls: the dual key u_k pushed down to
+    N_tau is S^T u_k, S the section matrix, and a tau-node's value there
+    is its point at that wall, which is u_k at its lift.  So no wall or
+    node is read through a LatticeVector, and dominates is never called.
+
     Work budget: every node is a point of a box that is scanned, one box
     [-bound, bound]^d per stratum and chart over it, d the rank of the
     stratum's quotient lattice.  So the node count n is at most the sum of
@@ -403,14 +441,20 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     and each box holds its origin, so the number of strata is weighed
     first; before the faces are walked, a simplicial maximal cone with k
     rays is weighed by its 2^k faces.  Once the nodes are scanned:
-      - each node's hom is read once per chart over its stratum, one
-        product per dual generator of the chart, and checked >= 0 once;
+      - each node's values are read once per chart over its stratum, one
+        product per wall, and checked >= 0 once;
+      - per stratum tau, chart sigma over it and dual key k of sigma
+        vanishing on tau, the nonnegative tau-nodes are sorted by their
+        value at k, and the bitmask of each prefix is kept: at most
+        m sorts of at most n nodes per (tau, sigma), m the dual keys;
       - the strata are paired by one subset test of their ray sets,
         at most 512^2 tests;
-      - each gamma-node b and chart over gamma is compared with the
-        nonnegative nodes of the strata inside gamma: the pairs (b, chart)
-        number at most the box sum, so at most 512 * n <= 512^2 int
-        comparisons, read where b is finite (see dominates);
+      - a gamma-node b's lower set on a chart sigma over gamma is the AND,
+        over the keys k finite on gamma, of the prefix of tau's nodes with
+        value at k at most b's: one bisect and one AND of n-bit sets per
+        key, per (b, sigma) and tau inside gamma, so at most 512 * m per
+        tau, with no pairwise comparison; the lower sets are ORed over
+        tau and sigma;
       - (i, j) is a cover iff no node lies above i and below j: one AND
         of the n-bit sets above i and below j per related pair.
     """
@@ -418,42 +462,42 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     doing = f"orbit poset at bound {bound} would scan"
     simplicial = [2 ** c.dim for c in _maximal_cones(ambient) if len(c.key) == c.dim]
     _within_budget(max(simplicial, default=0), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
-    strata = ambient.strata() if isinstance(ambient, Fan) else ambient.faces()
+    fan = isinstance(ambient, Fan)
+    strata = ambient.strata() if fan else ambient.faces()
     _within_budget(len(strata), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
-    plan = [_build_stratum(ambient, face, _charts_over(ambient, face)) for face in strata]
+    # a Cone ambient is the one chart over each of its faces
+    plan = [_build_stratum(ambient, face, _charts_over(ambient, face) if fan else (ambient,)) for face in strata]
     box = sum(len(finite) * (2 * bound + 1) ** q.quotient_dim for q, _, _, finite in plan)
     _within_budget(box, MAX_POSET_BOX_POINTS, doing, "box points")
     nodes: list[OrbitLabel] = []
-    groups = []  # per stratum: its rays; per chart, finite positions, all (node, hom) and those >= 0
+    groups = []  # per stratum: its rays, its first node, and per chart the data of _chart_rows
     for q, face, rays, finite in plan:
         box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim
-        points = set()
-        for chart, positions in finite.items():
-            duals = chart.dual_generator_list()
-            walls = [(q.push_dual(duals[k]).coords, 0) for k in positions]
-            points.update(lattice_points_where(walls, box_lo, box_hi))
-        labels = [OrbitLabel._from_image(ambient, face, p) for p in sorted(points)]
-        homs = {}
-        for chart, positions in finite.items():
-            rows = [(i, o._hom(chart._dual_keys)) for i, o in enumerate(labels, len(nodes))]
-            homs[chart] = positions, rows, [(i, v) for i, v in rows if all(v[k] >= 0 for k in positions)]
-        groups.append((rays, homs))
-        nodes += labels
-    relation = set()
-    for tau, low_homs in groups:
-        for gamma, high_homs in groups:
+        walls = {chart: [q._push(chart._dual_keys[k]) for k in positions] for chart, positions in finite.items()}
+        scans = (lattice_points_where([(w, 0) for w in ws], box_lo, box_hi) for ws in walls.values())
+        points = sorted(set().union(*scans))
+        charts = {chart: _chart_rows(points, finite[chart], ws, len(nodes)) for chart, ws in walls.items()}
+        groups.append((rays, len(nodes), charts))
+        nodes += [OrbitLabel._from_image(ambient, face, p) for p in points]
+    down = [0] * len(nodes)
+    for tau, _, low_charts in groups:
+        for gamma, first, high_charts in groups:
             if not tau <= gamma:
                 continue
-            for chart, (positions, highs, _) in high_homs.items():
-                lows = [(i, [v[k] for k in positions]) for i, v in low_homs[chart][2]]
-                for j, v in highs:
-                    b = [v[k] for k in positions]
-                    relation.update((i, j) for i, a in lows if i != j and all(map(le, a, b)))
-    up, down = [0] * len(nodes), [0] * len(nodes)
+            for chart, (positions, rows, _, _) in high_charts.items():
+                _, _, prefixes, below_all = low_charts[chart]
+                cuts = [prefixes[k] for k in positions]
+                for j, row in enumerate(rows, first):
+                    below = below_all
+                    for (values, masks), x in zip(cuts, row):
+                        below &= masks[bisect_right(values, x)]
+                    down[j] |= below
+    down = [below & ~(1 << j) for j, below in enumerate(down)]
+    relation = [pair for j, below in enumerate(down) for pair in zip(_bits(below), repeat(j))]
+    up = [0] * len(nodes)
     for i, j in relation:
         up[i] |= 1 << j
-        down[j] |= 1 << i
-    covers = tuple((i, j) for i, j in sorted(relation) if not up[i] & down[j])
+    covers = tuple(sorted(pair for pair in relation if not up[pair[0]] & down[pair[1]]))
     return OrbitPoset(tuple(nodes), frozenset(relation), covers)
 
 
@@ -474,6 +518,15 @@ class WitnessEntry(_Record):
         "expected_at_zero": "int | None",
         "ok": "bool",
     }
+
+    def __init__(self, character, in_ring, order_generic, order_at_zero, expected_generic, expected_at_zero, ok):
+        _set(self, "character", character)
+        _set(self, "in_ring", in_ring)
+        _set(self, "order_generic", order_generic)
+        _set(self, "order_at_zero", order_at_zero)
+        _set(self, "expected_generic", expected_generic)
+        _set(self, "expected_at_zero", expected_at_zero)
+        _set(self, "ok", ok)
 
 
 class DominanceWitness(_Record):
@@ -510,7 +563,7 @@ def dominance_witness(
     seen = False
     for chart in _dominance_charts(o1, o2):
         seen = True
-        basis = _adapted_dual_basis(chart.key, chart.dim_ambient)
+        basis = chart._adapted_basis()
         if basis is not None:
             break
     else:
@@ -520,8 +573,7 @@ def dominance_witness(
 
     d = len(chart.key)
     pair_data = []  # (character, a, b, is a ray character)
-    for i, row in enumerate(basis):
-        u = tuple(row)
+    for i, u in enumerate(basis):
         a = o1._order(u)
         if is_finite(a):
             pair_data.append((u, a, o2._order(u), i < d))

@@ -42,6 +42,7 @@ from .lattice import (
     _primitive,
     _Record,
     _set,
+    _quotient,
     _within_budget,
     quotient_lattice,
     row_hermite,
@@ -160,7 +161,8 @@ class Cone(_Record):
     __slots__ = ("dim_ambient", "key", "_dual_ray_keys", "_normal_keys",  # the coords of dual_rays, span_normals
                  "_dual_keys", "_walls",  # dual_generator_list() coords; _walls[j]: the rays on dual ray j
                  "_rays", "_dual_rays", "_span_normals", "_duals",  # the LatticeVectors, built on first read
-                 "_faces", "_hilbert",
+                 "_faces", "_hilbert", "_basis",  # _basis: (_adapted_dual_basis of key,), on first read
+                 "_face_refs",  # the FaceRefs face_from_indices has checked, by sorted index tuple
                  "_strata")  # stratum records by face key, for labels over this cone; see arcs._stratum
 
     def __init__(self, rays: Iterable, dim_ambient: int | None = None):
@@ -196,8 +198,9 @@ class Cone(_Record):
         _set(self, "_dual_ray_keys", dual_rays)
         _set(self, "_normal_keys", dual_lin)
         _set(self, "_dual_keys", tuple(sorted(dual_rays + dual_lin + tuple(map(_neg, dual_lin)))))
-        for name in ("_rays", "_dual_rays", "_span_normals", "_duals", "_faces", "_hilbert"):
+        for name in ("_rays", "_dual_rays", "_span_normals", "_duals", "_faces", "_hilbert", "_basis"):
             _set(self, name, None)
+        _set(self, "_face_refs", {})
         _set(self, "_strata", {})
 
     # -- identity ---------------------------------------------------------
@@ -275,13 +278,21 @@ class Cone(_Record):
         return self._faces
 
     def face_from_indices(self, indices: Sequence[int]) -> "FaceRef":
-        """The face spanned by the given rays; refused unless they are all of its rays."""
+        """The face spanned by the given rays; refused unless they are all of its rays.
+
+        A face once checked is kept in _face_refs, so the same indices give the same FaceRef.
+        """
         wanted = tuple(sorted(map(index, indices)))
-        if all(0 <= i < len(self.key) for i in wanted):
+        face = self._face_refs.get(wanted)
+        if face is None and all(0 <= i < len(self.key) for i in wanted):
             face = self._face_cut_by(w for w in self._walls if w.issuperset(wanted))
             if face.indices == wanted:
-                return face
-        raise ValueError(f"ray subset {list(wanted)} does not span a face")
+                self._face_refs[wanted] = face
+            else:
+                face = None
+        if face is None:
+            raise ValueError(f"ray subset {list(wanted)} does not span a face")
+        return face
 
     def zero_face(self) -> "FaceRef":
         return FaceRef(self, ())
@@ -304,6 +315,12 @@ class Cone(_Record):
     def _face_cut_by(self, walls: Iterable[frozenset[int]]) -> "FaceRef":
         """The face cut out by some dual rays, given by their walls: the rays on all of them."""
         return FaceRef(self, frozenset(range(len(self.key))).intersection(*walls))
+
+    def _adapted_basis(self) -> tuple[tuple[int, ...], ...] | None:
+        """_adapted_dual_basis of the rays, computed on first read and kept; None unless smooth."""
+        if self._basis is None:
+            _set(self, "_basis", (_adapted_dual_basis(self.key, self.dim_ambient),))
+        return self._basis[0]
 
     # -- Hilbert basis of the cone's own semigroup ----------------------------
 
@@ -577,7 +594,7 @@ def _hilbert_of_pointed(gens, walls, normals, rank: int) -> tuple[tuple[int, ...
 # ---------------------------------------------------------------------------
 
 
-def _adapted_dual_basis(rays: Sequence[tuple[int, ...]], dim: int) -> list[list[int]] | None:
+def _adapted_dual_basis(rays: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], ...] | None:
     """A basis of M whose first rows are dual to the rays; None unless the rays extend to a basis of N.
 
     The rays extend to a basis iff H = U @ A (row_hermite, the rays as the
@@ -593,12 +610,12 @@ def _adapted_dual_basis(rays: Sequence[tuple[int, ...]], dim: int) -> list[list[
     for i in reversed(range(d)):
         for k in range(i + 1, d):
             rows[i] = [a - H[i][k] * b for a, b in zip(rows[i], rows[k])]
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def is_smooth(c: Cone) -> bool:
     """True iff the primitive rays extend to a basis of the ambient lattice."""
-    return _adapted_dual_basis(c.key, c.dim_ambient) is not None
+    return c._adapted_basis() is not None
 
 
 @lru_cache(maxsize=None)
@@ -635,13 +652,13 @@ class FaceQuotient(_Record):
 @lru_cache(maxsize=None)
 def _stratum_quotient(ambient_dim: int, face_key: tuple) -> QuotientLattice:
     """N modulo the span of the rays face_key: the lattice of a stratum's orbits."""
-    return quotient_lattice(ambient_dim, [LatticeVector(coords, N_SIDE) for coords in face_key])
+    return _quotient(ambient_dim, face_key, tuple(LatticeVector(coords, N_SIDE) for coords in face_key))
 
 
 @lru_cache(maxsize=None)
 def _face_quotient_cached(parent: Cone, face_key: tuple) -> FaceQuotient:
     q = _stratum_quotient(parent.dim_ambient, face_key)
-    image = Cone((q.project(r).coords for r in parent.rays), q.quotient_dim)
+    image = Cone((tuple(_dot(row, r) for row in q.projection_matrix) for r in parent.key), q.quotient_dim)
     return FaceQuotient(q, image)
 
 
@@ -699,8 +716,10 @@ class Fan(_Record):
             if not any(d != c and is_face_of(c.full_face(), d.full_face()) for d in cones)
         ]
         for c1, c2 in itertools.combinations(kept, 2):
-            meet = intersect_cones(c1, c2).full_face()
-            if not is_face_of(meet, c1.full_face()) or not is_face_of(meet, c2.full_face()):
+            # the meet's rays, as intersect_cones finds them; it is a face of c iff it is the
+            # smallest face of c holding them
+            meet = dual_generators(c1._dual_keys + c2._dual_keys, dim)[0]
+            if c1._face_at(meet).key != meet or c2._face_at(meet).key != meet:
                 raise ValueError("cones do not intersect in a common face; not a valid fan")
         _set(self, "dim_ambient", dim)
         _set(self, "maximal_cones", tuple(kept))

@@ -18,7 +18,8 @@ through operator.index, so a non-integer raises TypeError, and so does
 primitive_tuple; lift takes a plain int sequence or an N-side vector with
 _coords; and pairing, project and push_dual check side and dimension with
 _checked.  Internal loops take _dot on the plain int tuples, with no
-pairing call, and _primitive, with no operator.index.
+pairing call, _primitive, with no operator.index, and _section and _push,
+the unchecked lift and push_dual.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ class _Record:
     and refuses assignment and deletion.  A slot named _x is a cache, not
     a field, and the base __init__ sets it to None.  Classes built in hot
     loops define their own __init__, __eq__ and __hash__, and
-    ContactComponent its own __init__; Cone, Fan and TruncatedSeries keep
+    ContactComponent and WitnessEntry their own __init__; Cone, Fan and TruncatedSeries keep
     only the immutability and reduce to their constructor arguments for
     copy and pickle.
     """
@@ -450,7 +451,11 @@ class QuotientLattice(_Record):
         coords = _checked(u, M_SIDE, self.ambient_dim)
         if any(_dot(b.coords, coords) for b in self.subspace_basis):
             raise ValueError("character does not vanish on the subspace")
-        return LatticeVector(tuple(_dot(col, coords) for col in zip(*self.section_matrix)), M_SIDE)
+        return LatticeVector(self._push(coords), M_SIDE)
+
+    def _push(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """push_dual on the int coordinates of a character vanishing on the subspace, unchecked."""
+        return tuple(_dot(col, coords) for col in zip(*self.section_matrix))
 
 
 def quotient_lattice(ambient_dim: int, generators: Sequence[LatticeVector]) -> QuotientLattice:
@@ -466,9 +471,14 @@ def quotient_lattice(ambient_dim: int, generators: Sequence[LatticeVector]) -> Q
             raise ValueError("subspace generators must be N-side vectors")
         if g.dim != ambient_dim:
             raise ValueError("generator dimension mismatch")
+    return _quotient(ambient_dim, [g.coords for g in gens], gens)
+
+
+def _quotient(ambient_dim: int, keys: Sequence[tuple[int, ...]], gens: tuple) -> QuotientLattice:
+    """quotient_lattice of the N-side vectors gens, given with their coordinates keys, unchecked."""
     # columns of A are the generators; the rows U[r:], those with U @ A zero,
     # span the integer left kernel of A, whose common zeros are the saturated
     # span whatever the rank
-    A = [[g.coords[i] for g in gens] for i in range(ambient_dim)]
+    A = [[k[i] for k in keys] for i in range(ambient_dim)]
     _, U, Uinv, r = row_hermite(A)
     return QuotientLattice(ambient_dim, gens, U[r:], tuple(row[r:] for row in Uinv))

@@ -28,7 +28,7 @@ from toricarcs.arcs import (
     orbit_label,
     orbit_poset,
 )
-from toricarcs.cones import Cone, FaceRef, Fan, hilbert_basis_dual, is_face_of, quotient_by_face
+from toricarcs.cones import Cone, FaceRef, Fan, hilbert_basis_dual, is_face_of, is_smooth, quotient_by_face
 from toricarcs.lattice import INF, is_finite, mvec, nvec, pairing, row_hermite
 from toricarcs.series import TruncatedSeries
 
@@ -665,6 +665,19 @@ def test_orbit_poset_of_an_orthant_at_bound_0_is_its_face_lattice(n):
     assert all(len(faces[j] - faces[i]) == 1 for i, j in poset.covers)
 
 
+@pytest.mark.parametrize("d,b", [(2, 3), (3, 2), (4, 1), (2, 5)])
+def test_orbit_poset_of_an_orthant_has_its_closed_form_counts(d, b):
+    # A node's hom on e_i* is v_i or INF, so each coordinate runs over the chain
+    # 0 < 1 < ... < b < INF of b + 2 values, and dominance is the product order:
+    # (b+2)^d nodes, ((b+2)(b+3)/2)^d ordered pairs x <= y less the equal ones, and
+    # a cover raises one coordinate by one step, d (b+1) (b+2)^(d-1) ways
+    orthant = Cone([tuple(int(i == j) for j in range(d)) for i in range(d)])
+    poset = orbit_poset(orthant, b)
+    assert len(poset.nodes) == (b + 2) ** d
+    assert len(poset.relation) == ((b + 2) * (b + 3) // 2) ** d - (b + 2) ** d
+    assert len(poset.covers) == d * (b + 1) * (b + 2) ** (d - 1)
+
+
 # -- dominance and face tests against independent oracles ----------------------
 
 CONIFOLD = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
@@ -795,22 +808,23 @@ def test_orbit_poset_matches_the_pairwise_oracle(ambient, bound):
 @pytest.mark.parametrize("ambient", [p.values[0] for p in ORACLE_CONES + ORACLE_FANS + LOWER_DIMENSIONAL])
 def test_orbit_poset_reads_each_hom_once_per_chart_and_calls_no_pairwise_test(ambient, monkeypatch):
     import toricarcs.arcs as arcs
+    from toricarcs.lattice import QuotientLattice
 
     dominance_tests = counting(monkeypatch, arcs, "dominates")
     face_tests = counting(monkeypatch, arcs, "is_face_of")
-    reads = counting(monkeypatch, OrbitLabel, "_hom")
+    pushes = counting(monkeypatch, QuotientLattice, "push_dual")
+    duals = counting(monkeypatch, Cone, "dual_generator_list")
+    reads = counting(monkeypatch, arcs, "_chart_rows")
     poset = orbit_poset(ambient, 1)
-    assert dominance_tests == [] and face_tests == [] and poset.relation
+    assert dominance_tests == face_tests == pushes == duals == [] and poset.relation
     charts = ambient.maximal_cones if isinstance(ambient, Fan) else (ambient,)
     strata = {}
     for node in poset.nodes:
-        strata.setdefault(node.face, []).append(node)
-    # one read of a node's whole hom per chart over its stratum
-    budget = sum(
-        len(labels) * sum(1 for c in charts if all(map(c.contains, face.rays)))
-        for face, labels in strata.items()
-    )
-    assert 0 < len(reads) <= budget
+        strata.setdefault(node.face, []).append(node.point)
+    # the points of a stratum's nodes are read once per chart over it, in one call
+    over = {face: sum(1 for c in charts if all(map(c.contains, face.rays))) for face in strata}
+    wanted = sorted(tuple(points) for face, points in strata.items() for _ in range(over[face]))
+    assert sorted(tuple(args[0]) for args in reads) == wanted
 
 
 def test_orbit_layer_builds_no_cone(monkeypatch):
@@ -843,6 +857,21 @@ def test_orbit_labels_and_dominance_build_no_face_lattice(monkeypatch):
     o2 = orbit_label(orthant, orthant.zero_face(), (2,) * 20)
     assert dominates(o1, o2) and dominance_witness(o1, o2).verified
     assert walked == []
+
+
+def test_hom_from_label_and_a_face_quotient_build_no_ray_vector():
+    # both read the chart's int keys: neither forces the lazy LatticeVectors of its rays
+    chart = Cone([(1, 0, 0), (1, 3, 0), (2, 1, 4)])
+    ray = chart.face_from_indices([0])
+    label = orbit_label(chart, ray, (1, 1))
+    assert hom_from_label(label, chart) == hom_from_label(label)
+    assert quotient_by_face(chart, ray).image_cone.dim_ambient == 2
+    assert chart._rays is None
+    # a chart that misses the stratum's ray is refused by the same int test
+    other = Cone([(0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    with pytest.raises(ValueError, match="does not contain the stratum"):
+        hom_from_label(label, other)
+    assert other._rays is None
 
 
 def test_order_at_refuses_a_bad_character_on_the_zero_face(a1):
@@ -889,7 +918,7 @@ def test_orbit_hot_paths_make_no_pairing_call_and_build_each_key_once(ambient, m
     assert all(n.face.key is n.face.key for n in nodes)
     # the public order_at still reads the same hom, through its checks
     zero = nodes[0]
-    assert [zero.order_at(u) for u in charts[0].dual_generator_list()] == zero._hom(charts[0]._dual_keys)
+    assert [zero.order_at(u) for u in charts[0].dual_generator_list()] == list(map(zero._order, charts[0]._dual_keys))
 
 
 def test_labels_build_each_stratum_record_once_and_dominates_makes_no_face_test(monkeypatch):
@@ -905,19 +934,19 @@ def test_labels_build_each_stratum_record_once_and_dominates_makes_no_face_test(
     chart = Cone(CONIFOLD)
     charts_over = counting(monkeypatch, arcs, "_charts_over")
     face_tests = counting(monkeypatch, arcs, "is_face_of")
+    face_checks = counting(monkeypatch, Cone, "_face_at")
     labels = [orbit_label(chart, chart.face_from_indices(face), point) for face, point in wanted]
     keys = sorted({label.face.key for label in labels})
-    # one record per face key: one chart walk and, with one chart, one face test
-    assert sorted(face.key for _, face in charts_over) == keys
-    assert sorted(face.key for face, _ in face_tests) == keys
+    # one record per face key: the chart is the ambient, so one _face_at check and no chart walk
+    assert sorted(points for _, points in face_checks) == keys
+    assert charts_over == [] and face_tests == []
     assert sorted(chart._strata) == keys
-    charts_over.clear()
-    face_tests.clear()
+    face_checks.clear()
     again = [orbit_label(chart, label.face, label.point) for label in labels]
     assert again == labels
     answers = [dominates(a, b) for a in labels for b in labels]
     assert any(answers) and not all(answers)
-    assert charts_over == [] and face_tests == []
+    assert charts_over == [] and face_tests == [] and face_checks == []
 
 
 def test_labels_and_dominance_after_a_poset_read_its_records(monkeypatch):
@@ -963,14 +992,14 @@ def test_a_label_on_a_non_face_raises_again_and_stores_no_record(monkeypatch):
     chart = Cone(CONIFOLD)
     face = FaceRef(chart, (0, 3))
     assert not is_face_of(face, chart.full_face())
-    face_tests = counting(monkeypatch, arcs, "is_face_of")
+    face_checks = counting(monkeypatch, Cone, "_face_at")
     messages = []
     for _ in range(2):
         with pytest.raises(ValueError, match="not a face of a chart") as raised:
             orbit_label(chart, face, (0,))
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
-    assert len(face_tests) == 2 and face.key not in chart._strata
+    assert [points for _, points in face_checks] == [face.key] * 2 and face.key not in chart._strata
     # a ray no chart holds is no stratum of the ambient either; it used to be
     # refused point by point, as if the stratum were one
     outside = Cone([(0, 0, -1)]).full_face()
@@ -1022,8 +1051,9 @@ def test_orbit_label_refuses_a_non_integer_point_and_a_stratum_of_another_rank()
 
 
 def test_dominance_witness_eliminates_each_chart_once_in_integers(quadrant, a1, monkeypatch):
-    # one row_hermite call per chart tried both tests smoothness and gives the dual basis,
-    # and the charts are walked once, also to choose the error message
+    # one row_hermite call per chart, over the chart's lifetime, both tests smoothness and
+    # gives the dual basis, which the chart keeps; the charts are walked once per witness,
+    # also to choose the error message
     import toricarcs.arcs as arcs
 
     calls = []
@@ -1043,6 +1073,7 @@ def test_dominance_witness_eliminates_each_chart_once_in_integers(quadrant, a1, 
     calls.clear()
     witness = dominance_witness(o1, o2)
     assert witness.verified and len(calls) == 1 and len(walks) == 1
+    assert dominance_witness(o1, o2) == witness and is_smooth(quadrant) and len(calls) == 1
     coefficients = [c for _, s in witness.family for c in s.terms.values()]
     coefficients += [c for s in monomial_arc(o2).values() for c in s.terms.values()]
     assert coefficients and {type(c) for c in coefficients} == {int}
@@ -1053,17 +1084,21 @@ def test_dominance_witness_eliminates_each_chart_once_in_integers(quadrant, a1, 
     with pytest.raises(ValueError, match="no smooth chart realizes this domination"):
         dominance_witness(b1, b2)
     assert len(calls) == 1 and len(walks) == 1
+    with pytest.raises(ValueError, match="no smooth chart realizes this domination"):
+        dominance_witness(b1, b2)
+    assert not is_smooth(a1) and len(calls) == 1
     walks.clear()
     with pytest.raises(ValueError, match="lattice criterion fails"):
         dominance_witness(o2, o1)
     assert len(walks) == 1
-    # the walk stops at the first smooth chart: two charts show (1, 0) <= (2, 0), one is read
-    homs = counting(monkeypatch, OrbitLabel, "_hom")
+    # the walk stops at the first smooth chart: two charts show (1, 0) <= (2, 0), and only
+    # the first is eliminated and keeps its basis
     fan = Fan([Cone([(1, 0), (0, 1)]), Cone([(1, 0), (0, -1)])])
     f1, f2 = orbit_label(fan, zero, (1, 0)), orbit_label(fan, zero, (2, 0))
     assert len(list(arcs._dominance_charts(f1, f2))) == 2
-    homs.clear()
-    assert dominance_witness(f1, f2).verified and len(homs) == 2
+    calls.clear()
+    assert dominance_witness(f1, f2).verified and len(calls) == 1
+    assert [chart._basis is not None for chart in fan.maximal_cones] == [True, False]
 
 
 def test_dominance_witness_reads_orders_on_int_rows(monkeypatch):

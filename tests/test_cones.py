@@ -296,6 +296,19 @@ def test_faces_closed_under_intersection():
             assert tuple(sorted(set(a) & set(b))) in keys
 
 
+def test_face_from_indices_keeps_each_face_it_checks(monkeypatch):
+    c = Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    first = c.face_from_indices([1, 0])
+    cuts = counting(monkeypatch, Cone, "_face_cut_by")
+    assert c.face_from_indices((0, 1)) is first and c.face_from_indices([1, 0]) is first
+    assert cuts == []
+    # a refused subset is not kept, and is refused again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not span a face"):
+            c.face_from_indices([0, 3])
+    assert len(cuts) == 2 and sorted(c._face_refs) == [(0, 1)]
+
+
 def test_face_from_indices_accepts_exactly_the_faces():
     from test_arcs import ORACLE_CONES, ORACLE_FANS
 
@@ -802,6 +815,17 @@ def test_fan_builds_no_cone_beyond_its_intersections(monkeypatch):
     fan = Fan(maximal)
     assert len(fan.maximal_cones) == 6
     assert len(built) <= math.comb(6, 2)
+
+
+def test_fan_checks_its_meets_without_building_a_cone(monkeypatch):
+    # each pairwise meet is one double description, checked by _face_at on both cones
+    import toricarcs.cones as cones
+
+    c1, c2 = Cone([(1, 0), (1, 2)]), Cone([(1, 2), (-1, 1)])
+    built = counting(monkeypatch, Cone, "__init__")
+    meets = counting(monkeypatch, cones, "dual_generators")
+    assert len(Fan([c1, c2]).maximal_cones) == 2
+    assert built == [] and len(meets) == 1
 
 
 def test_fan_rejects_bad_intersection():

@@ -93,6 +93,12 @@ def test_no_package_module_calls_rank_of():
     assert _calls_in_package("rank_of") == []
 
 
+def test_no_package_module_calls_push_dual():
+    # push_dual checks its character at the public boundary; inside, QuotientLattice._push
+    # takes the int tuple of a character known to vanish on the subspace
+    assert _calls_in_package("push_dual") == []
+
+
 def test_only_cones_calls_dual_generators():
     # a double description belongs to a cone, an intersection or a homogenized polyhedron
     assert [place for place in _calls_in_package("dual_generators") if place[0] != "cones.py"] == []
