@@ -23,7 +23,6 @@ from .cones import (
     Fan,
     _stratum_quotient,
     hilbert_basis_dual,
-    is_face_of,
     lattice_points_where,
 )
 from .lattice import (
@@ -94,9 +93,13 @@ def _maximal_cones(ambient) -> tuple[Cone, ...]:
 
 
 def _charts_over(ambient, face: FaceRef) -> tuple[Cone, ...]:
-    """The maximal cones of the ambient that contain every ray of the face."""
-    cones = _maximal_cones(ambient)
-    return tuple(c for c in cones if all(_dot(r, u) >= 0 for r in face.key for u in c._dual_keys))
+    """The maximal cones of the ambient that hold every ray of the face, each tested by Cone._holds.
+
+    A face whose parent is the ambient has its rays among the ambient's, the one chart, so no ray is tested.
+    """
+    if face.parent is ambient:
+        return (ambient,)
+    return tuple(c for c in _maximal_cones(ambient) if all(map(c._holds, face.key)))
 
 
 def _build_stratum(ambient, face: FaceRef, charts: tuple[Cone, ...]):
@@ -117,20 +120,14 @@ def _build_stratum(ambient, face: FaceRef, charts: tuple[Cone, ...]):
 def _stratum(ambient, face: FaceRef):
     """The stratum record of a face over an ambient, kept in ambient._strata by face key.
 
-    Its first use checks that some chart holds the face's rays and that the face is
-    a face of each, then calls _build_stratum; else it raises ValueError, keeping nothing.
-    A face of a Cone ambient has its rays among the ambient's, the one chart, so
-    it is checked by _face_at alone: it is a face iff it is the smallest face holding its rays.
+    Its first use takes the charts holding the face's rays from _charts_over and checks
+    with Cone._is_face that the face is a face of each, then calls _build_stratum; when
+    no chart holds it or one has it as no face, it raises ValueError, keeping nothing.
     """
     record = ambient._strata.get(face.key)
     if record is None:
-        if face.parent is ambient:
-            charts = (ambient,) if ambient._face_at(face.key).indices == face.indices else ()
-        else:
-            charts = _charts_over(ambient, face)
-            if not all(is_face_of(face, chart.full_face()) for chart in charts):
-                charts = ()
-        if not charts:
+        charts = _charts_over(ambient, face)
+        if not charts or not all(chart._is_face(face.key) for chart in charts):
             raise ValueError("the stratum is not a face of a chart containing its rays")
         record = _build_stratum(ambient, face, charts)
     return record
@@ -225,7 +222,9 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
     The finiteness locus of a semigroup homomorphism to Z>=0 + INF is cut out
     by a unique face of the cone; the finite values then determine a unique
     point of the quotient lattice by exact linear solving.  Value assignments
-    violating an additive relation among the generators are rejected.
+    violating an additive relation among the generators are rejected.  A
+    Mapping gives one value per dual Hilbert generator and nothing else: a key
+    that is no generator, or two keys naming one, raise ValueError.
     """
     gens = hilbert_basis_dual(c)
     if isinstance(h, SemigroupHom):
@@ -233,11 +232,18 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
             raise ValueError("homomorphism belongs to a different cone")
         values = h.values
     elif isinstance(h, Mapping):
-        lookup = {_coords(key, M_SIDE, c.dim_ambient): val for key, val in h.items()}
+        lookup = {}
+        for key, val in h.items():
+            coords = _coords(key, M_SIDE, c.dim_ambient)
+            if coords in lookup:
+                raise ValueError(f"two keys name the character {coords}")
+            lookup[coords] = val
         try:
-            values = tuple(lookup[g.coords] for g in gens)
+            values = tuple(lookup.pop(g.coords) for g in gens)
         except KeyError as missing:
             raise ValueError(f"no value for dual generator {missing}") from None
+        if lookup:
+            raise ValueError(f"keys {sorted(lookup)} are not dual Hilbert generators of the cone")
         values = SemigroupHom(c, values).values
     else:
         values = SemigroupHom(c, tuple(h)).values
@@ -273,9 +279,7 @@ def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
         if not isinstance(o.ambient, Cone):
             raise ValueError("a chart cone is required for labels over a fan")
         chart = o.ambient
-    elif chart.dim_ambient != len(o._lift) or not all(
-        _dot(r, u) >= 0 for r in o.face.key for u in chart._dual_keys
-    ):
+    elif chart.dim_ambient != len(o._lift) or not all(map(chart._holds, o.face.key)):
         raise ValueError(f"chart {chart!r} does not contain the stratum {list(o.face.key)}")
     return SemigroupHom(chart, tuple(o._order(g.coords) for g in hilbert_basis_dual(chart)))
 
@@ -462,11 +466,9 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     doing = f"orbit poset at bound {bound} would scan"
     simplicial = [2 ** c.dim for c in _maximal_cones(ambient) if len(c.key) == c.dim]
     _within_budget(max(simplicial, default=0), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
-    fan = isinstance(ambient, Fan)
-    strata = ambient.strata() if fan else ambient.faces()
+    strata = ambient.strata() if isinstance(ambient, Fan) else ambient.faces()
     _within_budget(len(strata), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
-    # a Cone ambient is the one chart over each of its faces
-    plan = [_build_stratum(ambient, face, _charts_over(ambient, face) if fan else (ambient,)) for face in strata]
+    plan = [_build_stratum(ambient, face, _charts_over(ambient, face)) for face in strata]
     box = sum(len(finite) * (2 * bound + 1) ** q.quotient_dim for q, _, _, finite in plan)
     _within_budget(box, MAX_POSET_BOX_POINTS, doing, "box points")
     nodes: list[OrbitLabel] = []

@@ -188,8 +188,7 @@ def _parse_coords(text: str, what: str) -> tuple[int, ...]:
 
 
 def _stratum_face(chart: Cone, text: str):
-    indices = _parse_coords(text, "--stratum") if text else ()
-    return chart.face_from_indices(indices)
+    return chart.face_from_indices(_parse_coords(text, "--stratum"))
 
 
 def _components_payload(components) -> dict:

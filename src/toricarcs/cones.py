@@ -13,7 +13,10 @@ Inputs are checked once, at the public boundary: generators with _coords,
 which refuses an M-side vector, and the argument of contains,
 tight_ray_indices and smallest_face_containing with _checked.  Then _dot
 works on int tuples built once per object: Cone.key, Cone._dual_keys and
-FaceRef.key.
+FaceRef.key.  The two incidence questions the orbit layer asks have one
+unchecked kernel each on Cone: _holds(x), whether a point lies in the cone
+(contains without the check), and _is_face(key), whether some of its rays
+are all the rays of one face (is_face_of and Fan read it).
 
 On top of that sit face lattices, the smoothness test, the pulling
 triangulation, lattice points of parallelepipeds, Hilbert bases of pointed
@@ -42,7 +45,6 @@ from .lattice import (
     _primitive,
     _Record,
     _set,
-    _quotient,
     _within_budget,
     quotient_lattice,
     row_hermite,
@@ -262,7 +264,10 @@ class Cone(_Record):
         return tuple((u, 0) for u in self._dual_keys)
 
     def contains(self, v: LatticeVector) -> bool:
-        x = _checked(v, N_SIDE, self.dim_ambient)
+        return self._holds(_checked(v, N_SIDE, self.dim_ambient))
+
+    def _holds(self, x: tuple[int, ...]) -> bool:
+        """contains on the int coordinates of a point of the right rank, unchecked."""
         return all(_dot(x, u) >= 0 for u in self._dual_keys)
 
     def tight_ray_indices(self, u: LatticeVector) -> tuple[int, ...]:
@@ -311,6 +316,10 @@ class Cone(_Record):
         return self._face_cut_by(
             w for u, w in zip(self._dual_ray_keys, self._walls) if not any(_dot(x, u) for x in points)
         )
+
+    def _is_face(self, key: tuple[tuple[int, ...], ...]) -> bool:
+        """Whether key, sorted points of the cone, is all the rays of the smallest face holding it."""
+        return self._face_at(key).key == key
 
     def _face_cut_by(self, walls: Iterable[frozenset[int]]) -> "FaceRef":
         """The face cut out by some dual rays, given by their walls: the rays on all of them."""
@@ -652,7 +661,7 @@ class FaceQuotient(_Record):
 @lru_cache(maxsize=None)
 def _stratum_quotient(ambient_dim: int, face_key: tuple) -> QuotientLattice:
     """N modulo the span of the rays face_key: the lattice of a stratum's orbits."""
-    return _quotient(ambient_dim, face_key, tuple(LatticeVector(coords, N_SIDE) for coords in face_key))
+    return quotient_lattice(ambient_dim, [LatticeVector(coords, N_SIDE) for coords in face_key])
 
 
 @lru_cache(maxsize=None)
@@ -716,10 +725,8 @@ class Fan(_Record):
             if not any(d != c and is_face_of(c.full_face(), d.full_face()) for d in cones)
         ]
         for c1, c2 in itertools.combinations(kept, 2):
-            # the meet's rays, as intersect_cones finds them; it is a face of c iff it is the
-            # smallest face of c holding them
-            meet = dual_generators(c1._dual_keys + c2._dual_keys, dim)[0]
-            if c1._face_at(meet).key != meet or c2._face_at(meet).key != meet:
+            meet = dual_generators(c1._dual_keys + c2._dual_keys, dim)[0]  # the rays intersect_cones finds
+            if not c1._is_face(meet) or not c2._is_face(meet):
                 raise ValueError("cones do not intersect in a common face; not a valid fan")
         _set(self, "dim_ambient", dim)
         _set(self, "maximal_cones", tuple(kept))
@@ -750,6 +757,4 @@ def is_face_of(sub: FaceRef, sup: FaceRef) -> bool:
     rays among sup's, and it is a face of sup exactly when it is a face of
     sup's parent, i.e. the smallest parent face containing it is itself.
     """
-    if not set(sub.key) <= set(sup.key):
-        return False
-    return sub.is_zero or sup.parent._face_at(sub.key).key == sub.key
+    return set(sub.key) <= set(sup.key) and sup.parent._is_face(sub.key)

@@ -87,10 +87,6 @@ def _in_dual(chart: Cone, u: tuple[int, ...]) -> bool:
     return all(_dot(r, u) >= 0 for r in chart.key)
 
 
-def _in_chart(chart: Cone, x: tuple[int, ...]) -> bool:
-    return all(_dot(x, u) >= 0 for u in chart._dual_keys)
-
-
 def _order(a: MonomialIdeal, x: tuple[int, ...]) -> int:
     return min(_dot(x, u.coords) for u in a.generators)
 
@@ -131,7 +127,7 @@ def order_function(a: MonomialIdeal, v) -> int:
             raise ValueError("the orbit label lies over another ambient than the ideal's chart")
         return min(v._order(u.coords) for u in a.generators)
     x = _coords(v, N_SIDE, a.chart.dim_ambient)
-    if not _in_chart(a.chart, x):
+    if not a.chart._holds(x):
         raise ValueError(f"{x} is not in the chart cone")
     return _order(a, x)
 
@@ -337,13 +333,13 @@ def is_minimal_in_contact(a: MonomialIdeal, p: int, v) -> bool:
     """
     _int_at_least(p, 1, "p")
     x = _coords(v, N_SIDE, a.chart.dim_ambient)
-    if not _in_chart(a.chart, x):
+    if not a.chart._holds(x):
         raise ValueError(f"{x} is not in the chart cone")
     if _order(a, x) != p:
         raise ValueError(f"order of {x} is not {p}")
     for h in a.chart.hilbert_basis():
         w = tuple(map(sub, x, h.coords))
-        if _in_chart(a.chart, w) and _order(a, w) >= p:
+        if a.chart._holds(w) and _order(a, w) >= p:
             return False
     return True
 
@@ -496,7 +492,7 @@ def lift_to_open_stratum(a: MonomialIdeal, o: OrbitLabel) -> LatticeVector:
         if num > 0:
             k = max(k, -(-num // den))
     lifted = tuple(x + (k + p + 1) * y for x, y in zip(w, v1))
-    if not _in_chart(a.chart, lifted):
+    if not a.chart._holds(lifted):
         raise ArithmeticError(f"lift {lifted} left the chart cone")
     if tuple(_dot(row, lifted) for row in o.quotient.projection_matrix) != o.point:
         raise ArithmeticError(f"lift {lifted} does not project to {o.point}")
@@ -520,7 +516,7 @@ def toric_valuation(chart: Cone, v) -> ToricValuation:
     x = _coords(v, N_SIDE, chart.dim_ambient)
     if not any(x):
         raise ValueError("the zero vector defines no valuation")
-    if not _in_chart(chart, x):
+    if not chart._holds(x):
         raise ValueError(f"{x} is not in the chart cone")
     return ToricValuation(chart, x, *_primitive(x))
 

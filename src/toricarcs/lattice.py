@@ -471,14 +471,9 @@ def quotient_lattice(ambient_dim: int, generators: Sequence[LatticeVector]) -> Q
             raise ValueError("subspace generators must be N-side vectors")
         if g.dim != ambient_dim:
             raise ValueError("generator dimension mismatch")
-    return _quotient(ambient_dim, [g.coords for g in gens], gens)
-
-
-def _quotient(ambient_dim: int, keys: Sequence[tuple[int, ...]], gens: tuple) -> QuotientLattice:
-    """quotient_lattice of the N-side vectors gens, given with their coordinates keys, unchecked."""
     # columns of A are the generators; the rows U[r:], those with U @ A zero,
     # span the integer left kernel of A, whose common zeros are the saturated
     # span whatever the rank
-    A = [[k[i] for k in keys] for i in range(ambient_dim)]
+    A = [[g.coords[i] for g in gens] for i in range(ambient_dim)]
     _, U, Uinv, r = row_hermite(A)
     return QuotientLattice(ambient_dim, gens, U[r:], tuple(row[r:] for row in Uinv))

@@ -69,6 +69,20 @@ def test_classify_hom_refuses_keys_from_the_other_lattice(a1):
     assert label == classify_hom(a1, {(0, 1): 1, (1, 0): 1, (2, -1): 1})
 
 
+def test_classify_hom_refuses_a_key_that_is_no_dual_generator(a1):
+    # (1, 1) = (0, 1) + (1, 0) is no Hilbert generator, and 99 contradicts 1 + 1;
+    # (-1, 0) is not even in the dual cone; neither may be ignored
+    hom = {(0, 1): 1, (1, 0): 1, (2, -1): 1}
+    for extra, value in [((1, 1), 99), ((-1, 0), 3)]:
+        with pytest.raises(ValueError, match="are not dual Hilbert generators") as raised:
+            classify_hom(a1, {**hom, extra: value})
+        assert str(extra) in str(raised.value)
+    # two keys naming one generator: neither may win silently
+    with pytest.raises(ValueError, match="two keys name the character"):
+        classify_hom(a1, {**hom, mvec(0, 1): 2})
+    assert classify_hom(a1, hom).point == (1, 1)
+
+
 def test_classify_hom_refuses_float_keys(a1):
     with pytest.raises(TypeError):
         classify_hom(a1, {(0.0, 1.0): 1, (1.0, 0.0): 1, (2.0, -1.0): 1})
@@ -811,7 +825,7 @@ def test_orbit_poset_reads_each_hom_once_per_chart_and_calls_no_pairwise_test(am
     from toricarcs.lattice import QuotientLattice
 
     dominance_tests = counting(monkeypatch, arcs, "dominates")
-    face_tests = counting(monkeypatch, arcs, "is_face_of")
+    face_tests = counting(monkeypatch, Cone, "_is_face")
     pushes = counting(monkeypatch, QuotientLattice, "push_dual")
     duals = counting(monkeypatch, Cone, "dual_generator_list")
     reads = counting(monkeypatch, arcs, "_chart_rows")
@@ -922,8 +936,6 @@ def test_orbit_hot_paths_make_no_pairing_call_and_build_each_key_once(ambient, m
 
 
 def test_labels_build_each_stratum_record_once_and_dominates_makes_no_face_test(monkeypatch):
-    import toricarcs.arcs as arcs
-
     # at most three nodes per stratum of the conifold: 24 labels on its 10 faces,
     # read off a twin of the chart, so the chart itself starts with no record
     per_face = {}
@@ -932,37 +944,37 @@ def test_labels_build_each_stratum_record_once_and_dominates_makes_no_face_test(
     wanted = [(face, point) for face, points in per_face.items() for point in points[:3]]
     assert len(wanted) == 24 and len(per_face) == 10
     chart = Cone(CONIFOLD)
-    charts_over = counting(monkeypatch, arcs, "_charts_over")
-    face_tests = counting(monkeypatch, arcs, "is_face_of")
+    containment = counting(monkeypatch, Cone, "_holds")
+    face_tests = counting(monkeypatch, Cone, "_is_face")
     face_checks = counting(monkeypatch, Cone, "_face_at")
     labels = [orbit_label(chart, chart.face_from_indices(face), point) for face, point in wanted]
     keys = sorted({label.face.key for label in labels})
-    # one record per face key: the chart is the ambient, so one _face_at check and no chart walk
-    assert sorted(points for _, points in face_checks) == keys
-    assert charts_over == [] and face_tests == []
+    # one record per face key: the chart is the ambient, so one face test, one _face_at check
+    # and no containment walk
+    assert sorted(key for _, key in face_tests) == sorted(points for _, points in face_checks) == keys
+    assert containment == []
     assert sorted(chart._strata) == keys
+    face_tests.clear()
     face_checks.clear()
     again = [orbit_label(chart, label.face, label.point) for label in labels]
     assert again == labels
     answers = [dominates(a, b) for a in labels for b in labels]
-    assert any(answers) and not all(answers)
-    assert charts_over == [] and face_tests == [] and face_checks == []
+    assert any(answers) and not all(answers) and len(answers) == 576
+    assert containment == [] and face_tests == [] and face_checks == []
 
 
 def test_labels_and_dominance_after_a_poset_read_its_records(monkeypatch):
-    import toricarcs.arcs as arcs
-
     # the poset keeps the record of each stratum it walks on the ambient
     chart = Cone(CONIFOLD)
     nodes = orbit_poset(chart, 1).nodes
     assert sorted(chart._strata) == sorted({n.face.key for n in nodes})
-    charts_over = counting(monkeypatch, arcs, "_charts_over")
-    face_tests = counting(monkeypatch, arcs, "is_face_of")
+    containment = counting(monkeypatch, Cone, "_holds")
+    face_tests = counting(monkeypatch, Cone, "_is_face")
     labels = [orbit_label(chart, n.face, n.point) for n in nodes]
     assert labels == list(nodes)
     answers = [dominates(a, b) for a in labels for b in labels]
     assert any(answers) and not all(answers)
-    assert charts_over == [] and face_tests == []
+    assert containment == [] and face_tests == []
     assert sorted(chart._strata) == sorted({n.face.key for n in nodes})
 
 

@@ -42,3 +42,6 @@ def test_traced_worker_pass_reads_the_package_internals(workload):
     last = json.loads(done.stdout.strip().splitlines()[-1])
     assert last["answered"] == last["queries"]
     assert {"hilbert_basis_dual.hit_ratio", "face_quotient.hit_ratio"} <= set(last["layers"])
+    if workload == "orbits":
+        # a stratum's quotient goes through the public, traced quotient_lattice
+        assert last["layers"]["quotient_lattice.calls"] > 0

@@ -104,6 +104,11 @@ def test_only_cones_calls_dual_generators():
     assert [place for place in _calls_in_package("dual_generators") if place[0] != "cones.py"] == []
 
 
+def test_only_cones_calls_face_at():
+    # whether rays are all the rays of a face is decided once, by Cone._is_face
+    assert [place for place in _calls_in_package("_face_at") if place[0] != "cones.py"] == []
+
+
 def test_only_the_level_cone_and_sing_walk_a_face_lattice_in_ideals():
     # ideals reads two face lattices: the level cone's, walked once per ideal, and the chart's in sing
     tree = ast.parse((SRC / "ideals.py").read_text(encoding="utf-8"))
