@@ -183,15 +183,6 @@ class OrbitLabel(_Record):
         _set(label, "_lift", q._section(point))
         return label
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            # the cheap fields first; a tuple compares its items by identity first
-            return (self.point, self.face, self.ambient) == (other.point, other.face, other.ambient)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.face, self.point))
-
     @property
     def quotient(self) -> QuotientLattice:
         return _stratum(self.ambient, self.face)[0]
@@ -520,15 +511,6 @@ class WitnessEntry(_Record):
         "expected_at_zero": "int | None",
         "ok": "bool",
     }
-
-    def __init__(self, character, in_ring, order_generic, order_at_zero, expected_generic, expected_at_zero, ok):
-        _set(self, "character", character)
-        _set(self, "in_ring", in_ring)
-        _set(self, "order_generic", order_generic)
-        _set(self, "order_at_zero", order_at_zero)
-        _set(self, "expected_generic", expected_generic)
-        _set(self, "expected_at_zero", expected_at_zero)
-        _set(self, "ok", ok)
 
 
 class DominanceWitness(_Record):

@@ -335,17 +335,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, chart=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", "-i", help="input document path (default: stdin)")
-        p.add_argument("--cone", type=int, default=0, help="chart cone index (default 0)")
+        if chart:  # orbits reads the whole fan, no chart
+            p.add_argument("--cone", type=int, default=0, help="chart cone index (default 0)")
         return p
 
     add("dual", "generators of the dual cone")
     add("faces", "ray-index subsets spanning each face")
     add("smooth", "whether the chart cone is nonsingular")
     add("hilbert", "Hilbert basis of the dual semigroup")
-    p = add("orbits", "bounded slice of the orbit dominance poset")
+    p = add("orbits", "bounded slice of the orbit dominance poset", chart=False)
     p.add_argument("--bound", type=int, required=True)
     p = add("dominates", "orbit-closure containment via the lattice criterion")
     p.add_argument("--stratum", default="", help="ray indices of the first stratum face")

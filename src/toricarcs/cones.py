@@ -141,7 +141,7 @@ def dual_generators(
             rays = new_rays
         bit <<= 1
     if lin:
-        q = quotient_lattice(dim, [LatticeVector(l, N_SIDE) for l in lin])
+        q = quotient_lattice(dim, lin)
         rays = [(q._section(_primitive([_dot(row, r) for row in q.projection_matrix])[1]), z) for r, z in rays]
     rays.sort()
     walls = tuple(frozenset(i for i, (_, z) in enumerate(rays) if z >> k & 1) for k in range(bit.bit_length() - 1))
@@ -160,7 +160,7 @@ class Cone(_Record):
     same tuples as LatticeVectors, built the first time each is read.
     """
 
-    __slots__ = ("dim_ambient", "key", "_dual_ray_keys", "_normal_keys",  # the coords of dual_rays, span_normals
+    __slots__ = ("key", "dim_ambient", "_dual_ray_keys", "_normal_keys",  # the coords of dual_rays, span_normals
                  "_dual_keys", "_walls",  # dual_generator_list() coords; _walls[j]: the rays on dual ray j
                  "_rays", "_dual_rays", "_span_normals", "_duals",  # the LatticeVectors, built on first read
                  "_faces", "_hilbert", "_basis",  # _basis: (_adapted_dual_basis of key,), on first read
@@ -193,35 +193,17 @@ class Cone(_Record):
             raise ValueError("cone is not strongly convex (contains a line)")
         extreme = [g for g, t in enumerate(tight) if sum(map(t.issubset, tight)) == 1]
 
-        _set(self, "dim_ambient", dim_ambient)
-        _set(self, "key", tuple(ray_tuples[g] for g in extreme))
+        super().__init__(tuple(ray_tuples[g] for g in extreme), dim_ambient)
         walls = (frozenset(i for i, g in enumerate(extreme) if j in tight[g]) for j in range(len(dual_rays)))
         _set(self, "_walls", tuple(walls))
         _set(self, "_dual_ray_keys", dual_rays)
         _set(self, "_normal_keys", dual_lin)
         _set(self, "_dual_keys", tuple(sorted(dual_rays + dual_lin + tuple(map(_neg, dual_lin)))))
-        for name in ("_rays", "_dual_rays", "_span_normals", "_duals", "_faces", "_hilbert", "_basis"):
-            _set(self, name, None)
         _set(self, "_face_refs", {})
         _set(self, "_strata", {})
 
-    # -- identity ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cone)
-            and self.dim_ambient == other.dim_ambient
-            and self.key == other.key
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim_ambient, self.key))
-
     def __repr__(self) -> str:
         return f"Cone({[list(r) for r in self.key]}, dim={self.dim_ambient})"
-
-    def __reduce__(self):
-        return type(self), (self.key, self.dim_ambient)
 
     # -- the LatticeVectors, built on first read -------------------------------
 
@@ -378,15 +360,6 @@ class FaceRef(_Record):
         _set(self, "parent", parent)
         _set(self, "indices", indices)
         _set(self, "_key", tuple([key[i] for i in indices]))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            # the cheap field first; a tuple compares its items by identity first
-            return (self.indices, self.parent) == (other.indices, other.parent)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parent, self.indices))
 
     @property
     def rays(self) -> tuple[LatticeVector, ...]:
@@ -661,7 +634,7 @@ class FaceQuotient(_Record):
 @lru_cache(maxsize=None)
 def _stratum_quotient(ambient_dim: int, face_key: tuple) -> QuotientLattice:
     """N modulo the span of the rays face_key: the lattice of a stratum's orbits."""
-    return quotient_lattice(ambient_dim, [LatticeVector(coords, N_SIDE) for coords in face_key])
+    return quotient_lattice(ambient_dim, face_key)
 
 
 @lru_cache(maxsize=None)
@@ -709,7 +682,7 @@ def _homogenized_rays(
 class Fan(_Record):
     """A finite fan: face-closed, intersection-compatible strongly convex cones."""
 
-    __slots__ = ("dim_ambient", "maximal_cones", "_strata")  # _strata: as Cone's
+    __slots__ = ("maximal_cones", "_strata")  # _strata: as Cone's
 
     def __init__(self, maximal_cones: Sequence[Cone]):
         cones = sorted(set(maximal_cones), key=lambda c: c.key)
@@ -728,18 +701,12 @@ class Fan(_Record):
             meet = dual_generators(c1._dual_keys + c2._dual_keys, dim)[0]  # the rays intersect_cones finds
             if not c1._is_face(meet) or not c2._is_face(meet):
                 raise ValueError("cones do not intersect in a common face; not a valid fan")
-        _set(self, "dim_ambient", dim)
-        _set(self, "maximal_cones", tuple(kept))
+        super().__init__(tuple(kept))
         _set(self, "_strata", {})
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Fan) and self.maximal_cones == other.maximal_cones
-
-    def __hash__(self) -> int:
-        return hash(tuple(c.key for c in self.maximal_cones))
-
-    def __reduce__(self):
-        return type(self), (self.maximal_cones,)
+    @property
+    def dim_ambient(self) -> int:
+        return self.maximal_cones[0].dim_ambient
 
     def strata(self) -> tuple[FaceRef, ...]:
         """One canonical FaceRef per cone of the fan, deterministically."""

@@ -313,12 +313,6 @@ class ContactComponent(_Record):
         "level": "int | None",
     }
 
-    def __init__(self, point, e, v0, level):
-        _set(self, "point", point)
-        _set(self, "e", e)
-        _set(self, "v0", v0)
-        _set(self, "level", level)
-
 
 def _component(point: tuple[int, ...], level: int | None) -> ContactComponent:
     return ContactComponent(point, *_primitive(point), level)

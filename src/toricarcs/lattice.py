@@ -15,18 +15,19 @@ transform so that projections are reproducible across runs.
 
 The checks live at the public boundary: LatticeVector takes coordinates
 through operator.index, so a non-integer raises TypeError, and so does
-primitive_tuple; lift takes a plain int sequence or an N-side vector with
-_coords; and pairing, project and push_dual check side and dimension with
-_checked.  Internal loops take _dot on the plain int tuples, with no
-pairing call, _primitive, with no operator.index, and _section and _push,
-the unchecked lift and push_dual.
+primitive_tuple; lift, and quotient_lattice for each generator, take a
+plain int sequence or an N-side vector with _coords; and pairing, project
+and push_dual check side and dimension with _checked.  Internal loops
+take _dot on the plain int tuples, with no pairing call, _primitive, with
+no operator.index, and _section and _push, the unchecked lift and
+push_dual.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import index, mul
+from operator import attrgetter, index, mul
 from typing import Iterator, Sequence
 
 N_SIDE = "N"
@@ -169,14 +170,15 @@ class _Record:
 
     A subclass names its fields in __slots__, in constructor order; a dict
     maps each field to its type, which becomes the slot's docstring.  A
+    slot named _x is a cache, not a field, and the base __init__ sets it to
+    None.  The fields are a record's identity, whatever its caches hold: a
     record builds from positional or keyword fields, equals only a record
     of its own class with equal fields, hashes as the tuple of its fields,
-    and refuses assignment and deletion.  A slot named _x is a cache, not
-    a field, and the base __init__ sets it to None.  Classes built in hot
-    loops define their own __init__, __eq__ and __hash__, and
-    ContactComponent and WitnessEntry their own __init__; Cone, Fan and TruncatedSeries keep
-    only the immutability and reduce to their constructor arguments for
-    copy and pickle.
+    reduces to its class and that tuple for copy and pickle, and refuses
+    assignment and deletion.  A subclass may validate in its own __init__
+    and write a repr of its own, but defines no __eq__ or __reduce__, so its
+    constructor takes the fields in this order; it defines __hash__ only
+    when a field does not hash, as TruncatedSeries does for its dict.
     """
 
     __slots__ = ()
@@ -184,8 +186,11 @@ class _Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = tuple(cls.__dict__.get("__slots__", ()))
-        cls._fields = getattr(cls, "_fields", ()) + tuple(n for n in names if n[0] != "_")
+        cls._fields = fields = getattr(cls, "_fields", ()) + tuple(n for n in names if n[0] != "_")
         cls._caches = getattr(cls, "_caches", ()) + tuple(n for n in names if n[0] == "_")
+        # the field tuple; attrgetter of one name returns the bare value, not a 1-tuple
+        get = attrgetter(*fields)
+        cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
 
     def __init__(self, *args, **kwargs):
         for name in self._caches:
@@ -202,16 +207,13 @@ class _Record:
         if kwargs:
             raise TypeError(f"{type(self).__name__} got unexpected or repeated fields {sorted(kwargs)}")
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
+            return self._values(self) == self._values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -224,7 +226,7 @@ class _Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return type(self), self._astuple()
+        return type(self), self._values(self)
 
 
 class LatticeVector(_Record):
@@ -242,14 +244,6 @@ class LatticeVector(_Record):
         if self.side not in (N_SIDE, M_SIDE):
             raise ValueError(f"side must be {N_SIDE!r} or {M_SIDE!r}, got {self.side!r}")
         _set(self, "coords", tuple(map(index, self.coords)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords and self.side == other.side
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coords, self.side))
 
     @property
     def dim(self) -> int:
@@ -458,22 +452,20 @@ class QuotientLattice(_Record):
         return tuple(_dot(col, coords) for col in zip(*self.section_matrix))
 
 
-def quotient_lattice(ambient_dim: int, generators: Sequence[LatticeVector]) -> QuotientLattice:
+def quotient_lattice(ambient_dim: int, generators: Sequence) -> QuotientLattice:
     """Quotient of Z^ambient_dim by the saturated span of the generators.
 
-    Any generators will do, dependent ones included: the kernel of the
-    projection is the saturation of their span, so the quotient is
-    torsion-free of rank ambient_dim minus the rank of the generators.
+    Each generator is a plain sequence of ints or an N-side LatticeVector,
+    of length ambient_dim.  Any generators will do, dependent ones included:
+    the kernel of the projection is the saturation of their span, so the
+    quotient is torsion-free of rank ambient_dim minus the rank of the
+    generators.
     """
-    gens = tuple(generators)
-    for g in gens:
-        if g.side != N_SIDE:
-            raise ValueError("subspace generators must be N-side vectors")
-        if g.dim != ambient_dim:
-            raise ValueError("generator dimension mismatch")
+    gens = [_coords(g, N_SIDE, ambient_dim) for g in generators]
     # columns of A are the generators; the rows U[r:], those with U @ A zero,
     # span the integer left kernel of A, whose common zeros are the saturated
     # span whatever the rank
-    A = [[g.coords[i] for g in gens] for i in range(ambient_dim)]
+    A = [[g[i] for g in gens] for i in range(ambient_dim)]
     _, U, Uinv, r = row_hermite(A)
-    return QuotientLattice(ambient_dim, gens, U[r:], tuple(row[r:] for row in Uinv))
+    basis = tuple(LatticeVector(g, N_SIDE) for g in gens)
+    return QuotientLattice(ambient_dim, basis, U[r:], tuple(row[r:] for row in Uinv))

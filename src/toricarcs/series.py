@@ -28,7 +28,7 @@ class TruncatedSeries(_Record):
     and products of polynomial inputs stay polynomial in lambda).
     """
 
-    __slots__ = ("t_precision", "terms")
+    __slots__ = ("terms", "t_precision")
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction | int], t_precision: int):
         t_precision = index(t_precision)
@@ -43,8 +43,8 @@ class TruncatedSeries(_Record):
             if c == 0 or td >= t_precision:
                 continue
             clean[(td, ld)] = clean.get((td, ld), 0) + c
-        _set(self, "t_precision", t_precision)
         _set(self, "terms", {k: v for k, v in sorted(clean.items()) if v != 0})
+        _set(self, "t_precision", t_precision)
 
     # -- constructors -------------------------------------------------------
 
@@ -126,18 +126,9 @@ class TruncatedSeries(_Record):
 
     # -- identity ---------------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.t_precision == other.t_precision
-            and self.terms == other.terms
-        )
-
     def __hash__(self) -> int:
-        return hash((self.t_precision, tuple(sorted(self.terms.items()))))
-
-    def __reduce__(self):
-        return type(self), (self.terms, self.t_precision)
+        # terms is a dict, which does not hash; the constructor sorts it
+        return hash((tuple(self.terms.items()), self.t_precision))
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -227,6 +227,25 @@ def test_cone_index_selection(capsys, tmp_path):
     assert "out of range" in err
 
 
+def test_orbits_takes_no_cone_option(capsys):
+    # orbits reads the whole document; a --cone it would ignore is refused as an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", "--bound", "0", "--cone", "0", "--input", str(FIXTURES / "a1.json")])
+    assert exc.value.code == 2
+    assert "--cone" in capsys.readouterr().err
+
+
+def test_dominates_reads_the_stratum_index_on_the_cone_option(capsys, tmp_path):
+    doc = tmp_path / "two.json"
+    doc.write_text('{"dim":2,"cones":[[[0,1],[1,0]],[[1,0],[1,-2]]]}')
+    argv = ["dominates", "--v=1,-1", "--stratum2", "0", "--v2", "1", "--input", str(doc)]
+    # ray 0 is (1, -2) on cone 1 and (0, 1) on cone 0; the open orbit of v = (1, -1) lies in cone 1
+    code, out, _ = run_cli(argv + ["--cone", "1"], capsys)
+    assert code == 0 and json.loads(out) == {"dominates": True}
+    code, out, _ = run_cli(argv + ["--cone", "0"], capsys)
+    assert code == 0 and json.loads(out) == {"dominates": False}
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

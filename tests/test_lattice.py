@@ -328,3 +328,17 @@ def test_lift_refuses_an_m_side_point():
     with pytest.raises(ValueError, match="expected an N-side vector, got an M-side one"):
         q.lift(mvec(3))
     assert q.lift(nvec(3)) == q.lift((3,))
+
+
+def test_quotient_lattice_takes_plain_int_generators():
+    # the generators pass through _coords, as lift's point does
+    q = quotient_lattice(2, [(1, 0)])
+    assert q == quotient_lattice(2, [nvec(1, 0)])
+    assert q.subspace_basis == (nvec(1, 0),)
+    assert quotient_lattice(3, [(True, 1, 0), [0, 0, 2]]) == quotient_lattice(3, [nvec(1, 1, 0), nvec(0, 0, 2)])
+    with pytest.raises(ValueError, match="expected an N-side vector, got an M-side one"):
+        quotient_lattice(2, [mvec(1, 0)])
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        quotient_lattice(2, [(1, 0, 0)])
+    with pytest.raises(TypeError):
+        quotient_lattice(2, [(1.0, 0)])

@@ -22,7 +22,7 @@ from toricarcs.arcs import (
     orbit_poset,
 )
 from toricarcs.cli import InputDocument, parse_input
-from toricarcs.cones import Cone, FaceQuotient, FaceRef, Fan, quotient_by_face
+from toricarcs.cones import Cone, FaceQuotient, FaceRef, Fan, is_smooth, quotient_by_face
 from toricarcs.ideals import (
     ContactComponent,
     MonomialIdeal,
@@ -225,14 +225,73 @@ def test_records_copy_and_pickle_by_their_fields():
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+def _validated():
+    """A record of each class whose constructor validates, with its field tuple."""
+    cone = Cone([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
+    fan = Fan([Cone([(1, 0), (1, 2)]), Cone([(1, 2), (0, 1)])])
+    series = TruncatedSeries({(1, 2): Fraction(-1, 3), (0, 0): 1}, 4)
+    return {
+        Cone: (cone, (cone.key, cone.dim_ambient)),
+        Fan: (fan, (fan.maximal_cones,)),
+        TruncatedSeries: (series, (series.terms, series.t_precision)),
+    }
+
+
+VALIDATED = _validated()
+
+
+@pytest.mark.parametrize("cls", list(VALIDATED), ids=lambda c: c.__name__)
+def test_a_validated_record_reduces_to_its_fields_in_constructor_order(cls):
+    record, fields = VALIDATED[cls]
+    assert cls._fields == {Cone: ("key", "dim_ambient"), Fan: ("maximal_cones",),
+                           TruncatedSeries: ("terms", "t_precision")}[cls]
+    assert record.__reduce__() == (cls, fields)
+    assert cls(*fields) == record
+
+
+@pytest.mark.parametrize("cls", list(VALIDATED), ids=lambda c: c.__name__)
+def test_a_validated_record_is_unequal_to_a_subclass_with_equal_fields(cls):
+    record, fields = VALIDATED[cls]
+    twin = type("Twin", (cls,), {"__slots__": ()})(*fields)
+    assert twin.__reduce__()[1] == fields
+    assert twin != record and record != twin
+
+
+def test_a_validated_record_hashes_as_its_field_tuple():
+    for cls in (Cone, Fan):
+        record, fields = VALIDATED[cls]
+        assert hash(record) == hash(fields) == hash(cls(*fields))
+    # terms is a dict, so a series hashes its sorted items in its place
+    series, (terms, t_precision) = VALIDATED[TruncatedSeries]
+    assert hash(series) == hash((tuple(sorted(terms.items())), t_precision))
+    assert hash(series) == hash(TruncatedSeries(dict(reversed(list(terms.items()))), t_precision))
+
+
+def _fill_caches(cone, fan):
+    """Fill the caches of a Cone and a Fan: faces, stratum records, Hilbert bases, the smoothness basis."""
+    chart = fan.maximal_cones[0]
+    for c in (cone, chart):
+        orbit_label(c, c.faces()[1], (1,) * (c.dim_ambient - 1))
+        c.hilbert_basis()
+        is_smooth(c)
+    orbit_label(fan, chart.faces()[1], (1,))
+    assert cone._faces and cone._strata and cone._hilbert and cone._basis is not None
+    assert fan._strata and chart._strata and chart._hilbert and chart._basis is not None
+
+
 def test_a_filled_cache_is_not_a_field():
     ideal = monomial_ideal(Cone([(1, 0), (1, 2)]), [(0, 1), (1, 0), (2, -1)])
-    unfilled = MonomialIdeal(*_values(ideal))
+    cone = Cone([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
+    fan = Fan([Cone([(1, 0), (1, 2)]), Cone([(1, 2), (0, 1)])])
+    pairs = [(ideal, MonomialIdeal(*_values(ideal))), (cone, Cone(cone.key)), (fan, Fan(fan.maximal_cones))]
     polar_polytope(ideal, 3)
-    assert ideal._level_one is not None and unfilled._level_one is None
-    for twin in (ideal, copy.copy(ideal), copy.deepcopy(ideal), pickle.loads(pickle.dumps(ideal))):
-        assert twin == unfilled and unfilled == twin
-        assert hash(twin) == hash(unfilled) and repr(twin) == repr(unfilled)
+    _fill_caches(cone, fan)
+    assert ideal._level_one is not None and pairs[0][1]._level_one is None
+    assert not pairs[1][1]._strata and not pairs[2][1]._strata
+    for filled, unfilled in pairs:
+        for twin in (filled, copy.copy(filled), copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))):
+            assert twin == unfilled and unfilled == twin
+            assert hash(twin) == hash(unfilled) and repr(twin) == repr(unfilled)
     with pytest.raises(AttributeError):
         ideal._level_one = None
 

@@ -298,6 +298,62 @@ def test_wrapper_rule_sees_a_bare_wrapper():
     assert _bare_wrappers(ast.parse(source)) == ["faces:1", "contains:3"]
 
 
+IDENTITY_METHODS = ("__eq__", "__hash__", "__reduce__")
+
+
+def _identity_overrides(trees):
+    """"<module> <class>.<method>" per identity method a subclass of _Record defines or assigns.
+
+    A class is a record when one of its bases, by name, is _Record or a
+    record, in any of the trees.
+    """
+    classes = [(where, node) for where, tree in trees.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    records, grown = {"_Record"}, True
+    while grown:
+        grown = False
+        for _, node in classes:
+            bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+            if node.name not in records and bases & records:
+                records.add(node.name)
+                grown = True
+    found = []
+    for where, node in classes:
+        if node.name == "_Record" or node.name not in records:
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [getattr(target, "id", None) for target in item.targets]
+            else:
+                continue
+            found += [f"{where} {node.name}.{name}" for name in names if name in IDENTITY_METHODS]
+    return sorted(found)
+
+
+def test_records_take_their_identity_from_the_base():
+    # _Record compares, hashes and pickles every record by its fields; TruncatedSeries
+    # hashes its own, as its terms field is a dict
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert _identity_overrides(trees) == ["series.py TruncatedSeries.__hash__"]
+
+
+def test_identity_rule_sees_a_planted_override():
+    source = (
+        "class _Record:\n"
+        "    def __eq__(self, other): return True\n"
+        "class Vector(_Record):\n"
+        "    def __eq__(self, other): return True\n"
+        "    def norm(self): pass\n"
+        "class Twin(Vector):\n"
+        "    __reduce__ = object.__reduce__\n"
+        "class Plain:\n"
+        "    def __hash__(self): return 0\n"
+    )
+    trees = {"m.py": ast.parse(source), "n.py": ast.parse("class Series(lattice._Record):\n    def __hash__(self): return 0\n")}
+    assert _identity_overrides(trees) == ["m.py Twin.__reduce__", "m.py Vector.__eq__", "n.py Series.__hash__"]
+
+
 # the caches perfbench reads with cache_info() and cache_clear(); entries may be
 # removed from this set, and none added
 HARNESS_CACHES = {"hilbert_basis_dual", "_stratum_quotient", "_face_quotient_cached"}
