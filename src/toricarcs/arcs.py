@@ -264,14 +264,15 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
 def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
     """The extended order function of an orbit on a chart's dual generators.
 
-    The chart must contain the orbit's stratum, every ray of its face.
+    The chart must have the orbit's stratum as a face, not only its rays.
     """
+    key = o.face.key
     if chart is None:
         if not isinstance(o.ambient, Cone):
             raise ValueError("a chart cone is required for labels over a fan")
         chart = o.ambient
-    elif chart.dim_ambient != len(o._lift) or not all(map(chart._holds, o.face.key)):
-        raise ValueError(f"chart {chart!r} does not contain the stratum {list(o.face.key)}")
+    elif chart.dim_ambient != len(o._lift) or not all(map(chart._holds, key)) or not chart._is_face(key):
+        raise ValueError(f"chart {chart!r} does not contain the stratum {list(key)} as a face")
     return SemigroupHom(chart, tuple(o._order(g.coords) for g in hilbert_basis_dual(chart)))
 
 
@@ -374,21 +375,13 @@ class OrbitPoset(_Record):
 MAX_POSET_BOX_POINTS = 512
 
 
-def _chart_rows(points, positions, walls, first):
-    """The order data of a stratum's nodes on one chart over it, for orbit_poset.
+def _chart_rows(points, walls):
+    """The rows of a stratum's nodes on one chart over it, for orbit_poset.
 
-    A node is the point p, numbered from first; its value at the dual key k
-    of positions is p at k's pushed wall, which is k at p's lift.  Returns
-    (positions, the value rows, per k the values of the nonnegative nodes
-    sorted with the bitmask of each prefix, the bitmask of all of them).
+    A node is the point p; its value at a dual key finite on the stratum is
+    p at the key's pushed wall, which is the key at p's lift.
     """
-    rows = [[_dot(p, w) for w in walls] for p in points]
-    lows = [(row, 1 << i) for i, row in enumerate(rows, first) if min(row, default=0) >= 0]
-    prefixes = {}
-    for c, k in enumerate(positions):
-        order = sorted((row[c], bit) for row, bit in lows)
-        prefixes[k] = [v for v, _ in order], list(accumulate((bit for _, bit in order), or_, initial=0))
-    return positions, rows, prefixes, sum(bit for _, bit in lows)
+    return [[_dot(p, w) for w in walls] for p in points]
 
 
 def _bits(mask: int) -> list[int]:
@@ -415,17 +408,19 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     Each stratum's record is built by _build_stratum and kept on the ambient,
     without _stratum's face check: a cone of a fan is a face of each chart over it.
 
-    The order is read from the homs, with no dominates call.  Among the
-    strata of one cone or of one fan, tau's rays among gamma's is already
-    the face test of dominates: both are cones of the fan, so tau = tau
-    cap gamma is a face of gamma.  So a tau-node a is below a gamma-node b
-    exactly when tau's rays lie among gamma's and, on some chart over
-    gamma, 0 <= a <= b pointwise on the chart's dual generators.
-
-    The hom is read as ints on the walls: the dual key u_k pushed down to
-    N_tau is S^T u_k, S the section matrix, and a tau-node's value there
-    is its point at that wall, which is u_k at its lift.  So no wall or
-    node is read through a LatticeVector, and dominates is never called.
+    The order is read from the homs, with no dominates call, one chart at
+    a time.  On a chart sigma, a node's row is its hom at the dual keys
+    finite on its stratum: the key u_k pushed down to N_tau is S^T u_k, S
+    the section matrix, and a tau-node's value there is its point at that
+    wall, which is u_k at its lift.  So no wall or node is read through a
+    LatticeVector.  A tau-node a is below a gamma-node b on sigma exactly
+    when a is >= 0 on its row and, wherever b is finite, a is finite and
+    a <= b.  This is dominates on sigma: tau and gamma are faces of sigma,
+    and the dual face sigma^vee cap gamma^perp is spanned by the dual keys
+    in it, so every key that vanishes on gamma vanishes on tau iff tau is
+    inside gamma, and then tau is a face of gamma.  So no ray set is
+    compared and no pair of strata is formed; a is below b iff it is
+    below b on some chart.
 
     Work budget: every node is a point of a box that is scanned, one box
     [-bound, bound]^d per stratum and chart over it, d the rank of the
@@ -436,20 +431,18 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     and each box holds its origin, so the number of strata is weighed
     first; before the faces are walked, a simplicial maximal cone with k
     rays is weighed by its 2^k faces.  Once the nodes are scanned:
-      - each node's values are read once per chart over its stratum, one
-        product per wall, and checked >= 0 once;
-      - per stratum tau, chart sigma over it and dual key k of sigma
-        vanishing on tau, the nonnegative tau-nodes are sorted by their
-        value at k, and the bitmask of each prefix is kept: at most
-        m sorts of at most n nodes per (tau, sigma), m the dual keys;
-      - the strata are paired by one subset test of their ray sets,
-        at most 512^2 tests;
-      - a gamma-node b's lower set on a chart sigma over gamma is the AND,
-        over the keys k finite on gamma, of the prefix of tau's nodes with
-        value at k at most b's: one bisect and one AND of n-bit sets per
-        key, per (b, sigma) and tau inside gamma, so at most 512 * m per
-        tau, with no pairwise comparison; the lower sets are ORed over
-        tau and sigma;
+      - each node's row is read once per chart over its stratum, one
+        product per finite key, and checked >= 0 once;
+      - per chart sigma and dual key k of sigma, the nonnegative nodes
+        finite at k are sorted by their value at k, and the bitmask of
+        each prefix is kept: at most m sorts of at most n nodes per
+        chart, m the dual keys;
+      - a node's lower set on sigma is the AND, over its finite keys k,
+        of the prefix of nodes with value at k at most its own: one
+        bisect and one AND of n-bit sets per node, chart over its
+        stratum and key finite on it, so at most n * m per chart, with
+        no pairwise comparison; a key where the node is INF constrains
+        nothing, and the lower sets are ORed over the charts;
       - (i, j) is a cover iff no node lies above i and below j: one AND
         of the n-bit sets above i and below j per related pair.
     """
@@ -463,28 +456,35 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     box = sum(len(finite) * (2 * bound + 1) ** q.quotient_dim for q, _, _, finite in plan)
     _within_budget(box, MAX_POSET_BOX_POINTS, doing, "box points")
     nodes: list[OrbitLabel] = []
-    groups = []  # per stratum: its rays, its first node, and per chart the data of _chart_rows
-    for q, face, rays, finite in plan:
+    groups = {}  # per chart: (first node, finite keys, rows of _chart_rows) of each stratum over it
+    for q, face, _, finite in plan:
         box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim
         walls = {chart: [q._push(chart._dual_keys[k]) for k in positions] for chart, positions in finite.items()}
         scans = (lattice_points_where([(w, 0) for w in ws], box_lo, box_hi) for ws in walls.values())
         points = sorted(set().union(*scans))
-        charts = {chart: _chart_rows(points, finite[chart], ws, len(nodes)) for chart, ws in walls.items()}
-        groups.append((rays, len(nodes), charts))
+        for chart, ws in walls.items():
+            groups.setdefault(chart, []).append((len(nodes), finite[chart], _chart_rows(points, ws)))
         nodes += [OrbitLabel._from_image(ambient, face, p) for p in points]
     down = [0] * len(nodes)
-    for tau, _, low_charts in groups:
-        for gamma, first, high_charts in groups:
-            if not tau <= gamma:
-                continue
-            for chart, (positions, rows, _, _) in high_charts.items():
-                _, _, prefixes, below_all = low_charts[chart]
-                cuts = [prefixes[k] for k in positions]
-                for j, row in enumerate(rows, first):
-                    below = below_all
-                    for (values, masks), x in zip(cuts, row):
-                        below &= masks[bisect_right(values, x)]
-                    down[j] |= below
+    for group in groups.values():
+        columns, below_all = {}, 0  # per dual key: (value, bit) of the nonnegative nodes finite there
+        for first, positions, rows in group:
+            for j, row in enumerate(rows, first):
+                if min(row, default=0) >= 0:
+                    below_all |= 1 << j
+                    for k, x in zip(positions, row):
+                        columns.setdefault(k, []).append((x, 1 << j))
+        prefixes = {}
+        for k, column in columns.items():
+            column.sort()
+            prefixes[k] = [x for x, _ in column], list(accumulate((bit for _, bit in column), or_, initial=0))
+        for first, positions, rows in group:
+            cuts = [prefixes[k] for k in positions]  # the stratum's origin is a node in each of these columns
+            for j, row in enumerate(rows, first):
+                below = below_all
+                for (values, masks), x in zip(cuts, row):
+                    below &= masks[bisect_right(values, x)]
+                down[j] |= below
     down = [below & ~(1 << j) for j, below in enumerate(down)]
     relation = [pair for j, below in enumerate(down) for pair in zip(_bits(below), repeat(j))]
     up = [0] * len(nodes)

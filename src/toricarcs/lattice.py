@@ -413,14 +413,12 @@ class QuotientLattice(_Record):
     """The image lattice of Z^n under quotient by a saturated subspace.
 
     projection_matrix maps N onto Z^q (q = ambient - rank of the span) with
-    kernel the saturated span of subspace_basis (the generators as given,
-    possibly dependent); section_matrix is a right inverse, so projection .
-    section = identity on the quotient.
+    kernel the saturated subspace, all that it depends on; section_matrix is
+    a right inverse, so projection . section = identity on the quotient.
     """
 
     __slots__ = {
         "ambient_dim": "int",
-        "subspace_basis": "tuple[LatticeVector, ...]",
         "projection_matrix": "tuple[tuple[int, ...], ...]",
         "section_matrix": "tuple[tuple[int, ...], ...]",
     }
@@ -441,11 +439,12 @@ class QuotientLattice(_Record):
         return tuple(_dot(row, coords) for row in self.section_matrix)
 
     def push_dual(self, u: LatticeVector) -> LatticeVector:
-        """Coordinates of a character orthogonal to the subspace, downstairs."""
+        """S^T u, S the section, for u vanishing on the subspace, i.e. with P^T S^T u = u, P the projection."""
         coords = _checked(u, M_SIDE, self.ambient_dim)
-        if any(_dot(b.coords, coords) for b in self.subspace_basis):
+        pushed, rows = self._push(coords), self.projection_matrix
+        if any(x != sum(w * row[i] for row, w in zip(rows, pushed)) for i, x in enumerate(coords)):
             raise ValueError("character does not vanish on the subspace")
-        return LatticeVector(self._push(coords), M_SIDE)
+        return LatticeVector(pushed, M_SIDE)
 
     def _push(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """push_dual on the int coordinates of a character vanishing on the subspace, unchecked."""
@@ -467,5 +466,4 @@ def quotient_lattice(ambient_dim: int, generators: Sequence) -> QuotientLattice:
     # span whatever the rank
     A = [[g[i] for g in gens] for i in range(ambient_dim)]
     _, U, Uinv, r = row_hermite(A)
-    basis = tuple(LatticeVector(g, N_SIDE) for g in gens)
-    return QuotientLattice(ambient_dim, basis, U[r:], tuple(row[r:] for row in Uinv))
+    return QuotientLattice(ambient_dim, U[r:], tuple(row[r:] for row in Uinv))

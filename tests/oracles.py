@@ -749,10 +749,12 @@ def minimal_by_pairs(points, normals):
 def orbit_poset_by_pairs(ambient, bound):
     """(nodes, relation, covers) of the orbit poset by the pairwise route.
 
-    The route arcs.orbit_poset took before it grouped its comparisons by
-    stratum pair: the same box scan for the nodes, then dominates on all
-    n^2 ordered node pairs, then covers as the related pairs (i, j) with no
-    k related to both, a loop over k per pair.  No work budget is applied.
+    The same box scan for the nodes as arcs.orbit_poset, then dominates on
+    all n^2 ordered node pairs, each reading the two strata's ray sets and
+    homs, then covers as the related pairs (i, j) with no k related to
+    both, a loop over k per pair.  arcs.orbit_poset reads the same order
+    chart by chart off sorted prefix bitmasks, with no pair of nodes or
+    strata.  No work budget is applied.
     """
     from toricarcs.arcs import OrbitLabel, _charts_over, dominates
     from toricarcs.cones import Fan, _stratum_quotient, lattice_points_where

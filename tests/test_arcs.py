@@ -120,6 +120,17 @@ def test_hom_from_label_refuses_a_chart_off_the_stratum():
         hom_from_label(zero, Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 
 
+def test_hom_from_label_refuses_a_chart_holding_the_rays_of_no_face():
+    # the stratum is a 2-face of a triangle cone; on the conifold its two rays are a
+    # diagonal, so the chart holds them but has no face with exactly those rays
+    chart = Cone([(1, 0, 1), (-1, 0, 1), (0, 1, 1)])
+    edge = next(f for f in chart.faces() if f.key == ((-1, 0, 1), (1, 0, 1)))
+    label = orbit_label(chart, edge, (1,))
+    assert hom_from_label(label).values == (INF, INF, 1, INF)
+    with pytest.raises(ValueError, match="does not contain the stratum .* as a face"):
+        hom_from_label(label, Cone(CONIFOLD))
+
+
 def test_orbit_label_refuses_a_foreign_face():
     # ray sets of a chart that are not faces of it: two opposite conifold rays, and
     # three of the four rays of a conifold face, which span that face
@@ -679,17 +690,25 @@ def test_orbit_poset_of_an_orthant_at_bound_0_is_its_face_lattice(n):
     assert all(len(faces[j] - faces[i]) == 1 for i, j in poset.covers)
 
 
-@pytest.mark.parametrize("d,b", [(2, 3), (3, 2), (4, 1), (2, 5)])
-def test_orbit_poset_of_an_orthant_has_its_closed_form_counts(d, b):
+@pytest.mark.parametrize("d,b", [(2, 3), (3, 2), (4, 1), (2, 5), (5, 1), (6, 1), (4, 2)])
+def test_orbit_poset_of_an_orthant_has_its_closed_form_counts(d, b, monkeypatch):
     # A node's hom on e_i* is v_i or INF, so each coordinate runs over the chain
     # 0 < 1 < ... < b < INF of b + 2 values, and dominance is the product order:
     # (b+2)^d nodes, ((b+2)(b+3)/2)^d ordered pairs x <= y less the equal ones, and
-    # a cover raises one coordinate by one step, d (b+1) (b+2)^(d-1) ways
+    # a cover raises one coordinate by one step, d (b+1) (b+2)^(d-1) ways.  The
+    # boxes of the faces with k rays hold (2b+1)^(d-k) points each, (2b+2)^d in all,
+    # which is the budget set here.  The nodes of such a face are the (b+1)^(d-k)
+    # points of [0, b]^(d-k), each finite on d - k dual keys of the one chart, so the
+    # relation makes sum_k C(d, k) (b+1)^(d-k) (d-k) prefix lookups, as many as covers.
+    import toricarcs.arcs as arcs
+
+    monkeypatch.setattr(arcs, "MAX_POSET_BOX_POINTS", (2 * b + 2) ** d)
+    lookups = counting(monkeypatch, arcs, "bisect_right")
     orthant = Cone([tuple(int(i == j) for j in range(d)) for i in range(d)])
     poset = orbit_poset(orthant, b)
     assert len(poset.nodes) == (b + 2) ** d
     assert len(poset.relation) == ((b + 2) * (b + 3) // 2) ** d - (b + 2) ** d
-    assert len(poset.covers) == d * (b + 1) * (b + 2) ** (d - 1)
+    assert len(poset.covers) == len(lookups) == d * (b + 1) * (b + 2) ** (d - 1)
 
 
 # -- dominance and face tests against independent oracles ----------------------
@@ -839,6 +858,16 @@ def test_orbit_poset_reads_each_hom_once_per_chart_and_calls_no_pairwise_test(am
     over = {face: sum(1 for c in charts if all(map(c.contains, face.rays))) for face in strata}
     wanted = sorted(tuple(points) for face, points in strata.items() for _ in range(over[face]))
     assert sorted(tuple(args[0]) for args in reads) == wanted
+
+
+@pytest.mark.parametrize("ambient,bound", ORACLE_CONES + ORACLE_FANS + LOWER_DIMENSIONAL)
+def test_orbit_poset_makes_one_prefix_lookup_per_node_chart_and_finite_key(ambient, bound, monkeypatch):
+    import toricarcs.arcs as arcs
+
+    lookups = counting(monkeypatch, arcs, "bisect_right")
+    poset = orbit_poset(ambient, bound)
+    finite = [arcs._stratum(ambient, node.face)[3] for node in poset.nodes]
+    assert len(lookups) == sum(len(positions) for charts in finite for positions in charts.values())
 
 
 def test_orbit_layer_builds_no_cone(monkeypatch):

@@ -159,6 +159,15 @@ def test_quotient_dual_pairing_preserved():
         q.push_dual(mvec(1, 0, 0))
 
 
+def test_push_dual_on_a_rank_0_quotient_takes_only_the_zero_character():
+    q = quotient_lattice(2, [(1, 0), (1, 2)])
+    assert q.quotient_dim == 0
+    assert q.push_dual(mvec(0, 0)) == LatticeVector((), "M")
+    for u in [mvec(1, 0), mvec(0, 1), mvec(-2, 1)]:
+        with pytest.raises(ValueError, match="character does not vanish on the subspace"):
+            q.push_dual(u)
+
+
 def test_solve_linear():
     assert solve_linear([[1, 0], [0, 1]], [3, 4]) == (3, 4)
     assert solve_linear([[1, 0], [0, 1], [1, 1]], [3, 4, 7]) == (3, 4)
@@ -334,7 +343,9 @@ def test_quotient_lattice_takes_plain_int_generators():
     # the generators pass through _coords, as lift's point does
     q = quotient_lattice(2, [(1, 0)])
     assert q == quotient_lattice(2, [nvec(1, 0)])
-    assert q.subspace_basis == (nvec(1, 0),)
+    # only the saturated subspace is kept, so equal subspaces give equal quotients
+    assert q == quotient_lattice(2, [(2, 0)]) == quotient_lattice(2, [(-3, 0), (1, 0)])
+    assert q != quotient_lattice(2, [(1, 1)])
     assert quotient_lattice(3, [(True, 1, 0), [0, 0, 2]]) == quotient_lattice(3, [nvec(1, 1, 0), nvec(0, 0, 2)])
     with pytest.raises(ValueError, match="expected an N-side vector, got an M-side one"):
         quotient_lattice(2, [mvec(1, 0)])

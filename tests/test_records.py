@@ -43,7 +43,7 @@ SRC = pathlib.Path(__file__).parent.parent / "src"
 # field names in constructor order, as documented for each class
 FIELDS = {
     LatticeVector: ("coords", "side"),
-    QuotientLattice: ("ambient_dim", "subspace_basis", "projection_matrix", "section_matrix"),
+    QuotientLattice: ("ambient_dim", "projection_matrix", "section_matrix"),
     FaceRef: ("parent", "indices"),
     FaceQuotient: ("lattice", "image_cone"),
     SemigroupHom: ("cone", "values"),
