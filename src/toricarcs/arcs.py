@@ -106,14 +106,15 @@ def _build_stratum(ambient, face: FaceRef, charts: tuple[Cone, ...]):
     """The one builder of stratum records: made from the charts over the face, unchecked, kept on the ambient.
 
     A record is (N_tau, the face on the first chart as Fan.strata picks it,
-    the rays as a frozenset, per chart the positions of its dual generators
-    vanishing on the face: where the stratum's orbits are finite).
+    per chart the frozenset of positions of its dual generators vanishing
+    on the face: where the stratum's orbits are finite).
     """
     key, chart = face.key, charts[0]
     if face.parent is not chart:
         face = FaceRef(chart, map(chart.key.index, key))
-    finite = {c: [k for k, u in enumerate(c._dual_keys) if not any(_dot(r, u) for r in key)] for c in charts}
-    record = ambient._strata[key] = _stratum_quotient(chart.dim_ambient, key), face, frozenset(key), finite
+    finite = {c: frozenset(k for k, u in enumerate(c._dual_keys) if not any(_dot(r, u) for r in key))
+              for c in charts}
+    record = ambient._strata[key] = _stratum_quotient(chart.dim_ambient, key), face, finite
     return record
 
 
@@ -160,7 +161,7 @@ class OrbitLabel(_Record):
         _set(self, "point", _coords(point, N_SIDE))
         if face.parent.dim_ambient != _maximal_cones(ambient)[0].dim_ambient:
             raise ValueError("the stratum and the ambient lie in lattices of different ranks")
-        q, face, _, finite = _stratum(ambient, face)
+        q, face, finite = _stratum(ambient, face)
         _set(self, "face", face)
         if len(self.point) != q.quotient_dim:
             raise ValueError(f"point has {len(self.point)} coordinates, expected {q.quotient_dim}")
@@ -175,7 +176,7 @@ class OrbitLabel(_Record):
     @classmethod
     def _from_image(cls, ambient, face: FaceRef, point: tuple[int, ...]) -> "OrbitLabel":
         """A label without the point checks, for a point read off a chart's image cone."""
-        q, face, _, _ = _stratum(ambient, face)
+        q, face, _ = _stratum(ambient, face)
         label = cls.__new__(cls)
         _set(label, "ambient", ambient)
         _set(label, "face", face)
@@ -264,13 +265,16 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
 def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
     """The extended order function of an orbit on a chart's dual generators.
 
-    The chart must have the orbit's stratum as a face, not only its rays.
+    The chart must be a Cone, or TypeError is raised, and have the orbit's
+    stratum as a face, not only its rays.
     """
     key = o.face.key
     if chart is None:
         if not isinstance(o.ambient, Cone):
             raise ValueError("a chart cone is required for labels over a fan")
         chart = o.ambient
+    elif not isinstance(chart, Cone):
+        raise TypeError(f"chart must be a Cone, got {chart!r}")
     elif chart.dim_ambient != len(o._lift) or not all(map(chart._holds, key)) or not chart._is_face(key):
         raise ValueError(f"chart {chart!r} does not contain the stratum {list(key)} as a face")
     return SemigroupHom(chart, tuple(o._order(g.coords) for g in hilbert_basis_dual(chart)))
@@ -322,15 +326,15 @@ def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
     """The charts that show o1 dominating o2; see dominates."""
     if o1.ambient != o2.ambient:
         raise ValueError("orbit labels live over different ambients")
-    _, _, tau, low = _stratum(o1.ambient, o1.face)
-    _, _, gamma, high = _stratum(o1.ambient, o2.face)
-    if not tau <= gamma:
-        return
+    low = _stratum(o1.ambient, o1.face)[2]
+    high = _stratum(o1.ambient, o2.face)[2]
     a = o1._lift
     step = tuple(map(sub, o2._lift, a))  # o1 <= o2 at u is u at the step >= 0
     for chart, positions in high.items():
-        keys = chart._dual_keys
-        if all(_dot(a, keys[k]) >= 0 for k in low[chart]) and all(_dot(step, keys[k]) >= 0 for k in positions):
+        keys, lows = chart._dual_keys, low.get(chart)  # None off tau: empty would pass where o2 is never finite
+        if lows is None or not positions <= lows:
+            continue
+        if all(_dot(a, keys[k]) >= 0 for k in lows) and all(_dot(step, keys[k]) >= 0 for k in positions):
             yield chart
 
 
@@ -349,14 +353,15 @@ def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
     and o1 <= o2 is a wall inequality of the difference; on the others o2
     is INF.  Likewise 0 <= o1 reads the walls of the image in N_tau.
     Labels over charts sharing no maximal cone are never comparable.
-    It runs on ints: o2 is finite only where u vanishes on gamma, hence on
-    tau, so it reads o1 >= 0 where o1 is finite and o1 <= o2 where o2 is.
 
-    The face test is a subset test of the ray sets, read off the stratum
-    records; no face check is made here.  Both strata were checked over
-    the shared ambient when their records were built, so if tau's rays lie
-    among gamma's, tau is a face of each chart over gamma inside its face
-    gamma, hence a face of gamma.  orbit_poset pairs its strata the same way.
+    It runs on ints, chart by chart off the stratum records, by the rule
+    orbit_poset reads for all its nodes at once: a chart sigma over gamma
+    and tau shows o1 <= o2 when o2's finite keys on sigma, the dual keys
+    vanishing on gamma, are among o1's, those vanishing on tau, o1 >= 0 at
+    its finite keys and o2 - o1 >= 0 at o2's.  The key test is the face
+    test: the dual keys vanishing on gamma span sigma^vee cap gamma^perp,
+    so all vanish on tau iff tau lies in gamma, and then tau, a face of
+    sigma, is a face of gamma.
     """
     return next(_dominance_charts(o1, o2), None) is not None
 
@@ -415,12 +420,9 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     wall, which is u_k at its lift.  So no wall or node is read through a
     LatticeVector.  A tau-node a is below a gamma-node b on sigma exactly
     when a is >= 0 on its row and, wherever b is finite, a is finite and
-    a <= b.  This is dominates on sigma: tau and gamma are faces of sigma,
-    and the dual face sigma^vee cap gamma^perp is spanned by the dual keys
-    in it, so every key that vanishes on gamma vanishes on tau iff tau is
-    inside gamma, and then tau is a face of gamma.  So no ray set is
-    compared and no pair of strata is formed; a is below b iff it is
-    below b on some chart.
+    a <= b.  This is the rule of dominates on sigma, whose docstring shows
+    that it holds the face test, so no pair of strata is formed; a is
+    below b iff it is below b on some chart.
 
     Work budget: every node is a point of a box that is scanned, one box
     [-bound, bound]^d per stratum and chart over it, d the rank of the
@@ -453,11 +455,11 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     strata = ambient.strata() if isinstance(ambient, Fan) else ambient.faces()
     _within_budget(len(strata), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
     plan = [_build_stratum(ambient, face, _charts_over(ambient, face)) for face in strata]
-    box = sum(len(finite) * (2 * bound + 1) ** q.quotient_dim for q, _, _, finite in plan)
+    box = sum(len(finite) * (2 * bound + 1) ** q.quotient_dim for q, _, finite in plan)
     _within_budget(box, MAX_POSET_BOX_POINTS, doing, "box points")
     nodes: list[OrbitLabel] = []
     groups = {}  # per chart: (first node, finite keys, rows of _chart_rows) of each stratum over it
-    for q, face, _, finite in plan:
+    for q, face, finite in plan:
         box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim
         walls = {chart: [q._push(chart._dual_keys[k]) for k in positions] for chart, positions in finite.items()}
         scans = (lattice_points_where([(w, 0) for w in ws], box_lo, box_hi) for ws in walls.values())
@@ -540,9 +542,10 @@ def dominance_witness(
     is infinite on the target stratum.  A torus-factor character has orders
     (0, 0), and it and its inverse are both sent to the constant series 1,
     an exact unit pair, so the cost does not depend on the precision.  The
-    verification report checks that every image lies in the power-series
-    ring, that generic lambda recovers o1's orders, and that lambda = 0
-    recovers o2's.
+    verification report checks that generic lambda recovers o1's orders
+    and that lambda = 0 recovers o2's.  Its in_ring field is always true:
+    TruncatedSeries refuses a negative exponent at construction, so every
+    image lies in the power-series ring.
     """
     seen = False
     for chart in _dominance_charts(o1, o2):

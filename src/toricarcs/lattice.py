@@ -55,8 +55,9 @@ __all__ = [
 class Infinite:
     """The absorbing value +oo of extended semigroup arithmetic.
 
-    Addition with anything yields INF, positive integer scaling yields INF,
-    and INF compares strictly greater than every integer.
+    Addition of an int or INF yields INF, positive integer scaling yields
+    INF, and INF compares strictly greater than every integer.  Any other
+    operand, a float or a Fraction included, raises TypeError.
     """
 
     _singleton = None
@@ -77,7 +78,9 @@ class Infinite:
     __radd__ = __add__
 
     def __rmul__(self, k):
-        if isinstance(k, int) and k > 0:
+        if not isinstance(k, int):
+            return NotImplemented
+        if k > 0:
             return self
         raise ValueError("INF may only be scaled by a positive integer")
 
@@ -90,10 +93,14 @@ class Infinite:
         return hash("toricarcs-INF")
 
     def __lt__(self, other) -> bool:
-        return False
+        if isinstance(other, (int, Infinite)):
+            return False
+        return NotImplemented
 
     def __le__(self, other) -> bool:
-        return isinstance(other, Infinite)
+        if isinstance(other, (int, Infinite)):
+            return isinstance(other, Infinite)
+        return NotImplemented
 
     def __gt__(self, other) -> bool:
         if isinstance(other, Infinite):

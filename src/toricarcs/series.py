@@ -90,7 +90,8 @@ class TruncatedSeries(_Record):
         return TruncatedSeries(out, self.t_precision)
 
     def __pow__(self, k: int) -> "TruncatedSeries":
-        if not isinstance(k, int) or k < 0:
+        k = index(k)
+        if k < 0:
             raise ValueError("only nonnegative integer powers are defined")
         result = TruncatedSeries.monomial(0, 0, 1, t_precision=self.t_precision)
         base = self

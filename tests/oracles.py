@@ -750,8 +750,8 @@ def orbit_poset_by_pairs(ambient, bound):
     """(nodes, relation, covers) of the orbit poset by the pairwise route.
 
     The same box scan for the nodes as arcs.orbit_poset, then dominates on
-    all n^2 ordered node pairs, each reading the two strata's ray sets and
-    homs, then covers as the related pairs (i, j) with no k related to
+    all n^2 ordered node pairs, each reading the two labels' homs chart by
+    chart, then covers as the related pairs (i, j) with no k related to
     both, a loop over k per pair.  arcs.orbit_poset reads the same order
     chart by chart off sorted prefix bitmasks, with no pair of nodes or
     strata.  No work budget is applied.

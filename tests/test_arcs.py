@@ -118,6 +118,9 @@ def test_hom_from_label_refuses_a_chart_off_the_stratum():
     zero = orbit_label(fan, c1.zero_face(), (1, 1))
     with pytest.raises(ValueError, match="does not contain the stratum"):
         hom_from_label(zero, Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    for chart in (fan, [c1], c1.key):
+        with pytest.raises(TypeError, match="chart must be a Cone"):
+            hom_from_label(label, chart)
 
 
 def test_hom_from_label_refuses_a_chart_holding_the_rays_of_no_face():
@@ -866,7 +869,7 @@ def test_orbit_poset_makes_one_prefix_lookup_per_node_chart_and_finite_key(ambie
 
     lookups = counting(monkeypatch, arcs, "bisect_right")
     poset = orbit_poset(ambient, bound)
-    finite = [arcs._stratum(ambient, node.face)[3] for node in poset.nodes]
+    finite = [arcs._stratum(ambient, node.face)[2] for node in poset.nodes]
     assert len(lookups) == sum(len(positions) for charts in finite for positions in charts.values())
 
 
@@ -1069,8 +1072,8 @@ def test_copies_of_an_ambient_are_equal_and_start_with_no_record():
     ],
     ids=["a2", "conifold", "fan_2d"],
 )
-def test_dominates_by_the_ray_subset_test_matches_the_poset(ambient):
-    # dominates pairs the strata by their ray sets alone; orbit_poset reads the same order
+def test_dominates_by_the_per_chart_rule_matches_the_poset(ambient):
+    # dominates reads one pair by the per-chart rule that orbit_poset reads for all its nodes
     poset = orbit_poset(ambient, 1)
     nodes = poset.nodes
     assert len({n.face for n in nodes}) > 3

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -191,6 +192,20 @@ def test_infinity_arithmetic():
     assert min(INF, 7) == 7
     with pytest.raises(ValueError):
         0 * INF
+
+
+@pytest.mark.parametrize("other", [1.5, Fraction(1, 2), "a", None])
+def test_infinity_refuses_a_non_int_operand_in_every_order_and_scaling(other):
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        for left, right in ((INF, other), (other, INF)):
+            with pytest.raises(TypeError):
+                compare(left, right)
+    for left, right in ((INF, other), (other, INF)):
+        with pytest.raises(TypeError):
+            left * right
+    assert INF * 2 == INF
+    with pytest.raises(ValueError, match="positive integer"):
+        INF * -1
 
 
 # ---------------------------------------------------------------------------

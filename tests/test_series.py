@@ -48,6 +48,15 @@ def test_pow_matches_repeated_product():
     assert s**0 == one
 
 
+def test_pow_refuses_a_non_int_exponent_and_a_negative_one():
+    s = TruncatedSeries({(1, 0): 1}, PREC)
+    for k in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            s**k
+    with pytest.raises(ValueError, match="nonnegative"):
+        s**-1
+
+
 def test_precision_mismatch_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries.zero(3) + TruncatedSeries.zero(4)
