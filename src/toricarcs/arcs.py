@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, repeat
-from operator import index, or_, sub
+from operator import index, or_
 from typing import Mapping, Sequence
 
 from .cones import (
@@ -106,14 +106,14 @@ def _build_stratum(ambient, face: FaceRef, charts: tuple[Cone, ...]):
     """The one builder of stratum records: made from the charts over the face, unchecked, kept on the ambient.
 
     A record is (N_tau, the face on the first chart as Fan.strata picks it,
-    per chart the frozenset of positions of its dual generators vanishing
-    on the face: where the stratum's orbits are finite).
+    finite): per maximal cone, the frozenset of positions of its dual generators
+    vanishing on the face, where the stratum's orbits are finite, or None off it.
     """
     key, chart = face.key, charts[0]
     if face.parent is not chart:
         face = FaceRef(chart, map(chart.key.index, key))
-    finite = {c: frozenset(k for k, u in enumerate(c._dual_keys) if not any(_dot(r, u) for r in key))
-              for c in charts}
+    finite = tuple(frozenset(k for k, u in enumerate(c._dual_keys) if not any(_dot(r, u) for r in key))
+                   if c in charts else None for c in _maximal_cones(ambient))
     record = ambient._strata[key] = _stratum_quotient(chart.dim_ambient, key), face, finite
     return record
 
@@ -132,6 +132,14 @@ def _stratum(ambient, face: FaceRef):
             raise ValueError("the stratum is not a face of a chart containing its rays")
         record = _build_stratum(ambient, face, charts)
     return record
+
+
+def _holders(o: "OrbitLabel"):
+    """The positions in _maximal_cones of the charts that hold a label, ascending: the charts
+    over its stratum where its lift is >= 0 at each dual key finite there."""
+    for i, (chart, positions) in enumerate(zip(_maximal_cones(o.ambient), _stratum(o.ambient, o.face)[2])):
+        if positions is not None and all(_dot(o._lift, chart._dual_keys[k]) >= 0 for k in positions):
+            yield i
 
 
 class OrbitLabel(_Record):
@@ -154,6 +162,7 @@ class OrbitLabel(_Record):
         "face": "FaceRef",
         "point": "tuple[int, ...]",
         "_lift": "the point lifted to N, an int tuple",
+        "_home": "the first position in _holders, the chart dominates reads",
     }
 
     def __init__(self, ambient, face: FaceRef, point: Sequence[int]):
@@ -161,27 +170,26 @@ class OrbitLabel(_Record):
         _set(self, "point", _coords(point, N_SIDE))
         if face.parent.dim_ambient != _maximal_cones(ambient)[0].dim_ambient:
             raise ValueError("the stratum and the ambient lie in lattices of different ranks")
-        q, face, finite = _stratum(ambient, face)
+        q, face, _ = _stratum(ambient, face)
         _set(self, "face", face)
         if len(self.point) != q.quotient_dim:
             raise ValueError(f"point has {len(self.point)} coordinates, expected {q.quotient_dim}")
-        lift = q._section(self.point)
-        _set(self, "_lift", lift)
-        for chart, positions in finite.items():
-            keys = chart._dual_keys
-            if all(_dot(lift, keys[k]) >= 0 for k in positions):
-                return
-        raise ValueError("point lies in no chart's image cone for this stratum")
+        _set(self, "_lift", q._section(self.point))
+        home = next(_holders(self), None)
+        if home is None:
+            raise ValueError("point lies in no chart's image cone for this stratum")
+        _set(self, "_home", home)
 
     @classmethod
-    def _from_image(cls, ambient, face: FaceRef, point: tuple[int, ...]) -> "OrbitLabel":
-        """A label without the point checks, for a point read off a chart's image cone."""
+    def _from_image(cls, ambient, face: FaceRef, point: tuple[int, ...], home: int) -> "OrbitLabel":
+        """A label without the point checks, for a point read off the image cone of its home chart."""
         q, face, _ = _stratum(ambient, face)
         label = cls.__new__(cls)
         _set(label, "ambient", ambient)
         _set(label, "face", face)
         _set(label, "point", point)
         _set(label, "_lift", q._section(point))
+        _set(label, "_home", home)
         return label
 
     @property
@@ -240,9 +248,9 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
     else:
         values = SemigroupHom(c, tuple(h)).values
 
-    finite = [(g, v) for g, v in zip(gens, values) if is_finite(v)]
+    valued = [(g, v) for g, v in zip(gens, values) if is_finite(v)]
     # tau: the rays on which every finite generator vanishes, all of them when none is finite
-    tight = [i for i, r in enumerate(c.key) if not any(_dot(r, g.coords) for g, _ in finite)]
+    tight = [i for i, r in enumerate(c.key) if not any(_dot(r, g.coords) for g, _ in valued)]
     tau = c.face_from_indices(tight)
 
     # every generator inside the finiteness face must carry a finite value
@@ -256,7 +264,7 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
             )
 
     q = _stratum(c, tau)[0]
-    solution = solve_linear([q._push(g.coords) for g, _ in finite], [v for _, v in finite])
+    solution = solve_linear([q._push(g.coords) for g, _ in valued], [v for _, v in valued])
     if solution is None or any(x.denominator != 1 for x in solution):
         raise ValueError("values violate an additive relation among the generators")
     return OrbitLabel(c, tau, [int(x) for x in solution])
@@ -322,48 +330,39 @@ def cylinder_level(o: OrbitLabel) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dominance_charts(o1: OrbitLabel, o2: OrbitLabel):
-    """The charts that show o1 dominating o2; see dominates."""
-    if o1.ambient != o2.ambient:
-        raise ValueError("orbit labels live over different ambients")
-    low = _stratum(o1.ambient, o1.face)[2]
-    high = _stratum(o1.ambient, o2.face)[2]
-    a = o1._lift
-    step = tuple(map(sub, o2._lift, a))  # o1 <= o2 at u is u at the step >= 0
-    for chart, positions in high.items():
-        keys, lows = chart._dual_keys, low.get(chart)  # None off tau: empty would pass where o2 is never finite
-        if lows is None or not positions <= lows:
-            continue
-        if all(_dot(a, keys[k]) >= 0 for k in lows) and all(_dot(step, keys[k]) >= 0 for k in positions):
-            yield chart
-
-
 def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
-    """Orbit-closure containment: o1 <= o2 as homs on one chart's dual generators.
+    """Orbit-closure containment: o1 <= o2 as homs on o2's home chart.
 
-    True iff o1's stratum tau is a face of o2's stratum gamma and some
-    maximal cone sigma over gamma has 0 <= o1.order_at(u) <= o2.order_at(u),
-    INF above every integer, for each u of sigma.dual_generator_list().
+    True iff o1's stratum tau is a face of o2's stratum gamma and sigma,
+    the first maximal cone that holds o2, has 0 <= o1.order_at(u) <=
+    o2.order_at(u), INF above every integer, for each u of
+    sigma.dual_generator_list().  One chart decides (Ishii and Kollar,
+    Duke Math. J. 120 (2003)): the arcs of U_sigma are open and stable
+    under the arc torus, so if o2's orbit, which lies in them, is in o1's
+    orbit closure, o1's orbit meets them and lies in them, where the
+    affine criterion holds.  Any chart that holds o2 gives this answer,
+    and no other passes it, as it puts o2 above o1 >= 0 on o2's keys.
+
     This is the lattice criterion: o1's point lies in sigma's image in
     N_tau, and o2's point minus o1's, projected to N_gamma, in sigma's
     image in N_gamma.  That image is dual to the face sigma^vee cap
-    gamma^perp of sigma^vee, and the face is spanned by the generators of
-    sigma^vee lying in it: the dual rays vanishing on gamma and, on a
-    lower-dimensional chart, the +/- span normals.  On those o2 is finite
-    and o1 <= o2 is a wall inequality of the difference; on the others o2
-    is INF.  Likewise 0 <= o1 reads the walls of the image in N_tau.
-    Labels over charts sharing no maximal cone are never comparable.
-
-    It runs on ints, chart by chart off the stratum records, by the rule
-    orbit_poset reads for all its nodes at once: a chart sigma over gamma
-    and tau shows o1 <= o2 when o2's finite keys on sigma, the dual keys
-    vanishing on gamma, are among o1's, those vanishing on tau, o1 >= 0 at
-    its finite keys and o2 - o1 >= 0 at o2's.  The key test is the face
-    test: the dual keys vanishing on gamma span sigma^vee cap gamma^perp,
-    so all vanish on tau iff tau lies in gamma, and then tau, a face of
-    sigma, is a face of gamma.
+    gamma^perp, spanned by the generators of sigma^vee vanishing on gamma:
+    the dual keys where o2 is finite.  So it runs on ints off the stratum
+    records, by the rule orbit_poset reads for all its nodes at once:
+    sigma is over tau, o2's finite keys on sigma are among o1's, o1 >= 0
+    at its finite keys and o2 - o1 >= 0 at o2's.  The key test is the face
+    test: o2's keys span sigma^vee cap gamma^perp, so all vanish on tau iff
+    tau lies in gamma, and then tau, a face of sigma, is a face of gamma.
     """
-    return next(_dominance_charts(o1, o2), None) is not None
+    ambient, home = o1.ambient, o2._home
+    if ambient != o2.ambient:
+        raise ValueError("orbit labels live over different ambients")
+    low = _stratum(ambient, o1.face)[2][home]
+    high = _stratum(ambient, o2.face)[2][home]
+    if low is None or not high <= low:
+        return False
+    keys, a, b = _maximal_cones(ambient)[home]._dual_keys, o1._lift, o2._lift
+    return all(_dot(a, keys[k]) >= 0 for k in low) and all(_dot(a, keys[k]) <= _dot(b, keys[k]) for k in high)
 
 
 class OrbitPoset(_Record):
@@ -417,12 +416,11 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     a time.  On a chart sigma, a node's row is its hom at the dual keys
     finite on its stratum: the key u_k pushed down to N_tau is S^T u_k, S
     the section matrix, and a tau-node's value there is its point at that
-    wall, which is u_k at its lift.  So no wall or node is read through a
-    LatticeVector.  A tau-node a is below a gamma-node b on sigma exactly
-    when a is >= 0 on its row and, wherever b is finite, a is finite and
-    a <= b.  This is the rule of dominates on sigma, whose docstring shows
-    that it holds the face test, so no pair of strata is formed; a is
-    below b iff it is below b on some chart.
+    wall, which is u_k at its lift, so no wall or node is read through a
+    LatticeVector.  A node a is below b iff, on b's home chart, the first
+    whose scan holds b, a is >= 0 on its row and, wherever b is finite, a
+    is finite and a <= b: the rule of dominates, face test included, so no
+    pair of strata is formed.
 
     Work budget: every node is a point of a box that is scanned, one box
     [-bound, bound]^d per stratum and chart over it, d the rank of the
@@ -439,12 +437,11 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
         finite at k are sorted by their value at k, and the bitmask of
         each prefix is kept: at most m sorts of at most n nodes per
         chart, m the dual keys;
-      - a node's lower set on sigma is the AND, over its finite keys k,
-        of the prefix of nodes with value at k at most its own: one
-        bisect and one AND of n-bit sets per node, chart over its
-        stratum and key finite on it, so at most n * m per chart, with
-        no pairwise comparison; a key where the node is INF constrains
-        nothing, and the lower sets are ORed over the charts;
+      - a node's lower set, on its home chart alone, is the AND over its
+        finite keys k of the prefix of nodes with value at k at most its
+        own: one bisect and one AND of n-bit sets per node and finite key,
+        at most n * m in all, with no pairwise comparison; a key where the
+        node is INF constrains nothing;
       - (i, j) is a cover iff no node lies above i and below j: one AND
         of the n-bit sets above i and below j per related pair.
     """
@@ -455,20 +452,23 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     strata = ambient.strata() if isinstance(ambient, Fan) else ambient.faces()
     _within_budget(len(strata), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
     plan = [_build_stratum(ambient, face, _charts_over(ambient, face)) for face in strata]
-    box = sum(len(finite) * (2 * bound + 1) ** q.quotient_dim for q, _, finite in plan)
+    box = sum((len(finite) - finite.count(None)) * (2 * bound + 1) ** q.quotient_dim for q, _, finite in plan)
     _within_budget(box, MAX_POSET_BOX_POINTS, doing, "box points")
+    charts = _maximal_cones(ambient)
     nodes: list[OrbitLabel] = []
-    groups = {}  # per chart: (first node, finite keys, rows of _chart_rows) of each stratum over it
+    groups = [[] for _ in charts]  # per chart: (first node, finite keys, rows of _chart_rows) of each stratum over it
     for q, face, finite in plan:
         box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim
-        walls = {chart: [q._push(chart._dual_keys[k]) for k in positions] for chart, positions in finite.items()}
-        scans = (lattice_points_where([(w, 0) for w in ws], box_lo, box_hi) for ws in walls.values())
-        points = sorted(set().union(*scans))
-        for chart, ws in walls.items():
-            groups.setdefault(chart, []).append((len(nodes), finite[chart], _chart_rows(points, ws)))
-        nodes += [OrbitLabel._from_image(ambient, face, p) for p in points]
+        walls = [(i, [q._push(charts[i]._dual_keys[k]) for k in positions])
+                 for i, positions in enumerate(finite) if positions is not None]
+        # each point's home chart, the first whose scan holds it: the charts are read last to first
+        homes = {p: i for i, ws in reversed(walls) for p in lattice_points_where([(w, 0) for w in ws], box_lo, box_hi)}
+        points = sorted(homes)
+        for i, ws in walls:
+            groups[i].append((len(nodes), finite[i], _chart_rows(points, ws)))
+        nodes += [OrbitLabel._from_image(ambient, face, p, homes[p]) for p in points]
     down = [0] * len(nodes)
-    for group in groups.values():
+    for i, group in enumerate(groups):
         columns, below_all = {}, 0  # per dual key: (value, bit) of the nonnegative nodes finite there
         for first, positions, rows in group:
             for j, row in enumerate(rows, first):
@@ -483,11 +483,11 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
         for first, positions, rows in group:
             cuts = [prefixes[k] for k in positions]  # the stratum's origin is a node in each of these columns
             for j, row in enumerate(rows, first):
-                below = below_all
-                for (values, masks), x in zip(cuts, row):
-                    below &= masks[bisect_right(values, x)]
-                down[j] |= below
-    down = [below & ~(1 << j) for j, below in enumerate(down)]
+                if nodes[j]._home == i:  # the home chart decides (see dominates)
+                    below = below_all
+                    for (values, masks), x in zip(cuts, row):
+                        below &= masks[bisect_right(values, x)]
+                    down[j] = below & ~(1 << j)
     relation = [pair for j, below in enumerate(down) for pair in zip(_bits(below), repeat(j))]
     up = [0] * len(nodes)
     for i, j in relation:
@@ -532,9 +532,10 @@ def dominance_witness(
 ) -> DominanceWitness:
     """Deformation family certifying that o1's orbit closure contains o2's.
 
-    The family lives on the first smooth chart where the lattice criterion
-    holds, in the chart's own dual basis: the rows dual to its rays, then
-    the torus-factor rows orthogonal to every ray.  Each character u takes
+    The family lives on the first smooth chart that holds o2, which shows
+    the domination as each chart that holds o2 does (see dominates), in the
+    chart's own dual basis: the rows dual to its rays, then the
+    torus-factor rows orthogonal to every ray.  Each character u takes
     the orders a = o1.order_at(u) and b = o2.order_at(u), read on the basis
     rows as int tuples by OrbitLabel._order, unchecked; characters with a
     INF are dual to a ray of o1's stratum and are left out.  A ray character
@@ -545,18 +546,16 @@ def dominance_witness(
     verification report checks that generic lambda recovers o1's orders
     and that lambda = 0 recovers o2's.  Its in_ring field is always true:
     TruncatedSeries refuses a negative exponent at construction, so every
-    image lies in the power-series ring.
+    image lies in the power-series ring.  ValueError is raised when o1 does
+    not dominate o2 or no smooth chart holds o2.
     """
-    seen = False
-    for chart in _dominance_charts(o1, o2):
-        seen = True
-        basis = chart._adapted_basis()
-        if basis is not None:
-            break
-    else:
-        if seen:
-            raise ValueError("no smooth chart realizes this domination; witness unsupported")
+    if not dominates(o1, o2):
         raise ValueError("lattice criterion fails: o1 does not dominate o2")
+    charts = _maximal_cones(o2.ambient)
+    chart = next((charts[i] for i in _holders(o2) if charts[i]._adapted_basis() is not None), None)
+    if chart is None:
+        raise ValueError("no smooth chart realizes this domination; witness unsupported")
+    basis = chart._adapted_basis()
 
     d = len(chart.key)
     pair_data = []  # (character, a, b, is a ray character)

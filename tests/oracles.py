@@ -749,14 +749,18 @@ def minimal_by_pairs(points, normals):
 def orbit_poset_by_pairs(ambient, bound):
     """(nodes, relation, covers) of the orbit poset by the pairwise route.
 
-    The same box scan for the nodes as arcs.orbit_poset, then dominates on
-    all n^2 ordered node pairs, each reading the two labels' homs chart by
-    chart, then covers as the related pairs (i, j) with no k related to
-    both, a loop over k per pair.  arcs.orbit_poset reads the same order
-    chart by chart off sorted prefix bitmasks, with no pair of nodes or
-    strata.  No work budget is applied.
+    The nodes come from the same box scan as arcs.orbit_poset and share its
+    kernels: arcs._charts_over for the charts over a stratum,
+    cones._stratum_quotient for its quotient, lattice_points_where for the
+    scan and the checked OrbitLabel constructor for each label.  The
+    relation shares none of the library's order: dominates_by_image_cones
+    on all n^2 ordered node pairs, each building the charts' image cones.
+    Covers are the related pairs (i, j) with no k related to both, a loop
+    over k per pair.  arcs.orbit_poset reads the order off sorted prefix
+    bitmasks on each node's home chart, with no pair of nodes or strata.
+    No work budget is applied.
     """
-    from toricarcs.arcs import OrbitLabel, _charts_over, dominates
+    from toricarcs.arcs import OrbitLabel, _charts_over
     from toricarcs.cones import Fan, _stratum_quotient, lattice_points_where
     from toricarcs.lattice import pairing
 
@@ -774,11 +778,11 @@ def orbit_poset_by_pairs(ambient, bound):
             ]
             points.update(lattice_points_where(walls, box_lo, box_hi))
         for p in sorted(points):
-            nodes.append(OrbitLabel._from_image(ambient, face, p))
+            nodes.append(OrbitLabel(ambient, face, p))
     relation = set()
     for i, a in enumerate(nodes):
         for j, b in enumerate(nodes):
-            if i != j and dominates(a, b):
+            if i != j and dominates_by_image_cones(a, b):
                 relation.add((i, j))
     covers = []
     for i, j in sorted(relation):

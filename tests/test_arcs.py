@@ -1,5 +1,7 @@
 import copy
+import functools
 import itertools
+import math
 import pickle
 import random
 import sys
@@ -758,6 +760,33 @@ def _random_ambients(seed=14, count=10):
             out.append(pytest.param(cone, 1, id=f"random_{len(out)}"))
 
 
+def _angular(a, b):
+    """Counterclockwise order of plane vectors from the positive x axis, exact."""
+    lower_a, lower_b = (v[1] < 0 or (v[1] == 0 and v[0] < 0) for v in (a, b))
+    return lower_a - lower_b or b[0] * a[1] - a[0] * b[1]
+
+
+def _random_complete_fans(seed=36, count=30):
+    """Seeded random complete fans in Z^2: 3 to 6 primitive rays of [-3, 3]^2 in
+    counterclockwise order, a cone on each pair of neighbours, kept when every
+    angle between neighbours is below pi; see draws."""
+    rng = random.Random(seed)
+    out = []
+    for _ in draws("_random_complete_fans"):
+        if len(out) == count:
+            return out
+        rays = set()
+        for _ in range(rng.randint(3, 6)):
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            if x or y:
+                g = math.gcd(x, y)
+                rays.add((x // g, y // g))
+        rays = sorted(rays, key=functools.cmp_to_key(_angular))
+        pairs = list(zip(rays, rays[1:] + rays[:1]))
+        if len(rays) >= 3 and all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in pairs):
+            out.append(pytest.param(Fan([Cone(pair) for pair in pairs]), 1, id=f"complete_fan_{len(out)}"))
+
+
 LOWER_DIMENSIONAL = [
     pytest.param(Cone([(1, 0)], 2), 2, id="ray_in_z2"),
     pytest.param(Cone([(1, 0, 0), (1, 2, 0)]), 1, id="a1_in_z3"),
@@ -841,6 +870,70 @@ def test_orbit_poset_matches_the_pairwise_oracle(ambient, bound):
     assert poset.covers == covers
 
 
+COMPLETE_FANS = _random_complete_fans()
+
+
+def _plain_hom(node, chart):
+    """node's orders on chart.dual_generator_list() by plain pairing, None for INF; None
+    when the chart does not hold the node's stratum."""
+    rays = node.face.rays
+    if not all(map(chart.contains, rays)):
+        return None
+    lift = node.quotient.lift(node.point)
+    return [None if any(pairing(r, u) for r in rays) else pairing(lift, u) for u in chart.dual_generator_list()]
+
+
+def _plain_holds(hom):
+    return hom is not None and all(x >= 0 for x in hom if x is not None)
+
+
+def _plain_below(low, high):
+    """0 <= low <= high on every generator, INF (None) above every integer."""
+    def at_most(x, y):
+        return y is None or x is not None and x <= y
+
+    return low is not None and all(at_most(0, x) and at_most(x, y) for x, y in zip(low, high))
+
+
+@pytest.mark.parametrize("ambient,bound", ORACLE_FANS + COMPLETE_FANS)
+def test_every_chart_that_holds_the_upper_orbit_decides_dominance(ambient, bound):
+    # the arcs of a chart are open and stable under the arc torus, so any chart that holds
+    # o2 decides o1 <= o2: each such chart, read by plain pairing, agrees with dominates
+    nodes = orbit_poset(ambient, bound).nodes
+    homs = [[_plain_hom(n, chart) for chart in ambient.maximal_cones] for n in nodes]
+    for n, row in zip(nodes, homs):
+        home = [_plain_holds(h) for h in row].index(True)
+        assert n._home == home == orbit_label(ambient, n.face, n.point)._home
+    shared = 0
+    for low, a in zip(homs, nodes):
+        for high, b in zip(homs, nodes):
+            verdicts = {_plain_below(x, y) for x, y in zip(low, high) if _plain_holds(y)}
+            assert verdicts == {dominates(a, b)}
+            shared += sum(map(_plain_holds, high)) > 1
+    assert shared
+    assert OrbitLabel._fields == ("ambient", "face", "point")
+
+
+def test_dominates_and_dominance_witness_hash_no_cone(monkeypatch):
+    # once the strata are built, o2's home chart is read by its position in the stratum
+    # record, and the witness walks the charts by position too: no Cone keys a lookup.
+    # The conifold fan has no smooth chart and the P^2 fan only smooth ones.
+    posets = [(p.values[0], orbit_poset(*p.values).nodes) for p in ORACLE_FANS]
+    hashed = counting(monkeypatch, Cone, "__hash__")
+    verified, refused = [], []
+    for ambient, nodes in posets:
+        dominating = [(a, b) for a in nodes for b in nodes if a != b and dominates(a, b)]
+        assert len(dominating) > len(nodes)
+        for a, b in dominating:
+            try:
+                verified.append(dominance_witness(a, b).verified)
+            except ValueError as err:
+                refused.append(str(err))
+    assert hashed == []
+    assert verified and all(verified)
+    assert refused and set(refused) == {"no smooth chart realizes this domination; witness unsupported"}
+
+
 @pytest.mark.parametrize("ambient", [p.values[0] for p in ORACLE_CONES + ORACLE_FANS + LOWER_DIMENSIONAL])
 def test_orbit_poset_reads_each_hom_once_per_chart_and_calls_no_pairwise_test(ambient, monkeypatch):
     import toricarcs.arcs as arcs
@@ -869,8 +962,9 @@ def test_orbit_poset_makes_one_prefix_lookup_per_node_chart_and_finite_key(ambie
 
     lookups = counting(monkeypatch, arcs, "bisect_right")
     poset = orbit_poset(ambient, bound)
-    finite = [arcs._stratum(ambient, node.face)[2] for node in poset.nodes]
-    assert len(lookups) == sum(len(positions) for charts in finite for positions in charts.values())
+    # a node's lower set is read on its home chart alone
+    finite = [arcs._stratum(ambient, node.face)[2][node._home] for node in poset.nodes]
+    assert len(lookups) == sum(map(len, finite))
 
 
 def test_orbit_layer_builds_no_cone(monkeypatch):
@@ -1096,10 +1190,7 @@ def test_orbit_label_refuses_a_non_integer_point_and_a_stratum_of_another_rank()
 
 def test_dominance_witness_eliminates_each_chart_once_in_integers(quadrant, a1, monkeypatch):
     # one row_hermite call per chart, over the chart's lifetime, both tests smoothness and
-    # gives the dual basis, which the chart keeps; the charts are walked once per witness,
-    # also to choose the error message
-    import toricarcs.arcs as arcs
-
+    # gives the dual basis, which the chart keeps
     calls = []
 
     def counted(matrix):
@@ -1111,35 +1202,31 @@ def test_dominance_witness_eliminates_each_chart_once_in_integers(quadrant, a1, 
     assert binders
     for module in binders:
         monkeypatch.setattr(module, "row_hermite", counted)
-    walks = counting(monkeypatch, arcs, "_dominance_charts")
     zero = quadrant.zero_face()
     o1, o2 = orbit_label(quadrant, zero, (1, 1)), orbit_label(quadrant, zero, (2, 1))
     calls.clear()
     witness = dominance_witness(o1, o2)
-    assert witness.verified and len(calls) == 1 and len(walks) == 1
+    assert witness.verified and len(calls) == 1
     assert dominance_witness(o1, o2) == witness and is_smooth(quadrant) and len(calls) == 1
     coefficients = [c for _, s in witness.family for c in s.terms.values()]
     coefficients += [c for s in monomial_arc(o2).values() for c in s.terms.values()]
     assert coefficients and {type(c) for c in coefficients} == {int}
-    # a1 is not smooth: one chart tried, one walk, and the message of a domination
+    # a1 is not smooth: one chart tried, and the message of a domination
     b1, b2 = orbit_label(a1, a1.zero_face(), (1, 1)), orbit_label(a1, a1.zero_face(), (2, 1))
     calls.clear()
-    walks.clear()
     with pytest.raises(ValueError, match="no smooth chart realizes this domination"):
         dominance_witness(b1, b2)
-    assert len(calls) == 1 and len(walks) == 1
+    assert len(calls) == 1
     with pytest.raises(ValueError, match="no smooth chart realizes this domination"):
         dominance_witness(b1, b2)
     assert not is_smooth(a1) and len(calls) == 1
-    walks.clear()
     with pytest.raises(ValueError, match="lattice criterion fails"):
         dominance_witness(o2, o1)
-    assert len(walks) == 1
-    # the walk stops at the first smooth chart: two charts show (1, 0) <= (2, 0), and only
-    # the first is eliminated and keeps its basis
+    # the walk stops at the first smooth chart: both charts hold (2, 0), and only the
+    # first is eliminated and keeps its basis
     fan = Fan([Cone([(1, 0), (0, 1)]), Cone([(1, 0), (0, -1)])])
     f1, f2 = orbit_label(fan, zero, (1, 0)), orbit_label(fan, zero, (2, 0))
-    assert len(list(arcs._dominance_charts(f1, f2))) == 2
+    assert [min(hom_from_label(f2, chart).values) >= 0 for chart in fan.maximal_cones] == [True, True]
     calls.clear()
     assert dominance_witness(f1, f2).verified and len(calls) == 1
     assert [chart._basis is not None for chart in fan.maximal_cones] == [True, False]

@@ -139,6 +139,77 @@ def test_arcs_derives_a_stratum_in_one_builder():
     assert [owner for owner, _ in _callers(tree, "_stratum_quotient")] == ["_build_stratum"]
 
 
+# builtins whose result iterates over their arguments
+PASS_THROUGH = {"enumerate", "zip", "reversed", "sorted", "list", "tuple", "set", "iter", "map", "filter"}
+
+
+def _reads_positions(expr):
+    """Whether iterating expr iterates a stratum record's per-chart positions.
+
+    arcs binds a record's third field, one entry per maximal cone, to the
+    name finite, or reads it as _stratum(...)[2] or _build_stratum(...)[2].
+    One index of it (finite[i]) is one chart's positions and does not count,
+    a slice does; so do a method's result on it and the builtins of
+    PASS_THROUGH over it.  Another call's result does not: the function is
+    judged by its own loops.
+    """
+    if isinstance(expr, ast.Name):
+        return expr.id == "finite"
+    if isinstance(expr, ast.Subscript):
+        if isinstance(expr.slice, ast.Slice):
+            return _reads_positions(expr.value)
+        called = getattr(getattr(expr.value, "func", None), "id", None)
+        return called in ("_stratum", "_build_stratum") and getattr(expr.slice, "value", None) == 2
+    if isinstance(expr, ast.Call):
+        if isinstance(expr.func, ast.Attribute):
+            return _reads_positions(expr.func.value)
+        return getattr(expr.func, "id", None) in PASS_THROUGH and any(map(_reads_positions, expr.args))
+    return any(map(_reads_positions, ast.iter_child_nodes(expr)))
+
+
+def _position_loops(tree):
+    """(function, line) per for statement or comprehension over a stratum record's
+    per-chart positions (see _reads_positions), sorted by line."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)) and _reads_positions(node.iter):
+            found.append((owner, node.iter.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return sorted(found, key=lambda place: place[1])
+
+
+def test_arcs_walks_the_charts_of_a_stratum_record_in_two_places():
+    # one chart that holds o2 decides o1 <= o2, so dominates reads o2's home chart by its
+    # position in the record; _holders walks a label's charts (its home, and the witness's
+    # first smooth chart holding o2), and orbit_poset walks them to scan and build columns
+    tree = ast.parse((SRC / "arcs.py").read_text(encoding="utf-8"))
+    assert {owner for owner, _ in _position_loops(tree)} == {"_holders", "orbit_poset"}
+
+
+def test_position_loop_rule_sees_a_planted_loop():
+    source = (
+        "def dominates(o1, o2):\n"
+        "    finite = _stratum(o1.ambient, o2.face)[2]\n"
+        "    low = _stratum(o1.ambient, o1.face)[2][o2._home]\n"
+        "    if all(k >= 0 for k in low) and finite[o2._home]:\n"
+        "        return any(p is not None for p in finite)\n"
+        "def dominance_witness(o1, o2):\n"
+        "    for positions in _stratum(o2.ambient, o2.face)[2]:\n"
+        "        pass\n"
+        "    return [i for i in _holders(o2.ambient, _stratum(o2.ambient, o2.face)[2], o2._lift)]\n"
+        "def scan(finite):\n"
+        "    return [i for i, p in enumerate(finite[1:])], [k for k in finite[0]], [x for x in finite.items()]\n"
+    )
+    found = _position_loops(ast.parse(source))
+    assert found == [("dominates", 5), ("dominance_witness", 7), ("scan", 11), ("scan", 11)]
+
+
 def test_only_solve_and_polar_vertices_build_fractions():
     # series keep the int coefficients they are given; the rational steps are the
     # back-substitution of solve_linear and the vertices p x / s of polar_polytope
