@@ -103,11 +103,11 @@ def _charts_over(ambient, face: FaceRef) -> tuple[Cone, ...]:
 
 
 def _build_stratum(ambient, face: FaceRef, charts: tuple[Cone, ...]):
-    """The one builder of stratum records: made from the charts over the face, unchecked, kept on the ambient.
+    """The one builder of stratum records: made unchecked from the charts over a face with none kept.
 
-    A record is (N_tau, the face on the first chart as Fan.strata picks it,
-    finite): per maximal cone, the frozenset of positions of its dual generators
-    vanishing on the face, where the stratum's orbits are finite, or None off it.
+    A record is (N_tau, the face on the first chart as Fan.strata picks it, finite): per maximal cone,
+    the frozenset of positions of its dual generators vanishing on the face, where the stratum's orbits
+    are finite, or None off it.  It is kept on the ambient, once per face, and never replaced.
     """
     key, chart = face.key, charts[0]
     if face.parent is not chart:
@@ -121,9 +121,9 @@ def _build_stratum(ambient, face: FaceRef, charts: tuple[Cone, ...]):
 def _stratum(ambient, face: FaceRef):
     """The stratum record of a face over an ambient, kept in ambient._strata by face key.
 
-    Its first use takes the charts holding the face's rays from _charts_over and checks
-    with Cone._is_face that the face is a face of each, then calls _build_stratum; when
-    no chart holds it or one has it as no face, it raises ValueError, keeping nothing.
+    Its first use takes the charts holding the face's rays from _charts_over, checks with Cone._is_face
+    that the face is a face of each and calls _build_stratum; when no chart holds it or one has it as no
+    face, it raises ValueError, keeping nothing.  Only OrbitLabel.__init__ and classify_hom call it.
     """
     record = ambient._strata.get(face.key)
     if record is None:
@@ -134,11 +134,10 @@ def _stratum(ambient, face: FaceRef):
     return record
 
 
-def _holders(o: "OrbitLabel"):
-    """The positions in _maximal_cones of the charts that hold a label, ascending: the charts
-    over its stratum where its lift is >= 0 at each dual key finite there."""
-    for i, (chart, positions) in enumerate(zip(_maximal_cones(o.ambient), _stratum(o.ambient, o.face)[2])):
-        if positions is not None and all(_dot(o._lift, chart._dual_keys[k]) >= 0 for k in positions):
+def _holders(ambient, finite, lift):
+    """The positions of the charts holding an orbit: over its stratum (finite), lift >= 0 at the keys finite there."""
+    for i, (chart, positions) in enumerate(zip(_maximal_cones(ambient), finite)):
+        if positions is not None and all(_dot(lift, chart._dual_keys[k]) >= 0 for k in positions):
             yield i
 
 
@@ -149,12 +148,11 @@ class OrbitLabel(_Record):
     the point has one coordinate per rank of the stratum's quotient
     lattice, some chart holds the face's rays, the face is a face of every
     such chart, and on one of them order_at is >= 0 on every dual
-    generator.  orbit_label is this constructor.  The face check is made
-    here, once per face and ambient: the first label of a face builds its
-    stratum record (see _stratum), kept on the ambient, and later labels
-    read it.  FaceRef does not check it.  A label keeps the record's face,
-    so labels of one orbit are equal whichever chart's face built them.
-    The point is a sequence of ints or an N-side LatticeVector.
+    generator; orbit_label is this constructor.  _stratum checks the face
+    once per face and ambient, as it builds the stratum record kept on the
+    ambient.  A label holds that record and its face, so orbit readers look
+    nothing up and labels of one orbit are equal whichever chart's face
+    built them.  The point is a sequence of ints or an N-side LatticeVector.
     """
 
     __slots__ = {
@@ -163,38 +161,40 @@ class OrbitLabel(_Record):
         "point": "tuple[int, ...]",
         "_lift": "the point lifted to N, an int tuple",
         "_home": "the first position in _holders, the chart dominates reads",
+        "_record": "the stratum record kept on the ambient for the face (see _stratum)",
     }
 
     def __init__(self, ambient, face: FaceRef, point: Sequence[int]):
-        _set(self, "ambient", ambient)
-        _set(self, "point", _coords(point, N_SIDE))
+        point = _coords(point, N_SIDE)
         if face.parent.dim_ambient != _maximal_cones(ambient)[0].dim_ambient:
             raise ValueError("the stratum and the ambient lie in lattices of different ranks")
-        q, face, _ = _stratum(ambient, face)
-        _set(self, "face", face)
-        if len(self.point) != q.quotient_dim:
-            raise ValueError(f"point has {len(self.point)} coordinates, expected {q.quotient_dim}")
-        _set(self, "_lift", q._section(self.point))
-        home = next(_holders(self), None)
+        record = _stratum(ambient, face)
+        if len(point) != record[0].quotient_dim:
+            raise ValueError(f"point has {len(point)} coordinates, expected {record[0].quotient_dim}")
+        lift = record[0]._section(point)
+        home = next(_holders(ambient, record[2], lift), None)
         if home is None:
             raise ValueError("point lies in no chart's image cone for this stratum")
-        _set(self, "_home", home)
+        self._hold(ambient, record, point, lift, home)
 
     @classmethod
-    def _from_image(cls, ambient, face: FaceRef, point: tuple[int, ...], home: int) -> "OrbitLabel":
+    def _from_image(cls, ambient, record, point: tuple[int, ...], home: int) -> "OrbitLabel":
         """A label without the point checks, for a point read off the image cone of its home chart."""
-        q, face, _ = _stratum(ambient, face)
-        label = cls.__new__(cls)
-        _set(label, "ambient", ambient)
-        _set(label, "face", face)
-        _set(label, "point", point)
-        _set(label, "_lift", q._section(point))
-        _set(label, "_home", home)
-        return label
+        return cls.__new__(cls)._hold(ambient, record, point, record[0]._section(point), home)
+
+    def _hold(self, ambient, record, point, lift, home) -> "OrbitLabel":
+        """Write the fields, the face being the record's, then the caches: six calls, no loop."""
+        _set(self, "ambient", ambient)
+        _set(self, "face", record[1])
+        _set(self, "point", point)
+        _set(self, "_lift", lift)
+        _set(self, "_home", home)
+        _set(self, "_record", record)
+        return self
 
     @property
     def quotient(self) -> QuotientLattice:
-        return _stratum(self.ambient, self.face)[0]
+        return self._record[0]
 
     def order_at(self, u: LatticeVector):
         """The orbit's hom at u: INF unless u vanishes on the face, else u at the point lifted to N."""
@@ -273,8 +273,10 @@ def classify_hom(c: Cone, h: SemigroupHom | Mapping | Sequence) -> OrbitLabel:
 def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
     """The extended order function of an orbit on a chart's dual generators.
 
-    The chart must be a Cone, or TypeError is raised, and have the orbit's
-    stratum as a face, not only its rays.
+    The chart must be a Cone, or TypeError is raised, have the orbit's
+    stratum as a face, not only its rays, and hold the orbit: a chart over
+    the stratum on which the orbit's order is negative at some generator
+    raises ValueError, as no hom to Z>=0 + INF is there.
     """
     key = o.face.key
     if chart is None:
@@ -285,7 +287,10 @@ def hom_from_label(o: OrbitLabel, chart: Cone | None = None) -> SemigroupHom:
         raise TypeError(f"chart must be a Cone, got {chart!r}")
     elif chart.dim_ambient != len(o._lift) or not all(map(chart._holds, key)) or not chart._is_face(key):
         raise ValueError(f"chart {chart!r} does not contain the stratum {list(key)} as a face")
-    return SemigroupHom(chart, tuple(o._order(g.coords) for g in hilbert_basis_dual(chart)))
+    values = tuple(o._order(g.coords) for g in hilbert_basis_dual(chart))
+    if min(values, default=0) < 0:
+        raise ValueError(f"chart {chart!r} does not hold the orbit {o!r}")
+    return SemigroupHom(chart, values)
 
 
 def monomial_arc(
@@ -357,8 +362,7 @@ def dominates(o1: OrbitLabel, o2: OrbitLabel) -> bool:
     ambient, home = o1.ambient, o2._home
     if ambient != o2.ambient:
         raise ValueError("orbit labels live over different ambients")
-    low = _stratum(ambient, o1.face)[2][home]
-    high = _stratum(ambient, o2.face)[2][home]
+    low, high = o1._record[2][home], o2._record[2][home]
     if low is None or not high <= low:
         return False
     keys, a, b = _maximal_cones(ambient)[home]._dual_keys, o1._lift, o2._lift
@@ -409,8 +413,8 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     A chart's image in N_tau is cut out by the chart's dual generators
     that vanish on tau, pushed down to N_tau: they span the dual face
     sigma^vee cap tau^perp (see dominates), so no image cone is built.
-    Each stratum's record is built by _build_stratum and kept on the ambient,
-    without _stratum's face check: a cone of a fan is a face of each chart over it.
+    Each stratum's record is the one kept on the ambient, else _build_stratum's,
+    made without _stratum's face check: a cone of a fan is a face of each chart over it.
 
     The order is read from the homs, with no dominates call, one chart at
     a time.  On a chart sigma, a node's row is its hom at the dual keys
@@ -451,13 +455,14 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
     _within_budget(max(simplicial, default=0), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
     strata = ambient.strata() if isinstance(ambient, Fan) else ambient.faces()
     _within_budget(len(strata), MAX_POSET_BOX_POINTS, doing + " at least", "box points")
-    plan = [_build_stratum(ambient, face, _charts_over(ambient, face)) for face in strata]
+    plan = [ambient._strata.get(f.key) or _build_stratum(ambient, f, _charts_over(ambient, f)) for f in strata]
     box = sum((len(finite) - finite.count(None)) * (2 * bound + 1) ** q.quotient_dim for q, _, finite in plan)
     _within_budget(box, MAX_POSET_BOX_POINTS, doing, "box points")
     charts = _maximal_cones(ambient)
     nodes: list[OrbitLabel] = []
     groups = [[] for _ in charts]  # per chart: (first node, finite keys, rows of _chart_rows) of each stratum over it
-    for q, face, finite in plan:
+    for record in plan:
+        q, _, finite = record
         box_lo, box_hi = [-bound] * q.quotient_dim, [bound] * q.quotient_dim
         walls = [(i, [q._push(charts[i]._dual_keys[k]) for k in positions])
                  for i, positions in enumerate(finite) if positions is not None]
@@ -466,7 +471,7 @@ def orbit_poset(ambient, bound: int) -> OrbitPoset:
         points = sorted(homes)
         for i, ws in walls:
             groups[i].append((len(nodes), finite[i], _chart_rows(points, ws)))
-        nodes += [OrbitLabel._from_image(ambient, face, p, homes[p]) for p in points]
+        nodes += [OrbitLabel._from_image(ambient, record, p, homes[p]) for p in points]
     down = [0] * len(nodes)
     for i, group in enumerate(groups):
         columns, below_all = {}, 0  # per dual key: (value, bit) of the nonnegative nodes finite there
@@ -551,8 +556,8 @@ def dominance_witness(
     """
     if not dominates(o1, o2):
         raise ValueError("lattice criterion fails: o1 does not dominate o2")
-    charts = _maximal_cones(o2.ambient)
-    chart = next((charts[i] for i in _holders(o2) if charts[i]._adapted_basis() is not None), None)
+    charts, held = _maximal_cones(o2.ambient), _holders(o2.ambient, o2._record[2], o2._lift)
+    chart = next((charts[i] for i in held if charts[i]._adapted_basis() is not None), None)
     if chart is None:
         raise ValueError("no smooth chart realizes this domination; witness unsupported")
     basis = chart._adapted_basis()

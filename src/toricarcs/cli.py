@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("dominates", "orbit-closure containment via the lattice criterion")
     p.add_argument("--stratum", default="", help="ray indices of the first stratum face")
     p.add_argument("--v", required=True)
-    p.add_argument("--stratum2", default=None, help="ray indices of the second stratum face")
+    p.add_argument("--stratum2", default=None, help="ray indices of the second stratum face (default: --stratum)")
     p.add_argument("--v2", required=True)
     p = add("witness", "deformation family certifying a domination")
     p.add_argument("--v", required=True)

@@ -120,6 +120,10 @@ def test_hom_from_label_refuses_a_chart_off_the_stratum():
     zero = orbit_label(fan, c1.zero_face(), (1, 1))
     with pytest.raises(ValueError, match="does not contain the stratum"):
         hom_from_label(zero, Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    # c2 has the open stratum as a face but does not hold the orbit (1, 1): no hom is there
+    assert hom_from_label(zero, c1).values == (1, 1)
+    with pytest.raises(ValueError, match=r"^chart Cone\(.*\) does not hold the orbit OrbitLabel\(.*\)$"):
+        hom_from_label(zero, c2)
     for chart in (fan, [c1], c1.key):
         with pytest.raises(TypeError, match="chart must be a Cone"):
             hom_from_label(label, chart)
@@ -939,6 +943,11 @@ def test_orbit_poset_reads_each_hom_once_per_chart_and_calls_no_pairwise_test(am
     import toricarcs.arcs as arcs
     from toricarcs.lattice import QuotientLattice
 
+    # a copy keeps no stratum record of an earlier test, so first-use work is counted too
+    ambient = copy.copy(ambient)
+    assert ambient._strata == {}
+    built = counting(monkeypatch, arcs, "_build_stratum")
+    looked_up = counting(monkeypatch, arcs, "_stratum")
     dominance_tests = counting(monkeypatch, arcs, "dominates")
     face_tests = counting(monkeypatch, Cone, "_is_face")
     pushes = counting(monkeypatch, QuotientLattice, "push_dual")
@@ -950,6 +959,8 @@ def test_orbit_poset_reads_each_hom_once_per_chart_and_calls_no_pairwise_test(am
     strata = {}
     for node in poset.nodes:
         strata.setdefault(node.face, []).append(node.point)
+    # each stratum holds its origin as a node; its record is built once, with no lookup
+    assert len(built) == len(ambient._strata) == len(strata) and looked_up == []
     # the points of a stratum's nodes are read once per chart over it, in one call
     over = {face: sum(1 for c in charts if all(map(c.contains, face.rays))) for face in strata}
     wanted = sorted(tuple(points) for face, points in strata.items() for _ in range(over[face]))
@@ -1046,6 +1057,8 @@ def test_random_samplers_raise_a_named_error_instead_of_hanging(fake, monkeypatc
 def test_orbit_hot_paths_make_no_pairing_call_and_build_each_key_once(ambient, monkeypatch):
     import toricarcs
 
+    ambient = copy.copy(ambient)  # no record of an earlier test: first-use work is counted too
+    assert ambient._strata == {}
     modules = [toricarcs] + [getattr(toricarcs, m) for m in ("lattice", "cones", "arcs", "ideals")]
     pairings = [counting(monkeypatch, m, "pairing") for m in modules if hasattr(m, "pairing")]
     charts = ambient.maximal_cones if isinstance(ambient, Fan) else (ambient,)
@@ -1087,6 +1100,34 @@ def test_labels_build_each_stratum_record_once_and_dominates_makes_no_face_test(
     answers = [dominates(a, b) for a in labels for b in labels]
     assert any(answers) and not all(answers) and len(answers) == 576
     assert containment == [] and face_tests == [] and face_checks == []
+
+
+def test_each_label_holds_its_stratum_record_and_orbit_readers_look_none_up(monkeypatch):
+    import toricarcs.arcs as arcs
+
+    # 31 nodes on the 10 faces of a fresh conifold; the record each holds is the kept one
+    chart = Cone(CONIFOLD)
+    first = orbit_poset(chart, 1).nodes
+    assert len(first) == 31 and len({n.face.key for n in first}) == 10
+    looked_up = counting(monkeypatch, arcs, "_stratum")
+    built = counting(monkeypatch, arcs, "_build_stratum")
+    walked = counting(monkeypatch, arcs, "_charts_over")
+    labels = [orbit_label(chart, n.face, n.point) for n in first]
+    assert labels == list(first) and len(looked_up) == 31
+    # at most three labels per face, 24 in all: 576 pairs, none looked up again
+    per_face = {}
+    for label in labels:
+        per_face.setdefault(label.face, []).append(label)
+    some = [label for group in per_face.values() for label in group[:3]]
+    answers = [dominates(a, b) for a in some for b in some]
+    assert len(answers) == 576 and any(answers) and not all(answers)
+    assert [label.quotient for label in labels] == [n.quotient for n in first]
+    assert len(looked_up) == 31
+    # a second poset reuses every kept record: none built, walked or looked up
+    second = orbit_poset(chart, 1).nodes
+    assert second == first and built == walked == [] and len(looked_up) == 31
+    later = [orbit_label(chart, n.face, n.point) for n in first]
+    assert all(n._record is chart._strata[n.face.key] for n in first + second + tuple(labels + later))
 
 
 def test_labels_and_dominance_after_a_poset_read_its_records(monkeypatch):

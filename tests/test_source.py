@@ -51,16 +51,17 @@ def test_unused_import_rule_sees_a_name_that_is_never_read():
     assert _unused_imports(tree) == [(1, "Fraction"), (3, "INF")]
 
 
-def _callers(tree, name):
+def _callers(tree, name, qualified=False):
     """(function, line) per call of name, as a bare name or as an attribute, sorted by line.
 
-    The function is the innermost def around the call, or None outside any.
+    The function is the innermost def around the call, or None outside any;
+    qualified, it is named with the classes and defs around it, as Class.method.
     """
     found = []
 
     def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or qualified and isinstance(node, ast.ClassDef):
+            owner = f"{owner}.{node.name}" if qualified and owner else node.name
         if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
             found.append((owner, node.lineno))
         for child in ast.iter_child_nodes(node):
@@ -147,7 +148,8 @@ def _reads_positions(expr):
     """Whether iterating expr iterates a stratum record's per-chart positions.
 
     arcs binds a record's third field, one entry per maximal cone, to the
-    name finite, or reads it as _stratum(...)[2] or _build_stratum(...)[2].
+    name finite, or reads it as _stratum(...)[2], _build_stratum(...)[2] or,
+    off the record a label holds, x._record[2].
     One index of it (finite[i]) is one chart's positions and does not count,
     a slice does; so do a method's result on it and the builtins of
     PASS_THROUGH over it.  Another call's result does not: the function is
@@ -159,7 +161,8 @@ def _reads_positions(expr):
         if isinstance(expr.slice, ast.Slice):
             return _reads_positions(expr.value)
         called = getattr(getattr(expr.value, "func", None), "id", None)
-        return called in ("_stratum", "_build_stratum") and getattr(expr.slice, "value", None) == 2
+        held = getattr(expr.value, "attr", None) == "_record"
+        return (held or called in ("_stratum", "_build_stratum")) and getattr(expr.slice, "value", None) == 2
     if isinstance(expr, ast.Call):
         if isinstance(expr.func, ast.Attribute):
             return _reads_positions(expr.func.value)
@@ -205,9 +208,49 @@ def test_position_loop_rule_sees_a_planted_loop():
         "    return [i for i in _holders(o2.ambient, _stratum(o2.ambient, o2.face)[2], o2._lift)]\n"
         "def scan(finite):\n"
         "    return [i for i, p in enumerate(finite[1:])], [k for k in finite[0]], [x for x in finite.items()]\n"
+        "def held(o):\n"
+        "    low = o._record[2][o._home]\n"
+        "    return [k for k in low], [p for p in o._record[2]], [q for q in o._record[0]]\n"
     )
     found = _position_loops(ast.parse(source))
-    assert found == [("dominates", 5), ("dominance_witness", 7), ("scan", 11), ("scan", 11)]
+    assert found == [("dominates", 5), ("dominance_witness", 7), ("scan", 11), ("scan", 11), ("held", 14)]
+
+
+# the callers arcs lets derive a stratum record: the checked label constructor and classify_hom look one
+# up, and a record is built by the lookup or by orbit_poset; every other reader reads a label's record
+STRATUM_CALLERS = {"_stratum": {"OrbitLabel.__init__", "classify_hom"}, "_build_stratum": {"_stratum", "orbit_poset"}}
+
+
+def _stratum_callers(tree):
+    """The functions, as Class.method, that call each name of STRATUM_CALLERS."""
+    return {name: {owner for owner, _ in _callers(tree, name, qualified=True)} for name in STRATUM_CALLERS}
+
+
+def test_arcs_looks_up_and_builds_stratum_records_in_named_places():
+    tree = ast.parse((SRC / "arcs.py").read_text(encoding="utf-8"))
+    assert _stratum_callers(tree) == STRATUM_CALLERS
+
+
+def test_stratum_caller_rule_sees_a_planted_call():
+    source = (
+        "class SemigroupHom:\n"
+        "    def __init__(self, cone, face):\n"
+        "        self.q = _stratum(cone, face)[0]\n"
+        "class OrbitLabel:\n"
+        "    def __init__(self, ambient, face, point):\n"
+        "        self.record = _stratum(ambient, face)\n"
+        "def _stratum(ambient, face):\n"
+        "    return _build_stratum(ambient, face, ())\n"
+        "def dominates(o1, o2):\n"
+        "    return arcs._stratum(o1.ambient, o1.face)\n"
+        "def orbit_poset(ambient, bound):\n"
+        "    def plan(face):\n"
+        "        return _build_stratum(ambient, face, ())\n"
+    )
+    assert _stratum_callers(ast.parse(source)) == {
+        "_stratum": {"SemigroupHom.__init__", "OrbitLabel.__init__", "dominates"},
+        "_build_stratum": {"_stratum", "orbit_poset.plan"},
+    }
 
 
 def test_only_solve_and_polar_vertices_build_fractions():
@@ -237,6 +280,8 @@ def test_caller_rule_names_the_innermost_function_around_each_call():
         "    return _face_keys\n"
     )
     assert _callers(ast.parse(source), "_face_keys") == [(None, 2), ("inner", 5), ("outer", 6), ("method", 9)]
+    qualified = [(None, 2), ("outer.inner", 5), ("outer", 6), ("C.method", 9)]
+    assert _callers(ast.parse(source), "_face_keys", qualified=True) == qualified
 
 
 def test_call_rule_sees_a_bare_and_an_attribute_call():
